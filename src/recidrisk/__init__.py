@@ -16,7 +16,6 @@ from .baseline import (
     NAMED_RULE_SYSTEMS,
     RuleSystem,
     ViogenClass,
-    apply_rule_system,
     viogen_classify,
 )
 from .dataset import (
@@ -51,12 +50,11 @@ from .hybrid import (
     SweepResult,
     decide_mu,
     evaluate_hybrid,
-    hybrid_predict,
     hybrid_sample,
     mu_sweep,
     resource_profile,
 )
-from .knn import KNNModel, knn_fit, knn_predict
+from .knn import KNNModel, knn_fit
 from .metrics import (
     ClassScores,
     ConfusionMatrix,
@@ -67,7 +65,7 @@ from .metrics import (
     police_resource,
 )
 from .model_io import load_model, save_model
-from .nearest_centroid import NearestCentroidModel, nc_fit, nc_predict
+from .nearest_centroid import NearestCentroidModel, nc_fit
 from .synthgen import (
     GeneratorConfig,
     ResponseProfile,
@@ -77,4 +75,4 @@ from .synthgen import (
     demo_profiles,
     generate,
 )
-from .trees import ForestModel, TreeModel, forest_fit, forest_predict, tree_fit, tree_predict
+from .trees import ForestModel, TreeModel, forest_fit, tree_fit

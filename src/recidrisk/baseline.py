@@ -62,10 +62,6 @@ CAUTIOUS = RuleSystem("cautious", (_NO, _LOW, _LOW, _HIGH, _HIGH))
 NAMED_RULE_SYSTEMS = {rs.name: rs for rs in (LAX, MEDIUM_LAX, MEDIUM_CAUTIOUS, CAUTIOUS)}
 
 
-def apply_rule_system(viogen_class: int, rule_system: RuleSystem) -> RiskLabel:
-    return rule_system.apply(viogen_class)
-
-
 def score_responses(responses: dict, weights: dict) -> float:
     """Weighted sum of the case's responses.
 

@@ -3,15 +3,14 @@ sweep, decide, sensitivity.
 
 Every run writes its outputs plus a manifest echoing the fully resolved
 configuration, the seeds, and fingerprints of the input files; two runs with
-identical manifests produce byte-identical outputs. Delimited outputs carry
-a `# manifest:` header naming the manifest that produced them, JSON outputs
+identical manifests produce byte-identical outputs. Delimited outputs open
+with a comment line naming the manifest that produced them, JSON outputs
 carry a `manifest` key.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -24,11 +23,14 @@ from .baseline import NAMED_RULE_SYSTEMS, RuleSystem, get_rule_system
 from .dataset import (
     FeatureMatrix,
     SplitSpec,
+    comment_lines,
     encode_cases,
+    fmt_float,
     read_cases,
     read_schema,
     split,
     write_cases,
+    write_table,
 )
 from .experiments import (
     EvalPlan,
@@ -56,8 +58,8 @@ from .synthgen import (
     demo_config,
     generate,
     read_config,
+    score_thresholds,
     severity_weights,
-    thresholds_from_quantiles,
 )
 
 MANIFEST_NAME = "manifest.json"
@@ -137,11 +139,11 @@ def cmd_generate(args) -> int:
     out = _out_dir(args, "generate")
     if args.config:
         config = read_config(args.config)
-        if args.n or args.seed is not None:
-            raise SystemExit("config error: --n/--seed overrides apply to --demo only")
+        if args.n is not None or args.seed is not None or args.separation is not None:
+            raise SystemExit("config error: --n/--seed/--separation overrides apply to --demo only")
     else:
         config = demo_config(
-            n_cases=args.n or 20000,
+            n_cases=args.n if args.n is not None else 20000,
             seed=args.seed if args.seed is not None else demo_config().seed,
             separation=args.separation if args.separation is not None else 0.35,
         )
@@ -149,11 +151,7 @@ def cmd_generate(args) -> int:
     viogen_payload = None
     if not args.no_viogen:
         weights = severity_weights(config.schema)
-        scores = [
-            sum(weights[(q, r)] for q, r in rec.responses.items() if r is not None)
-            for rec in records
-        ]
-        thresholds = thresholds_from_quantiles(scores)
+        thresholds = score_thresholds(records, weights)
         records = attach_viogen_scores(records, weights, thresholds)
         viogen_payload = {
             "weights": {f"{qid}|{opt}": w for (qid, opt), w in sorted(weights.items())},
@@ -241,12 +239,8 @@ def _write_metric_report(path: Path, model_id: str, preds, truths, taus) -> None
     rows.append(("police_protection", police_protection(cm)))
     for tau in taus:
         rows.append((f"police_resource_tau={tau:g}", police_resource(cm, tau)))
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# manifest: {MANIFEST_NAME}\n")
-        writer = csv.writer(fh)
-        writer.writerow(("model", "metric", "value"))
-        for name, value in rows:
-            writer.writerow((model_id, name, repr(float(value))))
+    write_table(path, ("model", "metric", "value"),
+                ((model_id, name, fmt_float(value)) for name, value in rows), MANIFEST_NAME)
 
 
 _EVALUATE_DEFAULTS = {"high_threshold": 3, "taus": list(_DEFAULT_TAUS)}
@@ -309,9 +303,7 @@ def cmd_gridsearch(args) -> int:
     if cfg["with_baseline"] and test_part.viogen_scores is not None:
         table = compare_with_baseline(list(NAMED_RULE_SYSTEMS.values()), table, test_part)
     write_result_table(out / "results.csv", table, manifest=MANIFEST_NAME)
-    (out / "results.txt").write_text(
-        f"# manifest: {MANIFEST_NAME}\n" + format_result_table(table) + "\n"
-    )
+    (out / "results.txt").write_text(comment_lines(MANIFEST_NAME) + format_result_table(table) + "\n")
     _write_manifest(out, "gridsearch", _jsonable(cfg),
                     {"data": args.data, "schema": args.schema}, ["results.csv", "results.txt"])
     top = table.rows[0]
@@ -378,8 +370,6 @@ _SWEEP_DEFAULTS = {
 def cmd_sweep(args) -> int:
     out = _out_dir(args, "sweep")
     cfg = _resolve(args, _SWEEP_DEFAULTS)
-    if args.auto_ml:
-        cfg["auto_ml"] = True
     matrix = _load_matrix_cfg(args, cfg)
     if matrix.viogen_scores is None:
         raise SystemExit("data error: sweep needs a viogen_score column for the baseline source")
@@ -440,18 +430,17 @@ def cmd_sweep(args) -> int:
         f0, f1, truths, cfg["profile_mu"], cfg["taus"],
         n_runs=cfg["profile_runs"], master_seed=derive_seed(cfg["seed"], "profile"),
     )
-    with open(out / "resource_profile.csv", "w", newline="") as fh:
-        fh.write(f"# manifest: {MANIFEST_NAME}\n")
-        writer = csv.writer(fh)
-        writer.writerow(("tau", "mu", "mean", "std", "ci_half_width",
-                         "min", "q1", "median", "q3", "max", "n_runs"))
-        for summary in profile:
-            writer.writerow(
-                [repr(float(summary.tau)), repr(float(cfg["profile_mu"])),
-                 repr(summary.mean), repr(summary.std), repr(summary.ci_half_width)]
-                + [repr(float(q)) for q in summary.quantiles]
-                + [cfg["profile_runs"]]
-            )
+    write_table(
+        out / "resource_profile.csv",
+        ("tau", "mu", "mean", "std", "ci_half_width", "min", "q1", "median", "q3", "max", "n_runs"),
+        (
+            [fmt_float(x) for x in (summary.tau, cfg["profile_mu"], summary.mean, summary.std,
+                                     summary.ci_half_width, *summary.quantiles)]
+            + [cfg["profile_runs"]]
+            for summary in profile
+        ),
+        MANIFEST_NAME,
+    )
     outputs.append("resource_profile.csv")
 
     _write_manifest(out, "sweep", _jsonable(cfg),
@@ -469,8 +458,6 @@ def cmd_decide(args) -> int:
     cfg = _resolve(args, _DECIDE_DEFAULTS)
     if cfg["r0"] is None:
         raise SystemExit("config error: decide needs --r0")
-    if args.monotone:
-        cfg["monotone"] = True
     curve = read_sweep(args.curve)
     if curve.metric.name != "police_resource":
         raise SystemExit(f"data error: {args.curve} is a {curve.metric.name} curve, "
@@ -569,7 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--separation", type=float, default=None)
     p.add_argument("--no-viogen", action="store_true", dest="no_viogen")
-    p.add_argument("--jobs", type=int, default=None, help=argparse.SUPPRESS)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_generate)
 
@@ -588,7 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, action="append", default=None, dest="taus")
     p.add_argument("--config", help="JSON file with command defaults")
     p.add_argument("--high-threshold", type=int, default=None, dest="high_threshold")
-    p.add_argument("--jobs", type=int, default=None, help=argparse.SUPPRESS)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_evaluate)
 
@@ -636,7 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monotone", action="store_true")
     p.add_argument("--protection-curve", default=None, dest="protection_curve")
     p.add_argument("--config", help="JSON file with command defaults")
-    p.add_argument("--jobs", type=int, default=None, help=argparse.SUPPRESS)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_decide)
 

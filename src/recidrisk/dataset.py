@@ -10,6 +10,7 @@ follow-up count is collapsed into the three-level risk target.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 from enum import IntEnum
@@ -154,6 +155,20 @@ class FeatureMatrix:
         )
 
 
+def as_xy(train) -> tuple[np.ndarray, np.ndarray]:
+    """(values, labels) of a FeatureMatrix, or of an (X, y) pair as float and int arrays."""
+    if isinstance(train, FeatureMatrix):
+        return train.values, train.labels
+    X, y = train
+    return np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64)
+
+
+def top_label(counts: np.ndarray) -> np.ndarray:
+    """Label with the most votes per row of per-label counts; exact ties go to the higher label."""
+    counts = np.atleast_2d(counts)
+    return (N_LABELS - 1) - np.argmax(counts[:, ::-1], axis=1)
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     train_fraction: float = 0.67
@@ -275,7 +290,70 @@ def kfold(matrix: FeatureMatrix, k: int, seed: int) -> list[tuple[FeatureMatrix,
 
 
 # ---------------------------------------------------------------------------
-# File formats: delimited case files and the schema description.
+# File formats: one table layout for every delimited file, and the schema.
+#
+# A table file opens with `#` comment lines (the first names the manifest that
+# produced it), then a header row, then rows in the csv module's default
+# dialect. Floats are written with repr so they read back bit-exact.
+
+def fmt_float(value) -> str:
+    """Table cell for a float: its exact repr, or empty for None."""
+    return "" if value is None else repr(float(value))
+
+
+def comment_lines(manifest: str | None = None, comments=()) -> str:
+    """The `#` lines that open a table or report file."""
+    head = f"# manifest: {manifest}\n" if manifest else ""
+    return head + "".join(f"# {comment}\n" for comment in comments)
+
+
+def write_table(path: str | Path, columns, rows, manifest: str | None = None, comments=()) -> None:
+    """Write comment lines, the header and the rows; cells are written as given."""
+    with open(path, "w", newline="") as fh:
+        fh.write(comment_lines(manifest, comments))
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def read_table(path: str | Path, columns, parse_row, extra_columns: bool = False) -> list:
+    """Parse every row of a table file, streaming; returns the parsed rows.
+
+    `#` lines are comments only before the header. The header must equal
+    `columns`, or start with them when `extra_columns` is set, and name each
+    column once. Every row must have the header's width and is turned into
+    an item by `parse_row(header, cells)`. Any failure, including a
+    ValueError from `parse_row`, raises ValueError("<path>:<line>: <what>").
+    """
+    with open(path, newline="") as fh:
+        n_comments = 0
+        for first in fh:
+            if not first.startswith("#"):
+                break
+            n_comments += 1
+        else:
+            raise ValueError(f"{path}:{n_comments + 1}: no header row")
+        reader = csv.reader(itertools.chain((first,), fh))
+        try:
+            header = next(reader)
+            if (header[: len(columns)] if extra_columns else header) != list(columns):
+                wanted = ",".join(columns) + (",..." if extra_columns else "")
+                raise ValueError(f"expected header {wanted}")
+            if len(set(header)) != len(header):
+                duplicates = sorted({name for name in header if header.count(name) > 1})
+                raise ValueError(f"duplicate column(s) {', '.join(duplicates)}")
+            width, items = len(header), []
+            for cells in reader:
+                if len(cells) != width:
+                    raise ValueError(f"expected {width} cells, found {len(cells)}")
+                items.append(parse_row(header, cells))
+        except (ValueError, csv.Error) as exc:
+            # line_num counts the physical lines the reader has consumed
+            raise ValueError(f"{path}:{n_comments + max(reader.line_num, 1)}: {exc}") from None
+    if not items:
+        raise ValueError(f"{path}:{n_comments + reader.line_num + 1}: no rows after the header")
+    return items
+
 
 CASE_FIELDS = ("case_id", "recidivism_count", "viogen_score")
 
@@ -287,43 +365,37 @@ def write_cases(
     manifest: str | None = None,
 ) -> None:
     question_ids = [q.question_id for q in schema.questions]
-    with open(path, "w", newline="") as fh:
-        if manifest:
-            fh.write(f"# manifest: {manifest}\n")
-        writer = csv.writer(fh)
-        writer.writerow(list(CASE_FIELDS) + question_ids)
-        for rec in records:
-            score = "" if rec.viogen_score is None else str(rec.viogen_score)
-            row = [rec.case_id, str(rec.recidivism_count), score]
-            for qid in question_ids:
-                response = rec.responses.get(qid, MISSING)
-                row.append("" if response is MISSING else str(response))
-            writer.writerow(row)
+
+    def row(rec):
+        score = "" if rec.viogen_score is None else str(rec.viogen_score)
+        cells = [rec.case_id, str(rec.recidivism_count), score]
+        for qid in question_ids:
+            response = rec.responses.get(qid, MISSING)
+            cells.append("" if response is MISSING else str(response))
+        return cells
+
+    write_table(path, CASE_FIELDS + tuple(question_ids), map(row, records), manifest)
 
 
 def read_cases(path: str | Path) -> list[CaseRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader, None)
-        if header is None or header[: len(CASE_FIELDS)] != list(CASE_FIELDS):
-            raise ValueError(f"{path}: expected header starting with {', '.join(CASE_FIELDS)}")
-        question_ids = header[len(CASE_FIELDS) :]
-        for row in reader:
-            case_id, count_text, score_text = row[:3]
-            responses = {
-                qid: (MISSING if cell == "" else cell)
-                for qid, cell in zip(question_ids, row[3:])
-            }
-            records.append(
-                CaseRecord(
-                    case_id=case_id,
-                    responses=responses,
-                    recidivism_count=int(count_text),
-                    viogen_score=None if score_text == "" else int(score_text),
-                )
-            )
-    return records
+    seen = set()
+
+    def parse(header, cells):
+        case_id, count_text, score_text = cells[:3]
+        if case_id in seen:
+            raise ValueError(f"duplicate case id {case_id!r}")
+        seen.add(case_id)
+        responses = {
+            qid: (MISSING if cell == "" else cell) for qid, cell in zip(header[3:], cells[3:])
+        }
+        return CaseRecord(
+            case_id=case_id,
+            responses=responses,
+            recidivism_count=int(count_text),
+            viogen_score=None if score_text == "" else int(score_text),
+        )
+
+    return read_table(path, CASE_FIELDS, parse, extra_columns=True)
 
 
 def write_schema(path: str | Path, schema: QuestionnaireSchema) -> None:

@@ -10,7 +10,6 @@ grid point in isolation reproduces its table row exactly.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -24,8 +23,11 @@ from .dataset import (
     QuestionnaireSchema,
     SplitSpec,
     encode_cases,
+    fmt_float,
     kfold,
     split,
+    top_label,
+    write_table,
 )
 from .knn import knn_fit, neighbor_labels, vote
 from .metrics import MetricSpec, class_scores, confusion, police_protection
@@ -219,30 +221,15 @@ RESULT_COLUMNS = ("rank", "family", "params", "objective", "high_f1", "weighted_
                   "police_protection", "error")
 
 
-def _fmt(value) -> str:
-    return "" if value is None else repr(float(value))
-
-
 def write_result_table(path: str | Path, table: ResultTable, manifest: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        if manifest:
-            fh.write(f"# manifest: {manifest}\n")
-        fh.write(f"# objective: {table.objective.label()}\n")
-        writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for row in table.rows:
-            writer.writerow(
-                [
-                    row.rank,
-                    row.family,
-                    row.canonical(),
-                    _fmt(row.objective_value),
-                    _fmt(row.high_f1),
-                    _fmt(row.weighted_f1),
-                    _fmt(row.protection),
-                    row.error or "",
-                ]
-            )
+    rows = (
+        [row.rank, row.family, row.canonical(),
+         *map(fmt_float, (row.objective_value, row.high_f1, row.weighted_f1, row.protection)),
+         row.error or ""]
+        for row in table.rows
+    )
+    write_table(path, RESULT_COLUMNS, rows, manifest,
+                comments=[f"objective: {table.objective.label()}"])
 
 
 def format_result_table(table: ResultTable) -> str:
@@ -345,7 +332,7 @@ def _eval_forest_group(configs, train, test, objective, master_seed):
             votes[d][np.arange(test.n_rows), pred] += 1
         if i + 1 in sizes:
             for d in depths:
-                labels_at[(i + 1, d)] = 2 - np.argmax(votes[d][:, ::-1], axis=1)
+                labels_at[(i + 1, d)] = top_label(votes[d])
     return [
         _score_row(
             c, labels_at[(c.params["n_estimators"], c.params.get("max_depth"))], test.labels, objective
@@ -504,16 +491,12 @@ CV_COLUMNS = ("rank", "family", "params", "mean", "std", "k", "objective")
 
 
 def write_cv_table(path: str | Path, table: CVTable, manifest: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        if manifest:
-            fh.write(f"# manifest: {manifest}\n")
-        writer = csv.writer(fh)
-        writer.writerow(CV_COLUMNS)
-        for row in table.rows:
-            writer.writerow(
-                [row.rank, row.family, row.canonical(), repr(row.mean), repr(row.std),
-                 table.k, table.objective.label()]
-            )
+    rows = (
+        [row.rank, row.family, row.canonical(), fmt_float(row.mean), fmt_float(row.std),
+         table.k, table.objective.label()]
+        for row in table.rows
+    )
+    write_table(path, CV_COLUMNS, rows, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -596,13 +579,9 @@ SENSITIVITY_COLUMNS = ("high_threshold", "police_protection", "f1_no", "f1_low",
 
 def write_sensitivity(path: str | Path, rows: list[SensitivityRow],
                       manifest: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        if manifest:
-            fh.write(f"# manifest: {manifest}\n")
-        writer = csv.writer(fh)
-        writer.writerow(SENSITIVITY_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [row.high_threshold, repr(row.protection), repr(row.f1_no), repr(row.f1_low),
-                 repr(row.f1_high), repr(row.weighted_f1)]
-            )
+    cells = (
+        [row.high_threshold,
+         *map(fmt_float, (row.protection, row.f1_no, row.f1_low, row.f1_high, row.weighted_f1))]
+        for row in rows
+    )
+    write_table(path, SENSITIVITY_COLUMNS, cells, manifest)

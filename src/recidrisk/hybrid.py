@@ -14,21 +14,16 @@ and a 0.95 normal-approximation confidence half-width 1.96 * std / sqrt(runs).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .dataset import fmt_float, read_table, write_table
 from .metrics import ConfusionMatrix, MetricSpec, confusion, police_resource
 from .seeding import derive_rng
 
 Z_95 = 1.96
-
-
-def hybrid_predict(f0_label: int, f1_label: int, mu: float, rng: np.random.Generator) -> int:
-    """One stochastic draw for a single case."""
-    return int(hybrid_sample(np.array([f0_label]), np.array([f1_label]), mu, rng)[0])
 
 
 def hybrid_sample(f0, f1, mu: float, rng: np.random.Generator) -> np.ndarray:
@@ -198,41 +193,29 @@ SWEEP_COLUMNS = ("mu", "mean", "std", "ci_lo", "ci_hi", "metric", "tau", "n_runs
 
 
 def write_sweep(path: str | Path, sweep: SweepResult, manifest: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        if manifest:
-            fh.write(f"# manifest: {manifest}\n")
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        tau = "" if sweep.metric.tau is None else repr(float(sweep.metric.tau))
-        for i in range(len(sweep)):
-            writer.writerow(
-                [
-                    repr(float(sweep.grid[i])),
-                    repr(float(sweep.means[i])),
-                    repr(float(sweep.stds[i])),
-                    repr(float(sweep.means[i] - sweep.ci_half_widths[i])),
-                    repr(float(sweep.means[i] + sweep.ci_half_widths[i])),
-                    sweep.metric.name,
-                    tau,
-                    sweep.n_runs,
-                ]
-            )
+    tau = fmt_float(sweep.metric.tau)
+    rows = (
+        [*map(fmt_float, (mu, mean, std, mean - half, mean + half)), sweep.metric.name, tau,
+         sweep.n_runs]
+        for mu, mean, std, half in zip(sweep.grid, sweep.means, sweep.stds, sweep.ci_half_widths)
+    )
+    write_table(path, SWEEP_COLUMNS, rows, manifest)
 
 
 def read_sweep(path: str | Path) -> SweepResult:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader)
-        if list(header) != list(SWEEP_COLUMNS):
-            raise ValueError(f"{path}: unexpected sweep columns {header}")
-        rows = list(reader)
-    if not rows:
-        raise ValueError(f"{path}: empty sweep")
-    grid = np.array([float(r[0]) for r in rows])
-    means = np.array([float(r[1]) for r in rows])
-    stds = np.array([float(r[2]) for r in rows])
-    halves = means - np.array([float(r[3]) for r in rows])
-    name, tau_text, n_runs = rows[0][5], rows[0][6], int(rows[0][7])
-    metric = MetricSpec(name, float(tau_text) if tau_text else None)
-    return SweepResult(grid, means, stds, halves, n_runs, metric)
+    curve = {}  # metric and run count, set by the first row and repeated by every other
+
+    def parse(header, cells):
+        name, tau, n_runs = identity = cells[5:]
+        if not curve:
+            curve["metric"] = MetricSpec(name, float(tau) if tau else None)
+            curve["n_runs"] = int(n_runs)
+            curve["identity"] = identity
+        elif identity != curve["identity"]:
+            raise ValueError(f"metric,tau,n_runs {','.join(identity)} differ from the first "
+                             f"row's {','.join(curve['identity'])}")
+        mu, mean, std, ci_lo = map(float, cells[:4])
+        return mu, mean, std, mean - ci_lo
+
+    grid, means, stds, halves = np.array(read_table(path, SWEEP_COLUMNS, parse)).T
+    return SweepResult(grid, means, stds, halves, curve["n_runs"], curve["metric"])

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import N_LABELS, FeatureMatrix
+from .dataset import N_LABELS, as_xy, top_label
 
 _QUERY_CHUNK = 512  # bounds the distance-matrix block to a few dozen MB
 
@@ -39,19 +39,10 @@ class KNNModel:
 
 
 def knn_fit(train, k: int) -> KNNModel:
-    if isinstance(train, FeatureMatrix):
-        X, y = train.values, train.labels
-    else:
-        X, y = train
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
+    X, y = as_xy(train)
     if not 1 <= k <= X.shape[0]:
         raise ValueError(f"k must satisfy 1 <= k <= {X.shape[0]}, got {k}")
     return KNNModel(X, y, k)
-
-
-def knn_predict(model: KNNModel, x) -> int:
-    return int(model.predict(np.asarray(x, dtype=np.float64)))
 
 
 def neighbor_labels(
@@ -76,4 +67,4 @@ def neighbor_labels(
 def vote(ranked_labels: np.ndarray, k: int) -> np.ndarray:
     """Majority label among the first k columns; ties pick the higher label."""
     counts = np.stack([(ranked_labels[:, :k] == c).sum(axis=1) for c in range(N_LABELS)], axis=1)
-    return (N_LABELS - 1) - np.argmax(counts[:, ::-1], axis=1)
+    return top_label(counts)

@@ -194,8 +194,11 @@ def save_model(path: str | Path, model, extra: dict | None = None) -> None:
 
 def load_model(path: str | Path):
     with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != FORMAT_TAG:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    if not isinstance(payload, dict) or payload.get("format") != FORMAT_TAG:
         raise ValueError(f"{path}: not a {FORMAT_TAG} file")
     if payload.get("version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format version {payload.get('version')}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FeatureMatrix
+from .dataset import as_xy
 
 METRICS = ("euclidean", "manhattan", "minkowski")
 
@@ -103,12 +103,7 @@ def nc_fit(
         raise ValueError("minkowski order p must be >= 1")
     if shrink_threshold is not None and shrink_threshold < 0:
         raise ValueError("shrink_threshold must be >= 0 or None")
-    if isinstance(train, FeatureMatrix):
-        X, y = train.values, train.labels
-    else:
-        X, y = train
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
+    X, y = as_xy(train)
     if X.shape[0] == 0:
         raise ValueError("cannot fit on an empty training set")
 
@@ -143,8 +138,3 @@ def nc_fit(
     return NearestCentroidModel(
         classes, centroids, overall, s, s0, offsets, shrunken, metric, p, shrink_threshold
     )
-
-
-def nc_predict(model: NearestCentroidModel, x) -> int:
-    """Label of the single vector x under the model's metric and tie rule."""
-    return int(model.predict(np.asarray(x, dtype=np.float64)))

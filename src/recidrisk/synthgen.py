@@ -184,6 +184,11 @@ def thresholds_from_quantiles(scores, proportions=(0.49, 0.41, 0.10, 0.007, 0.00
     return tuple(thresholds)
 
 
+def score_thresholds(records, weights: dict) -> tuple:
+    """Thresholds cutting the records' weighted scores at the default class proportions."""
+    return thresholds_from_quantiles([score_responses(rec.responses, weights) for rec in records])
+
+
 # ---------------------------------------------------------------------------
 # Shipped defaults: a 58-question schema spanning exactly 250 encoded columns
 # (30 binary + 8 four-level + 20 five-level questions, all allowing missing:

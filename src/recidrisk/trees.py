@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import N_LABELS, FeatureMatrix
+from .dataset import N_LABELS, as_xy, top_label
 from .seeding import derive_rng
 
 CRITERIA = ("entropy", "gini")
@@ -51,12 +51,6 @@ def _impurity_sum(counts: np.ndarray, criterion: str) -> np.ndarray:
     np.multiply(counts, np.log2(counts, out=np.zeros_like(counts), where=counts > 0), out=plogp)
     nlogn = n * np.log2(n, out=np.zeros_like(n), where=n > 0)
     return nlogn - plogp.sum(axis=-1)
-
-
-def _leaf_labels(counts: np.ndarray) -> np.ndarray:
-    """Majority label per count row; exact ties resolve to the higher label."""
-    counts = np.atleast_2d(counts)
-    return (N_LABELS - 1) - np.argmax(counts[:, ::-1], axis=1)
 
 
 @dataclass
@@ -104,7 +98,7 @@ class TreeModel:
         """
         X = self._check_width(X)
         n = X.shape[0]
-        labels = _leaf_labels(self.counts)
+        labels = top_label(self.counts)
         node = np.zeros(n, dtype=np.int64)
         finite_cuts = sorted({c for c in depth_cuts if c is not None})
         snapshots: dict[int, np.ndarray] = {}
@@ -146,14 +140,7 @@ class ForestModel:
         votes = np.zeros((X.shape[0], N_LABELS), dtype=np.int64)
         for tree in self.trees:
             votes[np.arange(X.shape[0]), tree.predict(X)] += 1
-        return _leaf_labels(votes)
-
-
-def _as_xy(train) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(train, FeatureMatrix):
-        return train.values, train.labels
-    X, y = train
-    return np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64)
+        return top_label(votes)
 
 
 def _validate(criterion: str, splitter: str, max_depth) -> None:
@@ -177,7 +164,7 @@ def tree_fit(
     seed: int = 0,
     _force_path: str | None = None,
 ) -> TreeModel:
-    X, y = _as_xy(train)
+    X, y = as_xy(train)
     _validate(criterion, splitter, max_depth)
     if X.shape[0] < 1:
         raise ValueError("cannot fit a tree on an empty training set")
@@ -188,10 +175,6 @@ def tree_fit(
                      splitter=splitter, max_depth=max_depth)
 
 
-def tree_predict(model: TreeModel, x) -> int:
-    return int(model.predict(x)[0])
-
-
 def forest_fit(
     train,
     criterion: str = "gini",
@@ -200,7 +183,7 @@ def forest_fit(
     seed: int = 0,
     bootstrap: bool = True,
 ) -> ForestModel:
-    X, y = _as_xy(train)
+    X, y = as_xy(train)
     _validate(criterion, "best", max_depth)
     if n_estimators < 1:
         raise ValueError("n_estimators must be >= 1")
@@ -223,10 +206,6 @@ def _forest_tree(X, y, criterion, max_depth, seed, tree_index, bootstrap) -> Tre
     arrays = _grow(X, y, rows, criterion, "best", max_depth, max_features, rng, None)
     return TreeModel(*arrays, n_features=X.shape[1], criterion=criterion,
                      splitter="best", max_depth=max_depth)
-
-
-def forest_predict(model: ForestModel, x) -> int:
-    return int(model.predict(x)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ from recidrisk.synthgen import (
     attach_viogen_scores,
     demo_config,
     generate,
+    score_thresholds,
     severity_weights,
-    thresholds_from_quantiles,
 )
 
 
@@ -16,11 +16,7 @@ def small_corpus():
     config = demo_config(n_cases=1500, seed=424)
     records = generate(config)
     weights = severity_weights(config.schema)
-    scores = [
-        sum(weights[(q, r)] for q, r in rec.responses.items() if r is not None)
-        for rec in records
-    ]
-    records = attach_viogen_scores(records, weights, thresholds_from_quantiles(scores))
+    records = attach_viogen_scores(records, weights, score_thresholds(records, weights))
     return config, records
 
 

@@ -29,8 +29,8 @@ from recidrisk.synthgen import (
     attach_viogen_scores,
     demo_config,
     generate,
+    score_thresholds,
     severity_weights,
-    thresholds_from_quantiles,
 )
 
 from test_metrics import (
@@ -56,11 +56,7 @@ def demo_split():
     config = demo_config()
     records = generate(config)
     weights = severity_weights(config.schema)
-    scores = [
-        sum(weights[(q, r)] for q, r in rec.responses.items() if r is not None)
-        for rec in records
-    ]
-    records = attach_viogen_scores(records, weights, thresholds_from_quantiles(scores))
+    records = attach_viogen_scores(records, weights, score_thresholds(records, weights))
     matrix = encode_cases(records, config.schema)
     return split(matrix, SplitSpec(0.67, seed=0))
 

@@ -11,7 +11,6 @@ from recidrisk.baseline import (
     NAMED_RULE_SYSTEMS,
     RuleSystem,
     ViogenClass,
-    apply_rule_system,
     classify_score,
     get_rule_system,
     read_rule_system,
@@ -52,10 +51,10 @@ def test_rule_system_pointwise_dominance():
 
 
 def test_apply_rule_system_examples():
-    assert apply_rule_system(ViogenClass.LOW, LAX) is NO
-    assert apply_rule_system(ViogenClass.HIGH, CAUTIOUS) is HIGH
+    assert LAX.apply(ViogenClass.LOW) is NO
+    assert CAUTIOUS.apply(ViogenClass.HIGH) is HIGH
     for rs in NAMED_RULE_SYSTEMS.values():
-        assert apply_rule_system(ViogenClass.EXTREME, rs) is HIGH
+        assert rs.apply(ViogenClass.EXTREME) is HIGH
 
 
 def test_apply_many_matches_scalar():

@@ -8,6 +8,7 @@ import pytest
 
 from recidrisk.cli import main
 from recidrisk.hybrid import read_sweep
+from recidrisk.synthgen import demo_config, write_config
 
 
 @pytest.fixture(scope="module")
@@ -99,24 +100,29 @@ def test_sweep_and_decide(generated, tmp_path):
         "sweep", "--data", str(generated / "cases.csv"),
         "--schema", str(generated / "schema.json"),
         "--grid-size", "12", "--n-runs", "3", "--tau", "0.5", "--tau", "2.0",
-        "--profile-runs", "8", "--seed", "5", "--out-dir", str(out),
+        "--profile-runs", "8", "--seed", "5", "--auto-ml", "--k", "3", "--out-dir", str(out),
     ])
     assert code == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["auto_ml"] is True
     protection = read_sweep(out / "protection_sweep.csv")
     assert len(protection) == 12
     resource = read_sweep(out / "resource_sweep_tau0.5.csv")
     assert resource.metric.tau == 0.5
-    assert (out / "resource_profile.csv").exists()
+    profile = (out / "resource_profile.csv").read_text().splitlines()
+    assert len(profile) == 2 + 2  # manifest comment, header, one row per tau
+    for row in profile[2:]:
+        assert all(float(cell) >= 0 for cell in row.split(","))  # plain numbers only
 
     decide_dir = tmp_path / "decide"
     code = main([
         "decide", "--curve", str(out / "resource_sweep_tau0.5.csv"), "--r0", "1.0",
-        "--protection-curve", str(out / "protection_sweep.csv"),
+        "--protection-curve", str(out / "protection_sweep.csv"), "--monotone",
         "--out-dir", str(decide_dir),
     ])
     assert code == 0
     report = json.loads((decide_dir / "decision.json").read_text())
     assert report["mu0"] == 1.0  # budget above the metric bound never binds
+    assert report["monotone"] is True
     assert "protection_at_mu0" in report
 
 
@@ -162,13 +168,62 @@ def test_config_file_with_cli_override(generated, tmp_path):
     assert manifest["config"]["params"]["metric"] == "manhattan"
 
 
-def test_missing_file_is_oneline_error(tmp_path, capsys):
-    code = main(["evaluate", "--model", "nope.json", "--data", "nope.csv",
-                 "--schema", "nope.json", "--out-dir", str(tmp_path / "x")])
+CURVE_HEADER = "mu,mean,std,ci_lo,ci_hi,metric,tau,n_runs\n"
+
+# name: (command, input file text, or a function of the generated corpus
+# directory, or None for a missing file; the line the error must name)
+BAD_INPUTS = {
+    "missing_file": ("evaluate", None, None),
+    "empty_curve": ("decide", "", 1),
+    "header_only_curve": ("decide", "# manifest: manifest.json\n" + CURVE_HEADER, 3),
+    "short_curve_row": ("decide", CURVE_HEADER + "0.0,0.1,0.0,0.1,0.1,police_resource,0.5,3\n"
+                        "1.0,0.2\n", 3),
+    "truncated_model": ("evaluate", '{"format": "recidrisk-model",\n "version": 1,', 2),
+    # 900 cases follow the manifest comment and the header
+    "blank_line_in_cases": ("train", lambda gen: (gen / "cases.csv").read_text() + "\n", 903),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_missing_file_is_oneline_error(generated, tmp_path, capsys, case):
+    command, text, line = BAD_INPUTS[case]
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text(generated) if callable(text) else text)
+    schema = ["--schema", str(generated / "schema.json")]
+    argv = {
+        "evaluate": ["evaluate", "--model", str(path), "--data", str(generated / "cases.csv"),
+                     *schema],
+        "decide": ["decide", "--curve", str(path), "--r0", "0.1"],
+        "train": ["train", "--data", str(path), *schema],
+    }[command]
+    code = main(argv + ["--out-dir", str(tmp_path / "x")])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
+    if line is not None:
+        assert err.startswith(f"error: {path}:{line}: ")
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["generate", "--n", "0"], "1"),
+    (["generate", "--config", "{config}", "--separation", "0.9"], "config error:"),
+    (["generate", "--jobs", "2"], "2"),
+    (["evaluate", "--model", "m.json", "--data", "c.csv", "--schema", "s.json", "--jobs", "2"], "2"),
+    (["decide", "--curve", "c.csv", "--r0", "0.1", "--jobs", "2"], "2"),
+], ids=["generate_n_0", "separation_with_config", "generate_jobs", "evaluate_jobs", "decide_jobs"])
+def test_rejected_flags_write_nothing(tmp_path, argv, status):
+    config_path = tmp_path / "generator.json"
+    write_config(config_path, demo_config(n_cases=50, seed=1))
+    out = tmp_path / "out"
+    argv = [str(config_path) if arg == "{config}" else arg for arg in argv]
+    try:
+        code = main(argv + ["--out-dir", str(out)])
+    except SystemExit as exc:  # argparse exits 2 on an unknown flag
+        code = exc.code
+    assert str(code).startswith(status)
+    assert not (out / "cases.csv").exists()
 
 
 def test_console_script_help_runs():

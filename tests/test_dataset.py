@@ -1,7 +1,14 @@
 """Schema, encoding, labeling and split behavior."""
 
+import dataclasses
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recidrisk.dataset import (
     MISSING,
@@ -174,13 +181,58 @@ def test_kfold_rejects_bad_k():
         kfold(_random_matrix(5), k=1, seed=0)
 
 
-def test_case_file_round_trip(tmp_path):
+def rewrite_line(path, line, make_cells):
+    """Replace (or append) one physical line of a table file with new cells."""
+    rows = [text.split(",") for text in path.read_text().splitlines()]
+    cells = make_cells(rows)
+    rows[line - 1 : line] = [cells]
+    path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+
+
+# Ids the csv layer must quote or keep apart from comment lines.
+AWKWARD_IDS = ("#7", "a,b", 'say "hi"', "", " padded ", "two\nlines")
+
+# name: (physical line rewritten, its new cells from the file's rows); the
+# reader must name that line. Line 1 is the manifest comment, 2 the header.
+BROKEN_CASE_FILES = {
+    "row_cut_to_10_cells": (4, lambda rows: rows[3][:10]),
+    "extra_cell": (5, lambda rows: rows[4] + ["x"]),
+    "trailing_blank_line": (67, lambda rows: []),  # after the 64 rows
+    "comment_after_header": (3, lambda rows: ["# note"]),
+    "duplicate_question_column": (2, lambda rows: rows[1][:-1] + [rows[1][3]]),
+    "duplicate_case_id": (5, lambda rows: rows[2][:1] + rows[4][1:]),
+    "non_integer_count": (6, lambda rows: rows[5][:1] + ["1.5"] + rows[5][2:]),
+    "non_integer_score": (7, lambda rows: rows[6][:2] + ["high"] + rows[6][3:]),
+}
+
+
+@pytest.mark.parametrize("case", ["demo", "awkward_ids", *BROKEN_CASE_FILES])
+def test_case_file_round_trip(tmp_path, case):
     config = demo_config(n_cases=64, seed=12)
     records = generate(config)
+    if case == "awkward_ids":
+        records = [dataclasses.replace(r, case_id=i) for r, i in zip(records, AWKWARD_IDS)]
     path = tmp_path / "cases.csv"
-    write_cases(path, records, config.schema)
-    loaded = read_cases(path)
-    assert loaded == records
+    write_cases(path, records, config.schema, manifest="manifest.json")
+    if case in BROKEN_CASE_FILES:
+        line, make_cells = BROKEN_CASE_FILES[case]
+        rewrite_line(path, line, make_cells)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: "):
+            read_cases(path)
+    else:
+        assert read_cases(path) == records
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.text(st.sampled_from('#,"\r\n ') | st.characters(), max_size=8),
+                min_size=1, max_size=6, unique=True))
+def test_case_ids_round_trip(case_ids):
+    schema = one_question_schema(allows_missing=True)
+    records = [CaseRecord(cid, {"q1": "A"}, 0) for cid in case_ids]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cases.csv"
+        write_cases(path, records, schema, manifest="manifest.json")
+        assert read_cases(path) == records
 
 
 def test_schema_file_round_trip(tmp_path):

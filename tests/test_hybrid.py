@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from recidrisk.hybrid import (
     _isotonic_non_decreasing,
     decide_mu,
     evaluate_hybrid,
-    hybrid_predict,
     hybrid_sample,
     mu_sweep,
     read_sweep,
@@ -20,6 +20,8 @@ from recidrisk.hybrid import (
 )
 from recidrisk.metrics import MetricSpec, confusion, police_protection
 from recidrisk.seeding import derive_rng
+
+from test_dataset import rewrite_line
 
 
 def binom_pmf(k, n, p):
@@ -85,12 +87,12 @@ def test_mu_out_of_range_rejected():
     with pytest.raises(ValueError):
         hybrid_sample([0], [2], 1.5, derive_rng(0))
     with pytest.raises(ValueError):
-        hybrid_predict(0, 2, -0.1, derive_rng(0))
+        hybrid_sample([0], [2], -0.1, derive_rng(0))
 
 
 def test_two_step_distribution_matches_binomial():
     rng = derive_rng(9)
-    draws = np.array([hybrid_predict(0, 2, 0.5, rng) for _ in range(100000)])
+    draws = np.array([hybrid_sample([0], [2], 0.5, rng)[0] for _ in range(100000)])
     freq = np.bincount(draws, minlength=3) / draws.size
     for label, expected in ((0, 0.25), (1, 0.5), (2, 0.25)):
         se = np.sqrt(expected * (1 - expected) / draws.size)
@@ -275,7 +277,20 @@ def test_decide_mu_rejects_empty_curve():
         decide_mu(curve, 0.1)
 
 
-def test_sweep_file_round_trip(tmp_path):
+# name: (physical line rewritten, its new cells from the file's rows); the
+# reader must name that line. Line 1 is the manifest comment, 2 the header.
+BROKEN_SWEEP_FILES = {
+    "row_cut": (4, lambda rows: rows[3][:-1]),
+    "metric_differs": (5, lambda rows: rows[4][:5] + ["police_protection", "", "3"]),
+    "tau_differs": (6, lambda rows: rows[5][:6] + ["0.5", "3"]),
+    "n_runs_differs": (7, lambda rows: rows[6][:7] + ["4"]),
+    "non_float_mean": (8, lambda rows: rows[7][:1] + ["high"] + rows[7][2:]),
+    "trailing_blank_line": (10, lambda rows: []),
+}
+
+
+@pytest.mark.parametrize("case", ["resource", *BROKEN_SWEEP_FILES])
+def test_sweep_file_round_trip(tmp_path, case):
     rng = np.random.default_rng(16)
     f0 = rng.integers(0, 3, 50)
     f1 = rng.integers(0, 3, 50)
@@ -284,6 +299,12 @@ def test_sweep_file_round_trip(tmp_path):
                      grid_size=7, n_runs=3, master_seed=12)
     path = tmp_path / "sweep.csv"
     write_sweep(path, sweep, manifest="manifest.json")
+    if case in BROKEN_SWEEP_FILES:
+        line, make_cells = BROKEN_SWEEP_FILES[case]
+        rewrite_line(path, line, make_cells)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: "):
+            read_sweep(path)
+        return
     loaded = read_sweep(path)
     assert np.array_equal(loaded.grid, sweep.grid)
     assert np.array_equal(loaded.means, sweep.means)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from recidrisk.knn import knn_fit, knn_predict, neighbor_labels, vote
+from recidrisk.knn import knn_fit, neighbor_labels, vote
 
 
 def test_exact_match_nearest_neighbor():
@@ -11,7 +11,7 @@ def test_exact_match_nearest_neighbor():
     y = np.array([0, 1, 2])
     model = knn_fit((X, y), k=1)
     for row, label in zip(X, y):
-        assert knn_predict(model, row) == label
+        assert model.predict(row) == label
 
 
 def test_k_equal_n_gives_global_majority():
@@ -19,24 +19,24 @@ def test_k_equal_n_gives_global_majority():
     y = np.array([1, 1, 1, 0, 2])
     model = knn_fit((X, y), k=5)
     for q in ([0.0], [100.0], [-7.0]):
-        assert knn_predict(model, q) == 1
+        assert model.predict(q) == 1
 
 
 def test_vote_tie_goes_to_higher_risk():
     X = np.array([[0.0], [2.0]])
     y = np.array([0, 2])
     model = knn_fit((X, y), k=2)
-    assert knn_predict(model, [1.0]) == 2
-    assert knn_predict(model, [0.0]) == 2  # both neighbors always vote
+    assert model.predict([1.0]) == 2
+    assert model.predict([0.0]) == 2  # both neighbors always vote
 
 
 def test_distance_tie_keeps_lower_training_index():
     # two identical rows with different labels: index order decides the k=1 vote
     X = np.array([[1.0, 1.0], [1.0, 1.0], [8.0, 8.0]])
     y = np.array([2, 0, 1])
-    assert knn_predict(knn_fit((X, y), k=1), [1.0, 1.0]) == 2
+    assert knn_fit((X, y), k=1).predict([1.0, 1.0]) == 2
     y_swapped = np.array([0, 2, 1])
-    assert knn_predict(knn_fit((X, y_swapped), k=1), [1.0, 1.0]) == 0
+    assert knn_fit((X, y_swapped), k=1).predict([1.0, 1.0]) == 0
 
 
 def test_k_bounds_enforced():
@@ -71,4 +71,4 @@ def test_brute_force_equivalence():
             ranked = sorted(range(n), key=lambda i: (d[i], i))[:k]
             counts = np.bincount(y[ranked], minlength=3)
             expected = max((0, 1, 2), key=lambda c: (counts[c], c))
-            assert knn_predict(model, q) == expected
+            assert model.predict(q) == expected

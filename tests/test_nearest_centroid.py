@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from recidrisk.dataset import FeatureMatrix
-from recidrisk.nearest_centroid import nc_fit, nc_predict
+from recidrisk.nearest_centroid import nc_fit
 
 
 def brute_nc_predict(X_train, y_train, x, classes=None):
@@ -32,15 +32,15 @@ def test_predict_nearer_centroid():
     X = np.array([[0.0], [0.0], [2.0], [2.0]])
     y = np.array([0, 0, 2, 2])
     model = nc_fit((X, y))
-    assert nc_predict(model, [0.4]) == 0
-    assert nc_predict(model, [1.9]) == 2
+    assert model.predict([0.4]) == 0
+    assert model.predict([1.9]) == 2
 
 
 def test_exact_tie_goes_to_higher_risk():
     X = np.array([[0.0], [2.0]])
     y = np.array([0, 2])
     model = nc_fit((X, y))
-    assert nc_predict(model, [1.0]) == 2
+    assert model.predict([1.0]) == 2
 
 
 def test_minkowski_p2_equals_euclidean():
@@ -57,8 +57,8 @@ def test_manhattan_differs_when_it_should():
     X = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 3.0], [3.0, 3.0]])
     y = np.array([0, 0, 2, 2])
     model = nc_fit((X, y), metric="manhattan")
-    assert nc_predict(model, [1.0, 1.0]) == 0
-    assert nc_predict(model, [2.0, 2.0]) == 2
+    assert model.predict([1.0, 1.0]) == 0
+    assert model.predict([2.0, 2.0]) == 2
 
 
 def test_zero_shrink_equals_no_shrink():

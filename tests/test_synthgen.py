@@ -17,8 +17,8 @@ from recidrisk.synthgen import (
     demo_profiles,
     generate,
     read_config,
+    score_thresholds,
     severity_weights,
-    thresholds_from_quantiles,
     write_config,
 )
 
@@ -161,11 +161,7 @@ def test_demo_viogen_class_proportions():
     config = demo_config(n_cases=20000, seed=13)
     records = generate(config)
     weights = severity_weights(config.schema)
-    scores = [
-        sum(weights[(q, r)] for q, r in rec.responses.items() if r is not MISSING)
-        for rec in records
-    ]
-    thresholds = thresholds_from_quantiles(scores)
+    thresholds = score_thresholds(records, weights)
     scored = attach_viogen_scores(records, weights, thresholds)
     shares = np.bincount([r.viogen_score for r in scored], minlength=5) / len(scored)
     targets = np.array([0.49, 0.41, 0.10, 0.007, 0.0001])
