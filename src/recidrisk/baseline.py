@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import MISSING, CaseRecord, RiskLabel
+from .dataset import MISSING, CaseRecord, RiskLabel, read_json
 
 
 class ViogenClass(IntEnum):
@@ -116,9 +116,10 @@ def write_rule_system(path: str | Path, rule_system: RuleSystem) -> None:
 
 
 def read_rule_system(path: str | Path) -> RuleSystem:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return RuleSystem(payload["name"], tuple(RiskLabel(v) for v in payload["mapping"]))
+    def build(payload):
+        return RuleSystem(payload["name"], tuple(RiskLabel(v) for v in payload["mapping"]))
+
+    return read_json(path, build)
 
 
 def get_rule_system(name_or_path: str) -> RuleSystem:

@@ -27,6 +27,7 @@ from .dataset import (
     encode_cases,
     fmt_float,
     read_cases,
+    read_json,
     read_schema,
     split,
     write_cases,
@@ -106,8 +107,7 @@ def _resolve(args, defaults: dict) -> dict:
     """Layer resolution: defaults, then config file, then explicit flags."""
     resolved = dict(defaults)
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_values = json.load(fh)
+        file_values = read_json(args.config, dict)
         unknown = set(file_values) - set(defaults)
         if unknown:
             raise SystemExit(f"config error: unknown keys {sorted(unknown)} in {args.config}")
@@ -529,16 +529,16 @@ def _jsonable(obj):
     return obj
 
 
-def _add_common(parser, with_split=True):
+def _add_common(parser, with_jobs=False):
     parser.add_argument("--config", help="JSON file with command defaults")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="parallel worker bound (results are jobs-invariant)")
+    if with_jobs:
+        parser.add_argument("--jobs", type=int, default=None,
+                            help="parallel worker bound (results are jobs-invariant)")
     parser.add_argument("--out-dir", default=None)
-    if with_split:
-        parser.add_argument("--train-fraction", type=float, default=None, dest="train_fraction")
-        parser.add_argument("--split-seed", type=int, default=None, dest="split_seed")
-        parser.add_argument("--high-threshold", type=int, default=None, dest="high_threshold")
+    parser.add_argument("--train-fraction", type=float, default=None, dest="train_fraction")
+    parser.add_argument("--split-seed", type=int, default=None, dest="split_seed")
+    parser.add_argument("--high-threshold", type=int, default=None, dest="high_threshold")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -584,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("high_f1", "weighted_f1", "police_protection"))
     p.add_argument("--space", default=None, choices=("default", "nc-fine"))
     p.add_argument("--no-baseline", action="store_true", dest="no_baseline")
-    _add_common(p)
+    _add_common(p, with_jobs=True)
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("crossval", help="k-fold tuning table")
@@ -595,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--objective", default=None)
-    _add_common(p)
+    _add_common(p, with_jobs=True)
     p.set_defaults(func=cmd_crossval)
 
     p = sub.add_parser("sweep", help="hybrid-weight sweeps of protection and resource")
@@ -612,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, action="append", default=None, dest="taus")
     p.add_argument("--profile-mu", type=float, default=None, dest="profile_mu")
     p.add_argument("--profile-runs", type=int, default=None, dest="profile_runs")
-    _add_common(p)
+    _add_common(p, with_jobs=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("decide", help="largest hybrid weight within a resource budget")

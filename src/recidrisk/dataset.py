@@ -290,7 +290,7 @@ def kfold(matrix: FeatureMatrix, k: int, seed: int) -> list[tuple[FeatureMatrix,
 
 
 # ---------------------------------------------------------------------------
-# File formats: one table layout for every delimited file, and the schema.
+# File formats: one table layout for every delimited file, one JSON reader.
 #
 # A table file opens with `#` comment lines (the first names the manifest that
 # produced it), then a header row, then rows in the csv module's default
@@ -355,6 +355,31 @@ def read_table(path: str | Path, columns, parse_row, extra_columns: bool = False
     return items
 
 
+
+def read_json(path: str | Path, build):
+    """Parse the JSON object in a file and return `build(payload)`.
+
+    Every failure names the file: a syntax error raises
+    ValueError("<path>:<line>: <msg>"), a field `build` looks up and does not
+    find raises ValueError("<path>: missing field '<name>'"), and a field of
+    the wrong type or a value `build` rejects raises ValueError("<path>: ...").
+    """
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object, found {type(payload).__name__}")
+    try:
+        return build(payload)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field '{exc.args[0]}'") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: field of the wrong type ({exc})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
 CASE_FIELDS = ("case_id", "recidivism_count", "viogen_score")
 
 
@@ -405,5 +430,4 @@ def write_schema(path: str | Path, schema: QuestionnaireSchema) -> None:
 
 
 def read_schema(path: str | Path) -> QuestionnaireSchema:
-    with open(path) as fh:
-        return QuestionnaireSchema.from_json(json.load(fh))
+    return read_json(path, QuestionnaireSchema.from_json)

@@ -167,15 +167,6 @@ def nc_fine_space() -> SearchSpace:
     )
 
 
-# Operating points referenced by downstream experiments; the lightly and
-# heavily shrunk variants both ship because either can come out on top
-# depending on the corpus.
-NC_PRESETS = {
-    "nc-euclidean-shrink-0.1": ModelConfig("nc", {"metric": "euclidean", "shrink_threshold": 0.1}),
-    "nc-euclidean-shrink-5": ModelConfig("nc", {"metric": "euclidean", "shrink_threshold": 5}),
-}
-
-
 # ---------------------------------------------------------------------------
 # Ranked result tables.
 

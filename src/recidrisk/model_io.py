@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import RuleSystem
-from .dataset import RiskLabel
+from .dataset import RiskLabel, read_json
 from .knn import KNNModel
 from .nearest_centroid import NearestCentroidModel
 from .trees import ForestModel, TreeModel
@@ -192,17 +192,16 @@ def save_model(path: str | Path, model, extra: dict | None = None) -> None:
         fh.write("\n")
 
 
-def load_model(path: str | Path):
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
-    if not isinstance(payload, dict) or payload.get("format") != FORMAT_TAG:
-        raise ValueError(f"{path}: not a {FORMAT_TAG} file")
+def _restore(payload: dict):
+    if payload.get("format") != FORMAT_TAG:
+        raise ValueError(f"not a {FORMAT_TAG} file")
     if payload.get("version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported model format version {payload.get('version')}")
+        raise ValueError(f"unsupported model format version {payload.get('version')}")
     family = payload.get("family")
     if family not in _RESTORERS:
-        raise ValueError(f"{path}: unknown model family {family!r}")
+        raise ValueError(f"unknown model family {family!r}")
     return _RESTORERS[family](payload["state"])
+
+
+def load_model(path: str | Path):
+    return read_json(path, _restore)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import classify_score, score_responses
-from .dataset import MISSING, CaseRecord, Question, QuestionnaireSchema
+from .dataset import MISSING, CaseRecord, Question, QuestionnaireSchema, read_json
 from .seeding import derive_rng
 
 CHUNK_SIZE = 1024  # atomic generation unit; fixed so output is worker-independent
@@ -317,5 +317,4 @@ def write_config(path: str | Path, config: GeneratorConfig) -> None:
 
 
 def read_config(path: str | Path) -> GeneratorConfig:
-    with open(path) as fh:
-        return config_from_json(json.load(fh))
+    return read_json(path, config_from_json)

@@ -1,21 +1,18 @@
 """Decision trees and random forests for the three-class risk target.
 
-Both learners share one growth engine with two equivalent paths:
+Trees take 0/1 features, the one-hot rows that `encode_cases` produces, and
+reject any other value with a ValueError. One growth engine serves both
+learners: it grows a tree level by level, searching every node of a level
+with a few numpy operations. For a 0/1 column the only split is x < 0.5
+against x >= 0.5, so class counts per candidate come from segment sums.
 
-* a per-node exact search (works for any real-valued features), and
-* a level-synchronous vectorized search used when every feature value is
-  0 or 1, which is what one-hot encoded corpora always are. For binary
-  columns the only midpoint candidate is 0.5, so the two paths grow
-  identical trees; the fast path just batches whole tree levels through
-  numpy instead of visiting nodes one by one.
-
-Split contract (both paths): the best splitter scores every
-(feature, midpoint-between-distinct-values) candidate by impurity decrease;
-the random splitter draws one uniform threshold per candidate feature and
-keeps the best of those. Ties in decrease go to the lowest feature index,
-then the lowest threshold. A node becomes a leaf at purity, at the depth
-cap, or when no candidate strictly decreases impurity. Leaves predict their
-majority class, ties resolved toward the higher risk label.
+Split contract: the best splitter scores every (feature, midpoint between
+distinct values) candidate by impurity decrease; the random splitter draws
+one uniform threshold per candidate feature between the node's smallest and
+largest value of it, and keeps the best of those. Ties in decrease go to the
+lowest feature index. A node becomes a leaf at purity, at the depth cap, or
+when no candidate strictly decreases impurity. Leaves predict their majority
+class, ties resolved toward the higher risk label.
 
 Randomness (thresholds for the random splitter, per-split feature subsets,
 bootstrap resampling) is consumed from a single generator in breadth-first
@@ -152,17 +149,12 @@ def _validate(criterion: str, splitter: str, max_depth) -> None:
         raise ValueError("max_depth must be a positive integer or None")
 
 
-def _is_binary(X: np.ndarray) -> bool:
-    return bool(((X == 0.0) | (X == 1.0)).all())
-
-
 def tree_fit(
     train,
     criterion: str = "gini",
     splitter: str = "best",
     max_depth: int | None = None,
     seed: int = 0,
-    _force_path: str | None = None,
 ) -> TreeModel:
     X, y = as_xy(train)
     _validate(criterion, splitter, max_depth)
@@ -170,7 +162,7 @@ def tree_fit(
         raise ValueError("cannot fit a tree on an empty training set")
     rng = derive_rng(seed, "tree")
     rows = np.arange(X.shape[0])
-    arrays = _grow(X, y, rows, criterion, splitter, max_depth, X.shape[1], rng, _force_path)
+    arrays = _grow(X, y, rows, criterion, splitter, max_depth, X.shape[1], rng)
     return TreeModel(*arrays, n_features=X.shape[1], criterion=criterion,
                      splitter=splitter, max_depth=max_depth)
 
@@ -203,20 +195,13 @@ def _forest_tree(X, y, criterion, max_depth, seed, tree_index, bootstrap) -> Tre
     n = X.shape[0]
     rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
     max_features = int(np.ceil(np.sqrt(X.shape[1])))
-    arrays = _grow(X, y, rows, criterion, "best", max_depth, max_features, rng, None)
+    arrays = _grow(X, y, rows, criterion, "best", max_depth, max_features, rng)
     return TreeModel(*arrays, n_features=X.shape[1], criterion=criterion,
                      splitter="best", max_depth=max_depth)
 
 
 # ---------------------------------------------------------------------------
 # Growth engine.
-
-def _grow(X, y, rows, criterion, splitter, max_depth, max_features, rng, force_path):
-    binary = _is_binary(X) if force_path is None else (force_path == "binary")
-    if binary:
-        return _grow_binary(X, y, rows, criterion, splitter, max_depth, max_features, rng)
-    return _grow_general(X, y, rows, criterion, splitter, max_depth, max_features, rng)
-
 
 def _draw_features(rng, d: int, m: int) -> np.ndarray:
     if m >= d:
@@ -226,146 +211,32 @@ def _draw_features(rng, d: int, m: int) -> np.ndarray:
     return feats
 
 
-class _TreeArrays:
-    """Append-only builder for the flat tree representation."""
-
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.counts: list[np.ndarray] = []
-
-    def add_node(self, counts) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.counts.append(np.asarray(counts, dtype=np.int64))
-        return len(self.feature) - 1
-
-    def set_split(self, node: int, feature: int, threshold: float, left: int, right: int):
-        self.feature[node] = feature
-        self.threshold[node] = threshold
-        self.left[node] = left
-        self.right[node] = right
-
-    def finish(self):
-        return (
-            np.asarray(self.feature, dtype=np.int32),
-            np.asarray(self.threshold, dtype=np.float64),
-            np.asarray(self.left, dtype=np.int32),
-            np.asarray(self.right, dtype=np.int32),
-            np.vstack(self.counts).astype(np.int64),
-        )
-
-
-def _class_counts(y_part: np.ndarray) -> np.ndarray:
-    return np.bincount(y_part, minlength=N_LABELS).astype(np.int64)
-
-
-def _grow_general(X, y, rows, criterion, splitter, max_depth, max_features, rng):
-    """Breadth-first exact growth, one node at a time."""
-    tree = _TreeArrays()
-    root = tree.add_node(_class_counts(y[rows]))
-    queue = [(root, rows, 0)]
-    while queue:
-        next_queue = []
-        for node, node_rows, depth in queue:
-            counts = tree.counts[node]
-            n_node = int(counts.sum())
-            if counts.max() == n_node or (max_depth is not None and depth >= max_depth):
-                continue
-            feats = _draw_features(rng, X.shape[1], max_features)
-            Xn = X[node_rows][:, feats]
-            yn = y[node_rows]
-            if splitter == "random":
-                found = _random_candidates(Xn, yn, counts, criterion, rng)
-            else:
-                found = _best_candidates(Xn, yn, counts, criterion)
-            if found is None:
-                continue
-            j, threshold = found
-            feature = int(feats[j])
-            go_left = X[node_rows, feature] < threshold
-            left_rows, right_rows = node_rows[go_left], node_rows[~go_left]
-            left = tree.add_node(_class_counts(y[left_rows]))
-            right = tree.add_node(_class_counts(y[right_rows]))
-            tree.set_split(node, feature, threshold, left, right)
-            next_queue.append((left, left_rows, depth + 1))
-            next_queue.append((right, right_rows, depth + 1))
-        queue = next_queue
-    return tree.finish()
-
-
-def _best_candidates(Xn, yn, counts, criterion):
-    """Exhaustive (feature, midpoint) search on one node; None when no gain."""
-    n, m = Xn.shape
-    order = np.argsort(Xn, axis=0, kind="stable")
-    Xs = np.take_along_axis(Xn, order, axis=0)
-    onehot = (yn[order][:, :, None] == np.arange(N_LABELS)).astype(np.float64)
-    left = np.cumsum(onehot, axis=0)[:-1]  # (n-1, m, 3): split after sorted position i
-    right = counts.astype(np.float64) - left
-    valid = Xs[:-1] < Xs[1:]
-    decrease = (
-        _impurity_sum(counts, criterion)
-        - _impurity_sum(left, criterion)
-        - _impurity_sum(right, criterion)
-    )
-    decrease[~valid] = -np.inf
-    tol = _DECREASE_TOL * max(n, 1)
-    best = decrease.max(initial=-np.inf)
-    if not best > tol:
-        return None
-    cut_idx, feat_idx = np.nonzero(decrease == best)
-    thresholds = (Xs[cut_idx, feat_idx] + Xs[cut_idx + 1, feat_idx]) / 2.0
-    pick = np.lexsort((thresholds, feat_idx))[0]
-    return int(feat_idx[pick]), float(thresholds[pick])
-
-
-def _random_candidates(Xn, yn, counts, criterion, rng):
-    """One uniform threshold per candidate feature; best of those, or None."""
-    n, m = Xn.shape
-    u = rng.random(m)
-    lo, hi = Xn.min(axis=0), Xn.max(axis=0)
-    thresholds = lo + u * (hi - lo)
-    mask = Xn < thresholds[None, :]
-    left = np.empty((m, N_LABELS), dtype=np.float64)
-    for c in range(N_LABELS):
-        left[:, c] = mask[yn == c].sum(axis=0)
-    right = counts.astype(np.float64) - left
-    valid = (left.sum(axis=1) > 0) & (right.sum(axis=1) > 0)
-    decrease = (
-        _impurity_sum(counts, criterion)
-        - _impurity_sum(left, criterion)
-        - _impurity_sum(right, criterion)
-    )
-    decrease[~valid] = -np.inf
-    tol = _DECREASE_TOL * max(n, 1)
-    best = decrease.max(initial=-np.inf)
-    if not best > tol:
-        return None
-    candidates = np.nonzero(decrease == best)[0]
-    pick = candidates[np.lexsort((thresholds[candidates], candidates))[0]]
-    return int(pick), float(thresholds[pick])
-
-
-def _grow_binary(X, y, rows, criterion, splitter, max_depth, max_features, rng):
-    """Level-synchronous growth for {0,1}-valued features.
+def _grow(X, y, rows, criterion, splitter, max_depth, max_features, rng):
+    """Level-synchronous growth of one tree over the (possibly repeated) `rows`.
 
     All nodes of a level are searched with a handful of array operations:
-    for binary columns the left side of any candidate is exactly the x == 0
+    for 0/1 columns the left side of any candidate is exactly the x == 0
     rows, so class counts come from segment sums instead of per-node sorts.
+    Returns the flat (feature, threshold, left, right, counts) arrays.
     """
+    if not ((X == 0) | (X == 1)).all():
+        raise ValueError("tree features must be 0 or 1 (one-hot encoded, as from encode_cases)")
     d = X.shape[1]
     m = min(max_features, d)
-    tree = _TreeArrays()
-    root = tree.add_node(_class_counts(y[rows]))
+    # every leaf keeps at least one row, so n rows grow at most 2n - 1 nodes
+    capacity = 2 * rows.shape[0] - 1
+    feature = np.full(capacity, -1, dtype=np.int32)
+    threshold = np.zeros(capacity, dtype=np.float64)
+    left_child = np.full(capacity, -1, dtype=np.int32)
+    right_child = np.full(capacity, -1, dtype=np.int32)
+    node_counts = np.zeros((capacity, N_LABELS), dtype=np.int64)
+    node_counts[0] = np.bincount(y[rows], minlength=N_LABELS)
+    n_nodes = 1
 
-    order = rows.copy()
-    node_ids = np.array([root], dtype=np.int64)
+    order = rows
+    node_ids = np.array([0], dtype=np.int64)
     lengths = np.array([order.shape[0]], dtype=np.int64)
-    counts = tree.counts[root][None, :].astype(np.float64)
+    counts = node_counts[:1].astype(np.float64)
     level = 0
 
     while node_ids.size:
@@ -382,8 +253,7 @@ def _grow_binary(X, y, rows, criterion, splitter, max_depth, max_features, rng):
         s = node_ids.size
         starts = np.concatenate(([0], np.cumsum(lengths)))[:-1]
 
-        # Per-node draws, interleaved in node order exactly as the
-        # breadth-first path consumes them (subset first, then thresholds).
+        # Per-node draws in breadth-first node order: subset first, then thresholds.
         if m < d:
             feats = np.empty((s, m), dtype=np.int64)
         else:
@@ -406,6 +276,7 @@ def _grow_binary(X, y, rows, criterion, splitter, max_depth, max_features, rng):
         n_left = lengths[:, None] - n_right
 
         if splitter == "random":
+            # a uniform threshold between the node's smallest and largest value
             lo = np.where(n_left > 0, 0.0, 1.0)
             hi = np.where(n_right > 0, 1.0, 0.0)
             thresholds = lo + u * (hi - lo)
@@ -422,8 +293,7 @@ def _grow_binary(X, y, rows, criterion, splitter, max_depth, max_features, rng):
         )
         decrease[~valid] = -np.inf
         best_j = np.argmax(decrease, axis=1)  # first max = lowest feature (feats sorted)
-        node_range = np.arange(s)
-        best_dec = decrease[node_range, best_j]
+        best_dec = decrease[np.arange(s), best_j]
         splits = best_dec > _DECREASE_TOL * np.maximum(lengths, 1)
 
         if not splits.any():
@@ -431,16 +301,17 @@ def _grow_binary(X, y, rows, criterion, splitter, max_depth, max_features, rng):
 
         # Register children for splitting nodes, left before right, node order.
         split_idx = np.nonzero(splits)[0]
-        child_node_ids = np.empty((split_idx.size, 2), dtype=np.int64)
-        child_counts = np.empty((split_idx.size, 2, N_LABELS), dtype=np.float64)
-        for k, i in enumerate(split_idx):
-            j = best_j[i]
-            left_c, right_c = left[i, j], ones[i, j]
-            lid = tree.add_node(left_c)
-            rid = tree.add_node(right_c)
-            tree.set_split(int(node_ids[i]), int(feats[i, j]), float(thresholds[i, j]), lid, rid)
-            child_node_ids[k] = (lid, rid)
-            child_counts[k] = (left_c, right_c)
+        split_j = best_j[split_idx]
+        parents = node_ids[split_idx]
+        first, n_nodes = n_nodes, n_nodes + 2 * split_idx.size
+        left_ids = np.arange(first, n_nodes, 2)
+        feature[parents] = feats[split_idx, split_j]
+        threshold[parents] = thresholds[split_idx, split_j]
+        left_child[parents] = left_ids
+        right_child[parents] = left_ids + 1
+        counts = np.stack((left[split_idx, split_j], ones[split_idx, split_j]), axis=1)
+        counts = counts.reshape(-1, N_LABELS)
+        node_counts[first:n_nodes] = counts
 
         # Partition surviving rows to their child, preserving node order.
         local_new = np.full(s, -1, dtype=np.int64)
@@ -454,9 +325,10 @@ def _grow_binary(X, y, rows, criterion, splitter, max_depth, max_features, rng):
         sort_idx = np.argsort(child_key, kind="stable")
 
         order = rows_keep[sort_idx]
-        node_ids = child_node_ids.reshape(-1)
-        counts = child_counts.reshape(-1, N_LABELS)
+        node_ids = np.arange(first, n_nodes)
         lengths = counts.sum(axis=1).astype(np.int64)
         level += 1
 
-    return tree.finish()
+    # copies, so a finished tree does not hold its 2n - 1 node buffers
+    return (feature[:n_nodes].copy(), threshold[:n_nodes].copy(), left_child[:n_nodes].copy(),
+            right_child[:n_nodes].copy(), node_counts[:n_nodes].copy())

@@ -171,7 +171,8 @@ def test_config_file_with_cli_override(generated, tmp_path):
 CURVE_HEADER = "mu,mean,std,ci_lo,ci_hi,metric,tau,n_runs\n"
 
 # name: (command, input file text, or a function of the generated corpus
-# directory, or None for a missing file; the line the error must name)
+# directory, or None for a missing file; the line the error must name, or the
+# message that must follow the path)
 BAD_INPUTS = {
     "missing_file": ("evaluate", None, None),
     "empty_curve": ("decide", "", 1),
@@ -179,31 +180,56 @@ BAD_INPUTS = {
     "short_curve_row": ("decide", CURVE_HEADER + "0.0,0.1,0.0,0.1,0.1,police_resource,0.5,3\n"
                         "1.0,0.2\n", 3),
     "truncated_model": ("evaluate", '{"format": "recidrisk-model",\n "version": 1,', 2),
+    "model_without_state": ("evaluate", '{"format": "recidrisk-model", "version": 1, "family": "nc"}',
+                            "missing field 'state'"),
+    "model_state_not_object": ("evaluate", '{"format": "recidrisk-model", "version": 1, '
+                               '"family": "tree", "state": [1]}', "field of the wrong type"),
     # 900 cases follow the manifest comment and the header
     "blank_line_in_cases": ("train", lambda gen: (gen / "cases.csv").read_text() + "\n", 903),
+    "truncated_schema": ("train_schema", '{"questions": [\n', 2),
+    "schema_without_questions": ("train_schema", '{"manifest": "manifest.json"}\n',
+                                 "missing field 'questions'"),
+    "schema_question_without_options": ("train_schema", '{"questions": [{"id": "q1"}]}',
+                                        "missing field 'options'"),
+    "truncated_command_config": ("train_config", '{"family": "nc",\n', 2),
+    "command_config_not_object": ("train_config", "[1, 2]\n", "expected a JSON object"),
+    "truncated_generator_config": ("generate_config", '{"n_cases": 50,\n', 2),
+    "generator_config_without_schema": ("generate_config", '{"n_cases": 50}',
+                                        "missing field 'schema'"),
+    "truncated_rule_system": ("sweep_rule", '{"name": "mine",\n', 2),
+    "rule_system_without_mapping": ("sweep_rule", '{"name": "mine"}', "missing field 'mapping'"),
+    "rule_system_bad_label": ("sweep_rule", '{"name": "mine", "mapping": [0, 1, 2, 2, 7]}',
+                              "7 is not a valid RiskLabel"),
 }
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
 def test_missing_file_is_oneline_error(generated, tmp_path, capsys, case):
-    command, text, line = BAD_INPUTS[case]
+    command, text, where = BAD_INPUTS[case]
     path = tmp_path / "input"
     if text is not None:
         path.write_text(text(generated) if callable(text) else text)
+    cases = ["--data", str(generated / "cases.csv")]
     schema = ["--schema", str(generated / "schema.json")]
     argv = {
-        "evaluate": ["evaluate", "--model", str(path), "--data", str(generated / "cases.csv"),
-                     *schema],
+        "evaluate": ["evaluate", "--model", str(path), *cases, *schema],
         "decide": ["decide", "--curve", str(path), "--r0", "0.1"],
         "train": ["train", "--data", str(path), *schema],
+        "train_schema": ["train", *cases, "--schema", str(path)],
+        "train_config": ["train", *cases, *schema, "--config", str(path)],
+        "generate_config": ["generate", "--config", str(path)],
+        "sweep_rule": ["sweep", *cases, *schema, "--rule-system", str(path),
+                       "--grid-size", "3", "--n-runs", "1"],
     }[command]
     code = main(argv + ["--out-dir", str(tmp_path / "x")])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
-    if line is not None:
-        assert err.startswith(f"error: {path}:{line}: ")
+    if isinstance(where, int):
+        assert err.startswith(f"error: {path}:{where}: ")
+    elif where is not None:
+        assert err.startswith(f"error: {path}: {where}")
 
 
 @pytest.mark.parametrize("argv, status", [
@@ -212,7 +238,10 @@ def test_missing_file_is_oneline_error(generated, tmp_path, capsys, case):
     (["generate", "--jobs", "2"], "2"),
     (["evaluate", "--model", "m.json", "--data", "c.csv", "--schema", "s.json", "--jobs", "2"], "2"),
     (["decide", "--curve", "c.csv", "--r0", "0.1", "--jobs", "2"], "2"),
-], ids=["generate_n_0", "separation_with_config", "generate_jobs", "evaluate_jobs", "decide_jobs"])
+    (["train", "--data", "c.csv", "--schema", "s.json", "--jobs", "2"], "2"),
+    (["sensitivity", "--data", "c.csv", "--schema", "s.json", "--jobs", "2"], "2"),
+], ids=["generate_n_0", "separation_with_config", "generate_jobs", "evaluate_jobs", "decide_jobs",
+        "train_jobs", "sensitivity_jobs"])
 def test_rejected_flags_write_nothing(tmp_path, argv, status):
     config_path = tmp_path / "generator.json"
     write_config(config_path, demo_config(n_cases=50, seed=1))

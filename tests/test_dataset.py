@@ -25,6 +25,7 @@ from recidrisk.dataset import (
     read_cases,
     read_schema,
     split,
+    top_label,
     write_cases,
     write_schema,
 )
@@ -86,6 +87,47 @@ def test_decode_round_trip_including_missing():
     matrix = encode_cases(records, config.schema)
     for i, rec in enumerate(records[:50]):
         assert decode_row(matrix.values[i], config.schema) == rec.responses
+
+
+@st.composite
+def schemas_with_cases(draw):
+    """A random schema and cases answering it; a missing answer is either an
+    absent key or an explicit MISSING, where the question allows it."""
+    ids = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=6, unique=True))
+    schema = QuestionnaireSchema(tuple(
+        Question(qid, tuple(draw(st.lists(st.text(max_size=3), min_size=2, max_size=5, unique=True))),
+                 allows_missing=draw(st.booleans()))
+        for qid in ids
+    ))
+    records = []
+    for c in range(draw(st.integers(1, 5))):
+        responses = {}
+        for q in schema.questions:
+            answer = draw(st.sampled_from(q.options + ((MISSING,) if q.allows_missing else ())))
+            if answer is not MISSING or draw(st.booleans()):
+                responses[q.question_id] = answer
+        records.append(CaseRecord(f"c{c}", responses, 0))
+    return schema, records
+
+
+@settings(max_examples=100, deadline=None)
+@given(schemas_with_cases())
+def test_encode_decode_round_trip_property(problem):
+    schema, records = problem
+    matrix = encode_cases(records, schema)
+    for row, rec in zip(matrix.values, records):
+        expected = {q.question_id: rec.responses.get(q.question_id, MISSING)
+                    for q in schema.questions}
+        assert decode_row(row, schema) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=12))
+def test_top_label_is_highest_tied_maximum(rows):
+    # small counts make ties common; the oracle scans the labels directly
+    expected = [max(label for label in range(3) if row[label] == max(row)) for row in rows]
+    assert top_label(np.array(rows)).tolist() == expected
+    assert top_label(np.array(rows[0])).tolist() == expected[:1]
 
 
 def test_label_examples():

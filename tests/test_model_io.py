@@ -32,7 +32,7 @@ def test_nc_round_trip_exact(tmp_path):
 
 
 def test_tree_round_trip_exact(tmp_path):
-    X, y = _data(3)
+    X, y = _data(3, binary=True)
     model = tree_fit((X, y), criterion="entropy", splitter="random", max_depth=6, seed=4)
     path = tmp_path / "tree.json"
     save_model(path, model)
@@ -40,7 +40,7 @@ def test_tree_round_trip_exact(tmp_path):
     assert np.array_equal(loaded.feature, model.feature)
     assert np.array_equal(loaded.threshold, model.threshold)  # bit-exact floats
     assert np.array_equal(loaded.counts, model.counts)
-    queries = np.random.default_rng(5).random((30, 5))
+    queries = _data(5, n=30, binary=True)[0]
     assert np.array_equal(loaded.predict(queries), model.predict(queries))
 
 

@@ -1,19 +1,27 @@
-"""Trees and forests: split contract, both growth paths, depth truncation."""
+"""Trees and forests: split contract, the engine against a per-node oracle,
+depth truncation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from recidrisk.dataset import N_LABELS
+from recidrisk.seeding import derive_rng
 from recidrisk.trees import (
+    _DECREASE_TOL,
     ForestModel,
     TreeModel,
+    _draw_features,
     _forest_tree,
+    _impurity_sum,
     forest_fit,
     tree_fit,
 )
 
 
 def test_pure_training_set_is_single_leaf():
-    X = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y = np.array([1, 1, 1])
     model = tree_fit((X, y))
     assert model.n_nodes == 1
@@ -33,9 +41,9 @@ def test_two_point_split_at_midpoint():
 
 
 def test_depth_cap_limits_training_accuracy():
-    # alternating 1-D labels need depth 2; a depth-1 tree must miss some rows
-    X = np.array([[0.0], [1.0], [2.0], [3.0]])
-    y = np.array([0, 2, 0, 2])
+    # labels set by two columns need depth 2; a depth-1 tree must miss some rows
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+    y = np.array([0, 2, 0, 0])
     capped = tree_fit((X, y), max_depth=1)
     assert capped.depth() <= 1
     accuracy = float((capped.predict(X) == y).mean())
@@ -62,7 +70,7 @@ def test_no_gain_split_is_refused():
 
 def test_deterministic_given_seed():
     rng = np.random.default_rng(1)
-    X = rng.random((120, 6))
+    X = (rng.random((120, 6)) < 0.5).astype(float)
     y = rng.integers(0, 3, 120)
     a = tree_fit((X, y), splitter="random", seed=9)
     b = tree_fit((X, y), splitter="random", seed=9)
@@ -73,25 +81,176 @@ def test_deterministic_given_seed():
 
 
 def _assert_same_tree(a: TreeModel, b: TreeModel):
-    assert np.array_equal(a.feature, b.feature)
-    assert np.array_equal(a.threshold, b.threshold)
-    assert np.array_equal(a.left, b.left)
-    assert np.array_equal(a.right, b.right)
-    assert np.array_equal(a.counts, b.counts)
+    for name in ("feature", "threshold", "left", "right", "counts"):
+        got, expected = getattr(a, name), getattr(b, name)
+        assert got.dtype == expected.dtype, name
+        assert np.array_equal(got, expected), name
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the split contract searched one node at a time, for any
+# real-valued features, consuming the generator in the same breadth-first order.
+
+def _oracle_best(Xn, yn, counts, criterion):
+    """Exhaustive (feature, midpoint) search on one node; None when no gain."""
+    n = Xn.shape[0]
+    order = np.argsort(Xn, axis=0, kind="stable")
+    Xs = np.take_along_axis(Xn, order, axis=0)
+    onehot = (yn[order][:, :, None] == np.arange(N_LABELS)).astype(np.float64)
+    left = np.cumsum(onehot, axis=0)[:-1]  # (n-1, m, 3): split after sorted position i
+    right = counts.astype(np.float64) - left
+    decrease = (
+        _impurity_sum(counts, criterion)
+        - _impurity_sum(left, criterion)
+        - _impurity_sum(right, criterion)
+    )
+    decrease[~(Xs[:-1] < Xs[1:])] = -np.inf
+    best = decrease.max(initial=-np.inf)
+    if not best > _DECREASE_TOL * max(n, 1):
+        return None
+    cut_idx, feat_idx = np.nonzero(decrease == best)
+    thresholds = (Xs[cut_idx, feat_idx] + Xs[cut_idx + 1, feat_idx]) / 2.0
+    pick = np.lexsort((thresholds, feat_idx))[0]
+    return int(feat_idx[pick]), float(thresholds[pick])
+
+
+def _oracle_random(Xn, yn, counts, criterion, rng):
+    """One uniform threshold per candidate feature; best of those, or None."""
+    n, m = Xn.shape
+    u = rng.random(m)
+    lo, hi = Xn.min(axis=0), Xn.max(axis=0)
+    thresholds = lo + u * (hi - lo)
+    mask = Xn < thresholds[None, :]
+    left = np.stack([mask[yn == c].sum(axis=0) for c in range(N_LABELS)], axis=1).astype(float)
+    right = counts.astype(np.float64) - left
+    decrease = (
+        _impurity_sum(counts, criterion)
+        - _impurity_sum(left, criterion)
+        - _impurity_sum(right, criterion)
+    )
+    decrease[~((left.sum(axis=1) > 0) & (right.sum(axis=1) > 0))] = -np.inf
+    best = decrease.max(initial=-np.inf)
+    if not best > _DECREASE_TOL * max(n, 1):
+        return None
+    candidates = np.nonzero(decrease == best)[0]
+    pick = candidates[np.lexsort((thresholds[candidates], candidates))[0]]
+    return int(pick), float(thresholds[pick])
+
+
+def _oracle_grow(X, y, rows, criterion, splitter, max_depth, max_features, rng):
+    """Breadth-first growth, one node at a time; returns the flat tree arrays."""
+    feature, threshold, left, right, counts = [], [], [], [], []
+
+    def add_node(node_rows):
+        for column, value in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1)):
+            column.append(value)
+        counts.append(np.bincount(y[node_rows], minlength=N_LABELS))
+        return len(feature) - 1
+
+    queue = [(add_node(rows), rows, 0)]
+    while queue:
+        next_queue = []
+        for node, node_rows, depth in queue:
+            if counts[node].max() == node_rows.size or (max_depth is not None and depth >= max_depth):
+                continue
+            feats = _draw_features(rng, X.shape[1], max_features)
+            Xn, yn = X[node_rows][:, feats], y[node_rows]
+            if splitter == "random":
+                found = _oracle_random(Xn, yn, counts[node], criterion, rng)
+            else:
+                found = _oracle_best(Xn, yn, counts[node], criterion)
+            if found is None:
+                continue
+            j, cut = found
+            go_left = X[node_rows, feats[j]] < cut
+            left_rows, right_rows = node_rows[go_left], node_rows[~go_left]
+            feature[node], threshold[node] = int(feats[j]), cut
+            left[node], right[node] = add_node(left_rows), add_node(right_rows)
+            next_queue += [(left[node], left_rows, depth + 1), (right[node], right_rows, depth + 1)]
+        queue = next_queue
+    return (np.asarray(feature, dtype=np.int32), np.asarray(threshold, dtype=np.float64),
+            np.asarray(left, dtype=np.int32), np.asarray(right, dtype=np.int32),
+            np.vstack(counts).astype(np.int64))
+
+
+@st.composite
+def binary_problems(draw):
+    """0/1 features with per-column densities, so constant and all-one columns occur."""
+    n = draw(st.integers(1, 60))
+    densities = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), min_size=1, max_size=8))
+    n_labels = draw(st.integers(1, N_LABELS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = (rng.random((n, len(densities))) < np.array(densities)).astype(float)
+    return X, rng.integers(0, n_labels, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    problem=binary_problems(),
+    criterion=st.sampled_from(["gini", "entropy"]),
+    splitter=st.sampled_from(["best", "random"]),
+    max_depth=st.one_of(st.none(), st.integers(1, 5)),
+    seed=st.integers(0, 1000),
+)
+def test_engine_grows_the_oracle_tree(problem, criterion, splitter, max_depth, seed):
+    X, y = problem
+    model = tree_fit((X, y), criterion, splitter, max_depth, seed=seed)
+    expected = _oracle_grow(X, y, np.arange(X.shape[0]), criterion, splitter, max_depth,
+                           X.shape[1], derive_rng(seed, "tree"))
+    _assert_same_tree(model, TreeModel(*expected, n_features=X.shape[1]))
 
 
 @pytest.mark.parametrize("splitter", ["best", "random"])
 @pytest.mark.parametrize("criterion", ["gini", "entropy"])
 def test_binary_and_general_paths_grow_identical_trees(criterion, splitter):
+    # the level-synchronous engine (binary path) against the per-node oracle
+    # (general path) on fixed seeded problems
     rng = np.random.default_rng(17)
     for trial in range(8):
         n, d = int(rng.integers(10, 130)), int(rng.integers(2, 9))
         X = (rng.random((n, d)) < 0.4).astype(float)
         y = rng.integers(0, 3, n)
         depth = [None, 2, 4][trial % 3]
-        fast = tree_fit((X, y), criterion, splitter, depth, seed=trial, _force_path="binary")
-        slow = tree_fit((X, y), criterion, splitter, depth, seed=trial, _force_path="general")
-        _assert_same_tree(fast, slow)
+        fast = tree_fit((X, y), criterion, splitter, depth, seed=trial)
+        slow = _oracle_grow(X, y, np.arange(n), criterion, splitter, depth, d,
+                            derive_rng(trial, "tree"))
+        _assert_same_tree(fast, TreeModel(*slow, n_features=d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    problem=binary_problems(),
+    criterion=st.sampled_from(["gini", "entropy"]),
+    max_depth=st.one_of(st.none(), st.integers(1, 5)),
+    bootstrap=st.booleans(),
+    seed=st.integers(0, 1000),
+    tree_index=st.integers(0, 20),
+)
+def test_forest_member_is_the_oracle_tree(problem, criterion, max_depth, bootstrap, seed,
+                                          tree_index):
+    # members search ceil(sqrt(d)) < d features per split for d >= 3, and a
+    # bootstrap sample repeats rows
+    X, y = problem
+    model = _forest_tree(X, y, criterion, max_depth, seed, tree_index, bootstrap)
+    rng = derive_rng(seed, "forest-tree", tree_index)
+    n = X.shape[0]
+    rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+    max_features = int(np.ceil(np.sqrt(X.shape[1])))
+    expected = _oracle_grow(X, y, rows, criterion, "best", max_depth, max_features, rng)
+    _assert_same_tree(model, TreeModel(*expected, n_features=X.shape[1]))
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan])
+def test_non_binary_features_are_rejected(bad):
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    X[2, 1] = bad
+    y = np.array([0, 1, 2])
+    with pytest.raises(ValueError, match="tree features must be 0 or 1"):
+        tree_fit((X, y))
+    with pytest.raises(ValueError, match="tree features must be 0 or 1"):
+        forest_fit((X, y), n_estimators=2)
+    with pytest.raises(ValueError, match="tree features must be 0 or 1"):
+        _forest_tree(X, y, "gini", None, 0, 0, True)
 
 
 def test_truncated_prediction_equals_refit_at_depth():
@@ -128,10 +287,10 @@ def test_forest_member_truncation_matches_refit():
 
 def test_forest_singleton_equals_its_tree():
     rng = np.random.default_rng(31)
-    X = rng.random((60, 5))
+    X = (rng.random((60, 5)) < 0.5).astype(float)
     y = rng.integers(0, 3, 60)
     model = forest_fit((X, y), n_estimators=1, seed=2, bootstrap=False)
-    queries = rng.random((20, 5))
+    queries = (rng.random((20, 5)) < 0.5).astype(float)
     assert np.array_equal(model.predict(queries), model.trees[0].predict(queries))
 
 
