@@ -38,7 +38,6 @@ from .experiments import (
     ModelConfig,
     SearchSpace,
     compare_with_baseline,
-    cross_validate,
     default_search_space,
     fit_model,
     grid_search,

@@ -44,6 +44,7 @@ from .experiments import (
     format_result_table,
     grid_search,
     nc_fine_space,
+    parallel_map,
     threshold_sensitivity,
     write_cv_table,
     write_result_table,
@@ -201,12 +202,11 @@ def cmd_train(args) -> int:
     config = ModelConfig(cfg["family"], cfg["params"])
     model = fit_model(config, train_part, derive_seed(cfg["seed"], "train"))
     save_model(out / "model.json", model, extra={"config": _jsonable(cfg), "manifest": MANIFEST_NAME})
-    report_path = out / "holdout_metrics.csv"
-    _write_metric_report(report_path, "model", model_predictions(model, test_part), test_part.labels, _DEFAULT_TAUS)
+    cm = confusion(model_predictions(model, test_part), test_part.labels)
+    _write_metric_report(out / "holdout_metrics.csv", "model", cm, _DEFAULT_TAUS)
     _write_manifest(out, "train", _jsonable(cfg),
                     {"data": args.data, "schema": args.schema},
                     ["model.json", "holdout_metrics.csv"])
-    cm = confusion(model_predictions(model, test_part), test_part.labels)
     print(f"trained {config.family} [{config.canonical()}]; "
           f"holdout police protection {police_protection(cm):.4f}")
     return 0
@@ -226,8 +226,7 @@ def model_predictions(model, part: FeatureMatrix) -> np.ndarray:
     return model.predict(part.values)
 
 
-def _write_metric_report(path: Path, model_id: str, preds, truths, taus) -> None:
-    cm = confusion(preds, truths)
+def _write_metric_report(path: Path, model_id: str, cm, taus) -> None:
     scores = class_scores(cm)
     rows = []
     for idx, name in enumerate(("no", "low", "high")):
@@ -251,13 +250,11 @@ def cmd_evaluate(args) -> int:
     cfg = _resolve(args, _EVALUATE_DEFAULTS)
     model = load_model(args.model)
     matrix = _load_matrix_cfg(args, cfg)
-    preds = model_predictions(model, matrix)
-    _write_metric_report(out / "metrics.csv", Path(args.model).stem, preds, matrix.labels,
-                         cfg["taus"])
+    cm = confusion(model_predictions(model, matrix), matrix.labels)
+    _write_metric_report(out / "metrics.csv", Path(args.model).stem, cm, cfg["taus"])
     _write_manifest(out, "evaluate", _jsonable(cfg),
                     {"model": args.model, "data": args.data, "schema": args.schema},
                     ["metrics.csv"])
-    cm = confusion(preds, matrix.labels)
     print(f"evaluated {model_family(model)}: police protection {police_protection(cm):.4f}")
     return 0
 
@@ -412,14 +409,7 @@ def cmd_sweep(args) -> int:
         return mu_sweep(f0, f1, truths, metric, grid_size=cfg["grid_size"],
                         n_runs=cfg["n_runs"], master_seed=seed)
 
-    if cfg["jobs"] > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg["jobs"]) as pool:
-            curves = list(pool.map(run_curve, tasks))
-    else:
-        curves = [run_curve(task) for task in tasks]
-
+    curves = parallel_map(run_curve, tasks, cfg["jobs"])
     outputs = []
     for (name, _, _), curve in zip(tasks, curves):
         write_sweep(out / name, curve, manifest=MANIFEST_NAME)

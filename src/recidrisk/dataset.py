@@ -33,7 +33,6 @@ class RiskLabel(IntEnum):
 
 
 N_LABELS = 3
-LABEL_NAMES = {RiskLabel.NO: "No", RiskLabel.LOW: "Low", RiskLabel.HIGH: "High"}
 
 
 class EncodingError(ValueError):
@@ -96,12 +95,18 @@ class QuestionnaireSchema:
 
     @classmethod
     def from_json(cls, payload: dict) -> "QuestionnaireSchema":
-        return cls(
-            tuple(
-                Question(item["id"], tuple(item["options"]), bool(item.get("allows_missing", True)))
-                for item in payload["questions"]
-            )
-        )
+        questions = []
+        for number, item in enumerate(payload["questions"], 1):
+            qid = item["id"]
+            if not isinstance(qid, str):
+                raise ValueError(f"question {number}: field 'id' must be a string")
+            options, allows_missing = item["options"], item.get("allows_missing", True)
+            if not (isinstance(options, list) and all(isinstance(o, str) for o in options)):
+                raise ValueError(f"question {qid!r}: field 'options' must be a list of strings")
+            if not isinstance(allows_missing, bool):
+                raise ValueError(f"question {qid!r}: field 'allows_missing' must be true or false")
+            questions.append(Question(qid, tuple(options), allows_missing))
+        return cls(tuple(questions))
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,22 @@
-"""Model selection machinery: exhaustive grids, k-fold tuning, ranked tables.
+"""Model selection: exhaustive grids, k-fold tuning and ranked tables, on one engine.
 
-Grid evaluation exploits structure instead of refitting every point from
-scratch: one full-depth tree stands in for all of its depth-capped variants,
-a forest's member trees are shared across every smaller ensemble size, and
-one neighbor ranking serves every k. Config seeds are derived from the
-hyperparameters that actually reach the sampler, so re-fitting any single
-grid point in isolation reproduces its table row exactly.
+`evaluate_space` scores every config of a search space on one (train, test)
+pair, in groups that share work: one neighbor ranking serves every k, one
+full-depth tree all of its depth caps, and a forest's member trees every
+smaller ensemble. Grid search calls it once; k-fold tuning draws the folds
+once and calls it per fold. A seed rule gives every config of a group the
+same fit seed, which makes the sharing exact: the grid's rule derives it from
+the hyperparameters that reach the sampler (so any one grid point refitted
+alone reproduces its row), the k-fold rule from the fold.
+
+A config's hyperparameters, with their defaults, are its family's fit
+function's parameters; a config naming any other is rejected, and a value the
+fit function rejects makes an error row.
 """
 
 from __future__ import annotations
 
+import inspect
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -33,9 +40,17 @@ from .knn import knn_fit, neighbor_labels, vote
 from .metrics import MetricSpec, class_scores, confusion, police_protection
 from .nearest_centroid import nc_fit
 from .seeding import derive_seed
-from .trees import _forest_tree, forest_fit, tree_fit
+from .trees import _forest_tree, _validate, forest_fit, tree_fit
 
-FAMILIES = ("nc", "knn", "tree", "forest")
+_FIT_NAMES = {"nc": "nc_fit", "knn": "knn_fit", "tree": "tree_fit", "forest": "forest_fit"}
+FAMILIES = tuple(_FIT_NAMES)
+
+# Each fit function's parameters after the training data, with their defaults:
+# the one list of hyperparameters. `seed` among them is passed by the caller.
+_FIT_PARAMS = {
+    family: {name: p.default for name, p in list(inspect.signature(globals()[fit]).parameters.items())[1:]}
+    for family, fit in _FIT_NAMES.items()
+}
 
 
 @dataclass(frozen=True)
@@ -46,9 +61,22 @@ class ModelConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
+        names = [name for name in _FIT_PARAMS[self.family] if name != "seed"]
+        unknown = sorted(set(self.params) - set(names))
+        missing = [name for name in names if name not in self.params
+                   and _FIT_PARAMS[self.family][name] is inspect.Parameter.empty]
+        if unknown or missing:
+            problem = (f"unknown parameter(s) {', '.join(unknown)}" if unknown
+                       else f"missing parameter(s) {', '.join(missing)}")
+            raise ValueError(f"{self.family} [{self.canonical()}]: {problem}; "
+                             f"{self.family} takes {', '.join(names)}")
 
     def canonical(self) -> str:
         return _canonical_params(self.params)
+
+    def value(self, name: str):
+        """The value of a hyperparameter: as given, else its fit function's default."""
+        return self.params.get(name, _FIT_PARAMS[self.family][name])
 
 
 def _canonical_params(params: dict) -> str:
@@ -60,33 +88,12 @@ def _canonical_params(params: dict) -> str:
 
 
 def fit_model(config: ModelConfig, train: FeatureMatrix, seed: int = 0):
-    """Uniform fit dispatch; returns a model exposing predict()."""
-    params = dict(config.params)
-    if config.family == "nc":
-        return nc_fit(
-            train,
-            metric=params.pop("metric", "euclidean"),
-            shrink_threshold=params.pop("shrink_threshold", None),
-            p=params.pop("p", 2.0),
-        )
-    if config.family == "knn":
-        return knn_fit(train, k=params.pop("k"))
-    if config.family == "tree":
-        return tree_fit(
-            train,
-            criterion=params.pop("criterion", "gini"),
-            splitter=params.pop("splitter", "best"),
-            max_depth=params.pop("max_depth", None),
-            seed=seed,
-        )
-    return forest_fit(
-        train,
-        criterion=params.pop("criterion", "gini"),
-        n_estimators=params.pop("n_estimators", 100),
-        max_depth=params.pop("max_depth", None),
-        seed=seed,
-        bootstrap=params.pop("bootstrap", True),
-    )
+    """Fit with the family's fit function; returns a model exposing predict()."""
+    # looked up at call time, so a wrapper installed on this module's name sees every fit
+    fit = globals()[_FIT_NAMES[config.family]]
+    if "seed" in _FIT_PARAMS[config.family]:
+        return fit(train, **config.params, seed=seed)
+    return fit(train, **config.params)
 
 
 def config_seed(master_seed: int, config: ModelConfig) -> int:
@@ -96,17 +103,23 @@ def config_seed(master_seed: int, config: ModelConfig) -> int:
     is what makes the structure sharing above exact rather than approximate.
     """
     if config.family == "tree":
-        return derive_seed(
-            master_seed, "tree", config.params["criterion"], config.params.get("splitter", "best")
-        )
+        return derive_seed(master_seed, "tree", config.value("criterion"), config.value("splitter"))
     if config.family == "forest":
         return derive_seed(
             master_seed,
             "forest",
-            config.params["criterion"],
-            "bootstrap" if config.params.get("bootstrap", True) else "plain",
+            config.value("criterion"),
+            "bootstrap" if config.value("bootstrap") else "plain",
         )
     return derive_seed(master_seed, config.family)
+
+
+def parallel_map(fn, items, jobs: int = 1) -> list:
+    """`[fn(item) for item in items]`, computed on up to `jobs` threads."""
+    if jobs <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +206,17 @@ class ResultTable:
     objective: MetricSpec
     rows: list[ResultRow] = field(default_factory=list)
 
-    def sorted_ranked(self) -> "ResultTable":
-        sign = -1.0 if self.objective.higher_is_better else 1.0
-        rows = sorted(
-            self.rows,
-            key=lambda r: (
-                r.error is not None,
-                sign * r.objective_value if r.objective_value is not None else 0.0,
-                r.family,
-                r.canonical(),
-            ),
-        )
-        ranked = [replace(r, rank=i + 1) for i, r in enumerate(rows)]
-        return ResultTable(self.objective, ranked)
+
+def rank_rows(rows: list, objective: MetricSpec, value: str = "objective_value") -> list:
+    """Rows best first by their `value` attribute; rows without one (failures)
+    last; ties by family, then params. Ranks are numbered from 1."""
+    sign = -1.0 if objective.higher_is_better else 1.0
+
+    def key(row):
+        v = getattr(row, value)
+        return (v is None, 0.0 if v is None else sign * v, row.family, row.canonical())
+
+    return [replace(row, rank=i + 1) for i, row in enumerate(sorted(rows, key=key))]
 
 
 RESULT_COLUMNS = ("rank", "family", "params", "objective", "high_f1", "weighted_f1",
@@ -241,15 +252,15 @@ def _fmt6(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Grid search.
+# Evaluation: grid search and k-fold tuning.
 
-def _score_row(config: ModelConfig, preds: np.ndarray, truths: np.ndarray,
+def _score_row(family: str, params: dict, preds: np.ndarray, truths: np.ndarray,
                objective: MetricSpec) -> ResultRow:
     cm = confusion(preds, truths)
     scores = class_scores(cm)
     return ResultRow(
-        family=config.family,
-        params=dict(config.params),
+        family=family,
+        params=dict(params),
         objective_value=objective.evaluate(cm),
         high_f1=float(scores.f1[2]),
         weighted_f1=scores.weighted_f1,
@@ -261,59 +272,71 @@ def _error_row(config: ModelConfig, message: str) -> ResultRow:
     return ResultRow(config.family, dict(config.params), None, None, None, None, error=message)
 
 
-def _eval_nc(configs, train, test, objective, master_seed):
-    rows = []
+def _checked(configs, check):
+    """The message for each config `check` rejects, and {position: config} for the rest."""
+    out, valid = [None] * len(configs), {}
+    for i, config in enumerate(configs):
+        try:
+            check(config)
+            valid[i] = config
+        except ValueError as exc:
+            out[i] = str(exc)
+    return out, valid
+
+
+def _predict_nc(configs, train, test, seed_of):
+    out = []
     for config in configs:
         try:
-            model = fit_model(config, train, config_seed(master_seed, config))
-            rows.append(_score_row(config, model.predict(test.values), test.labels, objective))
+            out.append(fit_model(config, train, seed_of(config)).predict(test.values))
         except ValueError as exc:
-            rows.append(_error_row(config, str(exc)))
-    return rows
+            out.append(str(exc))
+    return out
 
 
-def _eval_knn(configs, train, test, objective, master_seed):
-    valid = [c for c in configs if c.params["k"] <= train.n_rows]
-    rows = []
+def _check_knn(config, train):
+    k = config.params["k"]
+    if k > train.n_rows:
+        raise ValueError(f"k={k} exceeds {train.n_rows} training rows")
+    knn_fit(train, k)
+
+
+def _predict_knn(configs, train, test, seed_of):
+    """Every k from one ranking of the neighbors."""
+    out, valid = _checked(configs, lambda config: _check_knn(config, train))
     if valid:
-        k_max = max(c.params["k"] for c in valid)
+        k_max = max(config.params["k"] for config in valid.values())
         ranked = neighbor_labels(train.values, train.labels, test.values, k_max)
-    for config in configs:
-        k = config.params["k"]
-        if k > train.n_rows:
-            rows.append(_error_row(config, f"k={k} exceeds {train.n_rows} training rows"))
-        else:
-            rows.append(_score_row(config, vote(ranked, k), test.labels, objective))
-    return rows
+        for i, config in valid.items():
+            out[i] = vote(ranked, config.params["k"])
+    return out
 
 
-def _eval_tree_group(configs, train, test, objective, master_seed):
+def _predict_tree_group(configs, train, test, seed_of):
     """All depth caps of one (criterion, splitter) pair from a single fit."""
-    first = configs[0]
-    seed = config_seed(master_seed, first)
-    full = tree_fit(
-        train,
-        criterion=first.params["criterion"],
-        splitter=first.params.get("splitter", "best"),
-        max_depth=None,
-        seed=seed,
-    )
-    depths = [c.params.get("max_depth") for c in configs]
-    preds = full.predict_at_depths(test.values, depths)
-    return [
-        _score_row(config, pred, test.labels, objective) for config, pred in zip(configs, preds)
-    ]
+    out, valid = _checked(configs, lambda c: _validate(
+        c.value("criterion"), c.value("splitter"), c.value("max_depth")))
+    if valid:
+        first = next(iter(valid.values()))
+        full = tree_fit(train, criterion=first.value("criterion"), splitter=first.value("splitter"),
+                        max_depth=None, seed=seed_of(first))
+        depths = [config.value("max_depth") for config in valid.values()]
+        for i, pred in zip(valid, full.predict_at_depths(test.values, depths)):
+            out[i] = pred
+    return out
 
 
-def _eval_forest_group(configs, train, test, objective, master_seed):
+def _predict_forest_group(configs, train, test, seed_of):
     """One (criterion, bootstrap) group: every (n_estimators, max_depth) point
     is a vote prefix over shared full-depth member trees."""
-    first = configs[0]
-    criterion = first.params["criterion"]
-    bootstrap = first.params.get("bootstrap", True)
-    seed = config_seed(master_seed, first)
-    depths = sorted({c.params.get("max_depth") for c in configs}, key=lambda d: (d is None, d))
-    sizes = sorted({c.params["n_estimators"] for c in configs})
+    out, valid = _checked(configs, lambda c: _validate(
+        c.value("criterion"), "best", c.value("max_depth"), c.value("n_estimators")))
+    if not valid:
+        return out
+    first = next(iter(valid.values()))
+    criterion, bootstrap, seed = first.value("criterion"), first.value("bootstrap"), seed_of(first)
+    depths = sorted({c.value("max_depth") for c in valid.values()}, key=lambda d: (d is None, d))
+    sizes = sorted({c.value("n_estimators") for c in valid.values()})
     votes = {d: np.zeros((test.n_rows, 3), dtype=np.int64) for d in depths}
     labels_at = {}
     for i in range(max(sizes)):
@@ -324,42 +347,56 @@ def _eval_forest_group(configs, train, test, objective, master_seed):
         if i + 1 in sizes:
             for d in depths:
                 labels_at[(i + 1, d)] = top_label(votes[d])
-    return [
-        _score_row(
-            c, labels_at[(c.params["n_estimators"], c.params.get("max_depth"))], test.labels, objective
-        )
-        for c in configs
-    ]
+    for i, c in valid.items():
+        out[i] = labels_at[(c.value("n_estimators"), c.value("max_depth"))]
+    return out
 
 
-def _group_tasks(space: SearchSpace, train, test, objective, master_seed):
-    nc_configs = [c for c in space.configs if c.family == "nc"]
-    knn_configs = [c for c in space.configs if c.family == "knn"]
-    tree_groups: dict[tuple, list] = {}
-    forest_groups: dict[tuple, list] = {}
-    for c in space.configs:
-        if c.family == "tree":
-            tree_groups.setdefault(
-                (c.params["criterion"], c.params.get("splitter", "best")), []
-            ).append(c)
-        elif c.family == "forest":
-            forest_groups.setdefault(
-                (c.params["criterion"], c.params.get("bootstrap", True)), []
-            ).append(c)
-    tasks = []
-    if nc_configs:
-        tasks.append(lambda cs=nc_configs: _eval_nc(cs, train, test, objective, master_seed))
-    if knn_configs:
-        tasks.append(lambda cs=knn_configs: _eval_knn(cs, train, test, objective, master_seed))
-    for key in sorted(tree_groups):
-        tasks.append(
-            lambda cs=tree_groups[key]: _eval_tree_group(cs, train, test, objective, master_seed)
-        )
-    for key in sorted(forest_groups, key=str):
-        tasks.append(
-            lambda cs=forest_groups[key]: _eval_forest_group(cs, train, test, objective, master_seed)
-        )
-    return tasks
+# per family: the predicted labels of each config of a group, or why its fit function rejects it
+_PREDICTORS = {"nc": _predict_nc, "knn": _predict_knn, "tree": _predict_tree_group,
+               "forest": _predict_forest_group}
+
+
+def _group_key(config: ModelConfig) -> tuple:
+    """Configs with equal keys are evaluated together, sharing one seed and their work."""
+    if config.family == "tree":
+        return ("tree", config.value("criterion"), config.value("splitter"))
+    if config.family == "forest":
+        return ("forest", config.value("criterion"), config.value("bootstrap"))
+    return (config.family,)
+
+
+def evaluate_space(
+    space: SearchSpace,
+    train: FeatureMatrix,
+    test: FeatureMatrix,
+    objective: MetricSpec,
+    seed_of,
+    jobs: int = 1,
+) -> list[ResultRow]:
+    """Fit every config of `space` on `train` and score it on `test`.
+
+    Returns one row per config, in space order; a config its fit function
+    rejects gets an error row. `seed_of(config)` is the fit seed, and must be
+    the same for every config of a group. Groups run on up to `jobs` threads.
+    """
+    if train.width != test.width:
+        raise ValueError("train and test encoded widths differ")
+    groups: dict[tuple, list[int]] = {}
+    for i, config in enumerate(space.configs):
+        groups.setdefault(_group_key(config), []).append(i)
+
+    def run(positions):
+        configs = [space.configs[i] for i in positions]
+        return _PREDICTORS[configs[0].family](configs, train, test, seed_of)
+
+    rows = [None] * len(space)
+    for positions, outcomes in zip(groups.values(), parallel_map(run, groups.values(), jobs)):
+        for i, outcome in zip(positions, outcomes):
+            config = space.configs[i]
+            rows[i] = (_error_row(config, outcome) if isinstance(outcome, str) else
+                       _score_row(config.family, config.params, outcome, test.labels, objective))
+    return rows
 
 
 def grid_search(
@@ -371,18 +408,11 @@ def grid_search(
     jobs: int = 1,
 ) -> ResultTable:
     """Train and score every grid point; failures become marked rows."""
-    if train.width != test.width:
-        raise ValueError("train and test encoded widths differ")
     if isinstance(objective, str):
         objective = MetricSpec(objective)
-    tasks = _group_tasks(space, train, test, objective, master_seed)
-    if jobs <= 1:
-        chunks = [task() for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(lambda task: task(), tasks))
-    rows = [row for chunk in chunks for row in chunk]
-    return ResultTable(objective, rows).sorted_ranked()
+    rows = evaluate_space(space, train, test, objective,
+                          lambda config: config_seed(master_seed, config), jobs)
+    return ResultTable(objective, rank_rows(rows, objective))
 
 
 def rescore_row(row: ResultRow, train: FeatureMatrix, test: FeatureMatrix,
@@ -390,36 +420,8 @@ def rescore_row(row: ResultRow, train: FeatureMatrix, test: FeatureMatrix,
     """Fit one table row's config from scratch; must reproduce its scores."""
     config = row.config()
     model = fit_model(config, train, config_seed(master_seed, config))
-    return _score_row(config, model.predict(test.values), test.labels, objective)
-
-
-# ---------------------------------------------------------------------------
-# Cross-validation.
-
-@dataclass(frozen=True)
-class CVResult:
-    mean: float
-    std: float
-    fold_values: tuple[float, ...]
-
-
-def cross_validate(
-    config: ModelConfig,
-    data: FeatureMatrix,
-    k: int = 10,
-    objective: str | MetricSpec = "police_protection",
-    master_seed: int = 0,
-) -> CVResult:
-    if isinstance(objective, str):
-        objective = MetricSpec(objective)
-    folds = kfold(data, k, derive_seed(master_seed, "cv-folds"))
-    values = []
-    for fold_idx, (fit_part, val_part) in enumerate(folds):
-        model = fit_model(config, fit_part, derive_seed(master_seed, "cv-fit", fold_idx))
-        cm = confusion(model.predict(val_part.values), val_part.labels)
-        values.append(objective.evaluate(cm))
-    values = np.array(values)
-    return CVResult(float(values.mean()), float(values.std(ddof=0)), tuple(values))
+    return _score_row(config.family, config.params, model.predict(test.values), test.labels,
+                      objective)
 
 
 @dataclass
@@ -453,24 +455,31 @@ def cv_table(
     master_seed: int = 0,
     jobs: int = 1,
 ) -> CVTable:
-    """Tuning table: k-fold mean/std per config, ranked by mean."""
+    """Tuning table: k-fold mean/std per config, ranked by mean.
+
+    The folds are drawn once and each is evaluated like a grid, every config
+    of a fold fitted with that fold's seed. A config rejected on any fold
+    raises ValueError("<family> [<params>]: <error>"). Folds run on up to
+    `jobs` threads.
+    """
     if isinstance(objective, str):
         objective = MetricSpec(objective)
+    folds = kfold(data, k, derive_seed(master_seed, "cv-folds"))
 
-    def run(config):
-        result = cross_validate(config, data, k, objective, master_seed)
-        return CVRow(config.family, dict(config.params), result.mean, result.std)
+    def run(fold_idx):
+        fit_part, val_part = folds[fold_idx]
+        seed = derive_seed(master_seed, "cv-fit", fold_idx)
+        return evaluate_space(space, fit_part, val_part, objective, lambda config: seed)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run, space.configs))
-    else:
-        rows = [run(config) for config in space.configs]
-    sign = -1.0 if objective.higher_is_better else 1.0
-    rows.sort(key=lambda r: (sign * r.mean, r.family, r.canonical()))
-    for i, row in enumerate(rows):
-        row.rank = i + 1
-    return CVTable(objective, k, rows)
+    rows = []
+    for config, fold_rows in zip(space.configs, zip(*parallel_map(run, range(k), jobs))):
+        for row in fold_rows:
+            if row.error is not None:
+                raise ValueError(f"{config.family} [{config.canonical()}]: {row.error}")
+        values = np.array([row.objective_value for row in fold_rows])
+        rows.append(CVRow(config.family, dict(config.params), float(values.mean()),
+                          float(values.std(ddof=0))))
+    return CVTable(objective, k, rank_rows(rows, objective, "mean"))
 
 
 def nc_fine_tune(data: FeatureMatrix, k: int = 10, master_seed: int = 0) -> CVTable:
@@ -501,20 +510,9 @@ def compare_with_baseline(
         raise ValueError("test rows carry no baseline assessment scores")
     rows = list(ml_table.rows)
     for rs in rule_systems:
-        preds = rs.apply_many(test.viogen_scores)
-        cm = confusion(preds, test.labels)
-        scores = class_scores(cm)
-        rows.append(
-            ResultRow(
-                family="rule",
-                params={"rule_system": rs.name},
-                objective_value=ml_table.objective.evaluate(cm),
-                high_f1=float(scores.f1[2]),
-                weighted_f1=scores.weighted_f1,
-                protection=police_protection(cm),
-            )
-        )
-    return ResultTable(ml_table.objective, rows).sorted_ranked()
+        rows.append(_score_row("rule", {"rule_system": rs.name}, rs.apply_many(test.viogen_scores),
+                               test.labels, ml_table.objective))
+    return ResultTable(ml_table.objective, rank_rows(rows, ml_table.objective))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import RuleSystem
-from .dataset import RiskLabel, read_json
+from .dataset import N_LABELS, RiskLabel, read_json
 from .knn import KNNModel
 from .nearest_centroid import NearestCentroidModel
 from .trees import ForestModel, TreeModel
@@ -109,14 +109,40 @@ def _tree_state(model: TreeModel) -> dict:
     }
 
 
+def _int_array(values, key: str) -> np.ndarray:
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise ValueError(f"tree field '{key}' must hold integers")
+    return array.astype(np.int64)
+
+
+def _check_nodes(bad: np.ndarray, what: str) -> None:
+    if bad.any():
+        raise ValueError(f"tree node {int(np.argmax(bad))}: {what}")
+
+
 def _tree_restore(state: dict) -> TreeModel:
+    feature, left, right, counts = (_int_array(state[key], key)
+                                    for key in ("feature", "left", "right", "counts"))
+    threshold = np.asarray(state["threshold"], dtype=np.float64)
+    n, n_features = len(feature), state["n_features"]
+    if (n < 1 or any(a.shape != (n,) for a in (feature, threshold, left, right))
+            or counts.shape != (n, N_LABELS)):
+        raise ValueError(f"tree arrays must have one entry per node, counts {N_LABELS} per node")
+    _check_nodes((feature < -1) | (feature >= n_features),
+                 f"feature must lie in [-1, {n_features})")
+    leaf, nodes = feature == -1, np.arange(n)
+    _check_nodes(leaf & ((left != -1) | (right != -1)), "a leaf's children must be -1")
+    # children after their parent: every descent ends, at a leaf
+    _check_nodes(~leaf & ((left <= nodes) | (right <= nodes) | (left >= n) | (right >= n)),
+                 f"children must lie after the node and before {n}")
     return TreeModel(
-        feature=np.asarray(state["feature"], dtype=np.int32),
-        threshold=np.asarray(state["threshold"], dtype=np.float64),
-        left=np.asarray(state["left"], dtype=np.int32),
-        right=np.asarray(state["right"], dtype=np.int32),
-        counts=np.asarray(state["counts"], dtype=np.int64),
-        n_features=state["n_features"],
+        feature=feature.astype(np.int32),
+        threshold=threshold,
+        left=left.astype(np.int32),
+        right=right.astype(np.int32),
+        counts=counts,
+        n_features=n_features,
         criterion=state["criterion"],
         splitter=state["splitter"],
         max_depth=state["max_depth"],

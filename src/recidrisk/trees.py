@@ -140,13 +140,16 @@ class ForestModel:
         return top_label(votes)
 
 
-def _validate(criterion: str, splitter: str, max_depth) -> None:
+def _validate(criterion: str, splitter: str, max_depth, n_estimators: int = 1) -> None:
+    """The hyperparameter checks of tree_fit and forest_fit."""
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}")
     if splitter not in SPLITTERS:
         raise ValueError(f"splitter must be one of {SPLITTERS}")
     if max_depth is not None and max_depth < 1:
         raise ValueError("max_depth must be a positive integer or None")
+    if n_estimators < 1:
+        raise ValueError("n_estimators must be >= 1")
 
 
 def tree_fit(
@@ -176,9 +179,7 @@ def forest_fit(
     bootstrap: bool = True,
 ) -> ForestModel:
     X, y = as_xy(train)
-    _validate(criterion, "best", max_depth)
-    if n_estimators < 1:
-        raise ValueError("n_estimators must be >= 1")
+    _validate(criterion, "best", max_depth, n_estimators)
     if X.shape[0] < 1:
         raise ValueError("cannot fit a forest on an empty training set")
     trees = [

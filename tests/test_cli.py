@@ -170,6 +170,19 @@ def test_config_file_with_cli_override(generated, tmp_path):
 
 CURVE_HEADER = "mu,mean,std,ci_lo,ci_hi,metric,tau,n_runs\n"
 
+
+def _tree(feature, left, right):
+    """Tree model state over the 250 demo columns with the given node links."""
+    n = len(feature)
+    return {"feature": feature, "threshold": [0.5] * n, "left": left, "right": right,
+            "counts": [[1, 1, 0]] * n, "n_features": 250, "criterion": "gini",
+            "splitter": "best", "max_depth": None}
+
+
+def _model(family, state):
+    return json.dumps({"format": "recidrisk-model", "version": 1, "family": family, "state": state})
+
+
 # name: (command, input file text, or a function of the generated corpus
 # directory, or None for a missing file; the line the error must name, or the
 # message that must follow the path)
@@ -200,6 +213,20 @@ BAD_INPUTS = {
     "rule_system_without_mapping": ("sweep_rule", '{"name": "mine"}', "missing field 'mapping'"),
     "rule_system_bad_label": ("sweep_rule", '{"name": "mine", "mapping": [0, 1, 2, 2, 7]}',
                               "7 is not a valid RiskLabel"),
+    "tree_child_outside_arrays": ("evaluate", _model("tree", _tree([0], [5], [5])),
+                                  "tree node 0: children must lie after the node and before 1"),
+    "forest_member_feature_out_of_range": (
+        "evaluate", _model("forest", {"trees": [_tree([250, -1, -1], [1, -1, -1], [2, -1, -1])],
+                                      "n_features": 250, "criterion": "gini", "max_depth": None,
+                                      "seed": 0, "bootstrap": True}),
+        "tree node 0: feature must lie in [-1, 250)"),
+    "schema_options_string": ("train_schema", '{"questions": [{"id": "q1", "options": "AB"}]}',
+                              "question 'q1': field 'options' must be a list of strings"),
+    "schema_allows_missing_string": (
+        "train_schema", '{"questions": [{"id": "q1", "options": ["A", "B"], "allows_missing": "no"}]}',
+        "question 'q1': field 'allows_missing' must be true or false"),
+    "schema_id_number": ("train_schema", '{"questions": [{"id": 7, "options": ["A", "B"]}]}',
+                         "question 1: field 'id' must be a string"),
 }
 
 
@@ -261,3 +288,22 @@ def test_console_script_help_runs():
     assert proc.returncode == 0
     for command in ("generate", "gridsearch", "sweep", "decide", "sensitivity"):
         assert command in proc.stdout
+
+
+@pytest.mark.parametrize("command, family, params, message", [
+    ("crossval", "tree", {"maxdepth": 5}, "tree [maxdepth=5]: unknown parameter(s) maxdepth; "
+                                          "tree takes criterion, splitter, max_depth"),
+    ("crossval", "knn", {"k": 0}, "knn [k=0]: k must satisfy 1 <= k <= "),
+    ("crossval", "forest", {"n_estimators": 0}, "forest [n_estimators=0]: n_estimators must be >= 1"),
+    ("train", "forest", {"n_estimator": 5}, "forest [n_estimator=5]: unknown parameter(s) n_estimator"),
+    ("train", "knn", {}, "knn []: missing parameter(s) k"),
+], ids=["crossval_misspelt", "crossval_k_0", "crossval_no_trees", "train_misspelt", "train_no_k"])
+def test_bad_model_params_are_oneline_errors(generated, tmp_path, capsys, command, family, params,
+                                             message):
+    argv = [command, "--data", str(generated / "cases.csv"), "--schema", str(generated / "schema.json"),
+            "--family", family, "--params", json.dumps(params), "--out-dir", str(tmp_path)]
+    code = main(argv + (["--k", "3"] if command == "crossval" else []))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"error: {message}")

@@ -1,19 +1,23 @@
 """Grid search, cross-validation and the comparison/sensitivity tables."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recidrisk.baseline import NAMED_RULE_SYSTEMS
-from recidrisk.dataset import FeatureMatrix, SplitSpec
+from recidrisk.dataset import FeatureMatrix, SplitSpec, kfold
 from recidrisk.experiments import (
     EvalPlan,
     ModelConfig,
     SearchSpace,
     compare_with_baseline,
     config_seed,
-    cross_validate,
     cv_table,
     default_search_space,
+    fit_model,
     grid_search,
     nc_fine_space,
     nc_fine_tune,
@@ -22,6 +26,16 @@ from recidrisk.experiments import (
 )
 from recidrisk.metrics import MetricSpec, confusion, police_protection
 from recidrisk.nearest_centroid import nc_fit
+from recidrisk.seeding import derive_seed
+
+
+def cv_oracle(config, data, k, objective, master_seed):
+    """Per-config k-fold: the folds, then a fresh fit of the one config per fold."""
+    values = []
+    for fold_idx, (fit_part, val_part) in enumerate(kfold(data, k, derive_seed(master_seed, "cv-folds"))):
+        model = fit_model(config, fit_part, derive_seed(master_seed, "cv-fit", fold_idx))
+        values.append(objective.evaluate(confusion(model.predict(val_part.values), val_part.labels)))
+    return np.array(values)
 
 
 def test_default_space_counts():
@@ -131,9 +145,11 @@ def test_config_seed_shared_across_prefix_dimensions():
 def test_cross_validate_constant_labels_zero_std():
     rng = np.random.default_rng(1)
     matrix = FeatureMatrix((rng.random((40, 4)) < 0.5).astype(float), np.ones(40, dtype=int))
-    result = cross_validate(ModelConfig("nc", {}), matrix, k=5, master_seed=2)
-    assert result.std == 0.0
-    assert len(set(result.fold_values)) == 1
+    config = ModelConfig("nc", {})
+    (row,) = cv_table(SearchSpace((config,)), matrix, k=5, master_seed=2).rows
+    values = cv_oracle(config, matrix, 5, MetricSpec("police_protection"), 2)
+    assert len(set(values)) == 1
+    assert (row.mean, row.std) == (values.mean(), 0.0)
 
 
 def test_cross_validate_two_folds_by_hand():
@@ -142,10 +158,8 @@ def test_cross_validate_two_folds_by_hand():
     labels = np.array([0, 2, 0, 2])
     matrix = FeatureMatrix(values, labels)
     config = ModelConfig("nc", {})
-    result = cross_validate(config, matrix, k=2, objective="police_protection", master_seed=4)
-
-    from recidrisk.dataset import kfold
-    from recidrisk.seeding import derive_seed
+    (row,) = cv_table(SearchSpace((config,)), matrix, k=2, objective="police_protection",
+                      master_seed=4).rows
 
     folds = kfold(matrix, 2, derive_seed(4, "cv-folds"))
     expected = []
@@ -153,8 +167,8 @@ def test_cross_validate_two_folds_by_hand():
         model = nc_fit(fit_part)
         cm = confusion(model.predict(val_part.values), val_part.labels)
         expected.append(police_protection(cm))
-    assert list(result.fold_values) == expected
-    assert result.mean == pytest.approx(np.mean(expected))
+    assert list(cv_oracle(config, matrix, 2, MetricSpec("police_protection"), 4)) == expected
+    assert (row.mean, row.std) == (np.mean(expected), np.std(expected))
 
 
 def test_nc_fine_tune_table_shape(small_split):
@@ -255,3 +269,84 @@ def test_cv_table_orders_by_objective(small_split):
     table = cv_table(space, train.take(np.arange(300)), k=3, master_seed=7)
     assert len(table.rows) == 2
     assert table.rows[0].mean >= table.rows[1].mean
+
+
+def _property_data():
+    rng = np.random.default_rng(61)
+    return FeatureMatrix((rng.random((45, 8)) < 0.4).astype(float), rng.integers(0, 3, 45))
+
+
+def _maybe(key, values):
+    """A strategy for {key: value} or {} (the fit function's default)."""
+    return st.one_of(st.just({}), st.sampled_from(values).map(lambda v: {key: v}))
+
+
+def _config(family, *parts):
+    return st.tuples(*parts).map(lambda dicts: ModelConfig(family, {k: v for d in dicts for k, v in d.items()}))
+
+
+CONFIGS = st.one_of(
+    _config("nc", _maybe("metric", ["euclidean", "manhattan", "minkowski"]),
+            _maybe("shrink_threshold", [None, 0.1, 0.5, 2.0]), _maybe("p", [1.0, 2.0, 3.0])),
+    _config("knn", st.integers(1, 12).map(lambda k: {"k": k})),
+    _config("tree", _maybe("criterion", ["gini", "entropy"]), _maybe("splitter", ["best", "random"]),
+            _maybe("max_depth", [None, 1, 2, 3, 5])),
+    _config("forest", _maybe("criterion", ["gini", "entropy"]), _maybe("n_estimators", [1, 2, 3, 6]),
+            _maybe("max_depth", [None, 1, 2, 4]), _maybe("bootstrap", [True, False])),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(configs=st.lists(CONFIGS, min_size=1, max_size=6), duplicate=st.booleans(),
+       k=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_cv_table_is_the_per_config_oracle_and_jobs_invariant(configs, duplicate, k, seed):
+    space = SearchSpace(tuple(configs + configs[:1] if duplicate else configs))
+    data = _property_data()
+    objective = MetricSpec("police_protection")
+    table = cv_table(space, data, k=k, master_seed=seed)
+    expected = []
+    for config in space.configs:
+        values = cv_oracle(config, data, k, objective, seed)
+        expected.append((config.family, config.canonical(), values.mean(), values.std()))
+    expected.sort(key=lambda r: (-r[2], r[0], r[1]))
+    assert [(r.family, r.canonical(), r.mean, r.std) for r in table.rows] == expected
+    assert [r.rank for r in table.rows] == list(range(1, len(space) + 1))
+    assert cv_table(space, data, k=k, master_seed=seed, jobs=3) == table
+
+    train, test = data.take(np.arange(30)), data.take(np.arange(30, 45))
+    grid = grid_search(space, train, test, objective, master_seed=seed)
+    assert grid_search(space, train, test, objective, master_seed=seed, jobs=3) == grid
+    for row in grid.rows:
+        assert rescore_row(row, train, test, objective, master_seed=seed) == replace(row, rank=0)
+
+
+@pytest.mark.parametrize("family, bad, good", [
+    ("knn", {"k": 0}, {"k": 3}),
+    ("knn", {"k": -1}, {"k": 3}),
+    ("tree", {"criterion": "gini", "max_depth": 0}, {"criterion": "gini", "max_depth": 3}),
+    ("forest", {"criterion": "gini", "n_estimators": 0}, {"criterion": "gini", "n_estimators": 2}),
+], ids=["knn_k_0", "knn_k_negative", "tree_depth_0", "forest_no_trees"])
+def test_invalid_config_is_an_error_row(small_split, family, bad, good):
+    train, test = small_split
+    config = ModelConfig(family, bad)
+    with pytest.raises(ValueError) as rejected:
+        fit_model(config, train)
+    sibling = ModelConfig(family, good)  # same group, must still be scored
+    table = grid_search(SearchSpace((config, sibling)), train, test, "high_f1", master_seed=3)
+    by_params = {row.canonical(): row for row in table.rows}
+    assert by_params[config.canonical()].error == str(rejected.value)
+    assert by_params[config.canonical()].objective_value is None
+    assert by_params[sibling.canonical()].error is None
+    with pytest.raises(ValueError, match=rf"^{family} \[{config.canonical()}\]: "):
+        cv_table(SearchSpace((sibling, config)), train.take(np.arange(300)), k=3)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("tree", {"maxdepth": 5}),
+    ("forest", {"n_estimator": 5}),
+    ("nc", {"seed": 1}),
+    ("knn", {}),
+])
+def test_config_names_only_fit_parameters(family, params):
+    with pytest.raises(ValueError, match=rf"^{family} \[.*\]: (unknown|missing) parameter"):
+        ModelConfig(family, params)

@@ -1,5 +1,8 @@
 """Serialization round-trips: parameters exact, predictions unchanged."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -85,3 +88,32 @@ def test_rejects_foreign_files(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError):
         load_model(path)
+
+
+def _tree_state(feature, left, right, counts=None):
+    n = len(feature)
+    return {"feature": feature, "threshold": [0.5] * n, "left": left, "right": right,
+            "counts": [[1, 0, 0]] * n if counts is None else counts, "n_features": 3,
+            "criterion": "gini", "splitter": "best", "max_depth": None}
+
+
+@pytest.mark.parametrize("state, message", [
+    (_tree_state([0], [0], [0]), "tree node 0: children must lie after the node"),
+    (_tree_state([0, 1, -1, -1], [1, 2, -1, -1], [2, 1, -1, -1]), "tree node 1: children must lie after"),
+    (_tree_state([-1], [1], [-1]), "tree node 0: a leaf's children must be -1"),
+    (_tree_state([-2], [-1], [-1]), r"tree node 0: feature must lie in \[-1, 3\)"),
+    (_tree_state([-1], [-1], [-1], counts=[1, 0, 0]), "tree arrays must have one entry per node"),
+    (_tree_state([-1, -1], [-1], [-1, -1]), "tree arrays must have one entry per node"),
+    (_tree_state([], [], [], counts=[]), "tree arrays must have one entry per node"),
+    (_tree_state([0.5], [-1], [-1]), "tree field 'feature' must hold integers"),
+], ids=["self_loop", "cycle", "leaf_with_child", "feature_below_leaf_mark", "flat_counts",
+        "short_left", "no_nodes", "fractional_feature"])
+def test_tree_node_arrays_are_checked(tmp_path, state, message):
+    for family, payload in (("tree", state),
+                            ("forest", {"trees": [state], "n_features": 3, "criterion": "gini",
+                                        "max_depth": None, "seed": 0, "bootstrap": True})):
+        path = tmp_path / f"{family}.json"
+        path.write_text(json.dumps({"format": "recidrisk-model", "version": 1, "family": family,
+                                    "state": payload}))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            load_model(path)
