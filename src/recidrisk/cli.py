@@ -6,14 +6,20 @@ configuration, the seeds, and fingerprints of the input files; two runs with
 identical manifests produce byte-identical outputs. Delimited outputs open
 with a comment line naming the manifest that produced them, JSON outputs
 carry a `manifest` key.
+
+Each command's input files and options are declared once, in `COMMANDS`; the
+flags, the defaults, the check of a `--config` file and the config recorded
+in the manifest all come from those declarations.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +35,13 @@ from .dataset import (
     read_cases,
     read_json,
     read_schema,
+    require_type,
     split,
     write_cases,
     write_table,
 )
 from .experiments import (
+    FAMILIES,
     EvalPlan,
     ModelConfig,
     SearchSpace,
@@ -55,6 +63,7 @@ from .metrics import class_scores, confusion, police_protection, police_resource
 from .model_io import load_model, model_family, save_model
 from .seeding import derive_seed
 from .synthgen import (
+    DEMO_SEED,
     attach_viogen_scores,
     config_to_json,
     demo_config,
@@ -69,6 +78,48 @@ MANIFEST_NAME = "manifest.json"
 _DEFAULT_TAUS = (0.1, 0.5, 1.0, 5.0)
 
 
+@dataclass(frozen=True)
+class Option:
+    """A command option, declared once: the config key, the flag `--<name>`
+    (`-` for `_`) unless `flag` names another, the default and the type."""
+
+    name: str
+    default: object
+    type: object  # int, float, str, bool, dict, list[int] or list[float]; a None default admits None
+    choices: tuple = ()
+    flag: str | None = None  # a bool option's flag sets the opposite of its default
+    help: str | None = None
+
+
+@dataclass(frozen=True)
+class Input:
+    """An input file flag; its path and fingerprint go to the manifest's inputs."""
+
+    name: str
+    required: bool = True
+    flag: str | None = None
+    help: str | None = None
+
+
+@dataclass(frozen=True)
+class Command:
+    help: str
+    inputs: tuple[Input, ...]
+    options: tuple[Option, ...]
+    config_file: bool = True  # takes `--config`, a JSON object of option values
+
+
+def _flag(item) -> str:
+    return item.flag or "--" + item.name.replace("_", "-")
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(part) for part in text.split(",")]
+
+
+_FROM_TEXT = {int: int, float: float, str: str, dict: json.loads, list[int]: _int_list}
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -77,12 +128,14 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict, outputs: list) -> None:
+def _write_manifest(out_dir: Path, args, config: dict, outputs: list) -> None:
+    inputs = {i.name: getattr(args, i.name) for i in COMMANDS[args.command].inputs}
     manifest = {
-        "command": command,
+        "command": args.command,
         "package_version": __version__,
         "config": config,
-        "inputs": {name: {"path": str(p), "sha256": _sha256(Path(p))} for name, p in inputs.items()},
+        "inputs": {name: {"path": str(p), "sha256": _sha256(Path(p))}
+                   for name, p in inputs.items() if p is not None},
         "outputs": sorted(outputs),
     }
     with open(out_dir / MANIFEST_NAME, "w") as fh:
@@ -98,59 +151,61 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _out_dir(args, command: str) -> Path:
-    out = Path(args.out_dir if args.out_dir else f"runs/{command}")
+def _out_dir(args) -> Path:
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _resolve(args, defaults: dict) -> dict:
-    """Layer resolution: defaults, then config file, then explicit flags."""
-    resolved = dict(defaults)
-    if getattr(args, "config", None):
-        file_values = read_json(args.config, dict)
-        unknown = set(file_values) - set(defaults)
+def _resolve(args, command: Command) -> dict:
+    """Each option's value: its flag if given, else its `--config` field, else its default.
+
+    File fields and flags alike are checked against the option's type and
+    choices, and an int given for a float becomes a float, so a value reaches
+    the manifest the same way from either.
+    """
+    options = {o.name: o for o in command.options}
+
+    def checked(values: dict, what) -> dict:
+        unknown = sorted(set(values) - set(options))
         if unknown:
-            raise SystemExit(f"config error: unknown keys {sorted(unknown)} in {args.config}")
-        resolved.update(file_values)
-    for key in defaults:
-        value = getattr(args, key, None)
-        # None means "flag not given"; False likewise for store_true flags,
-        # which argparse cannot set explicitly, so a file-set True survives
-        if value is not None and value is not False:
-            resolved[key] = value
-    return resolved
+            raise ValueError(f"unknown field(s) {', '.join(unknown)}; "
+                             f"{args.command} takes {', '.join(options)}")
+        result = {}
+        for name, value in values.items():
+            option = options[name]
+            require_type(what(option), value,
+                         option.type if option.default is not None else option.type | None)
+            if option.choices and value is not None and value not in option.choices:
+                raise ValueError(f"{what(option)} must be one of {', '.join(option.choices)}")
+            if option.type is float and value is not None:
+                value = float(value)
+            elif option.type == list[float]:
+                value = [float(v) for v in value]
+            result[name] = value
+        return result
 
-
-def _parse_params(text) -> dict:
-    if text is None:
-        return {}
-    if isinstance(text, dict):
-        return text
-    params = json.loads(text)
-    if not isinstance(params, dict):
-        raise SystemExit("params error: expected a JSON object")
-    return params
+    cfg = {name: copy.deepcopy(o.default) for name, o in options.items()}
+    if command.config_file and args.config:
+        cfg.update(read_json(args.config, lambda values: checked(values, lambda o: f"field '{o.name}'")))
+    cfg.update(checked({name: getattr(args, name) for name in options if name in args}, _flag))
+    return cfg
 
 
 # ---------------------------------------------------------------------------
 # generate
 
-def cmd_generate(args) -> int:
-    out = _out_dir(args, "generate")
-    if args.config:
-        config = read_config(args.config)
-        if args.n is not None or args.seed is not None or args.separation is not None:
-            raise SystemExit("config error: --n/--seed/--separation overrides apply to --demo only")
+def cmd_generate(args, cfg) -> int:
+    if args.generator_config:
+        if any(name in args for name in ("n", "seed", "separation")):
+            raise SystemExit("config error: --n/--seed/--separation apply to the demo config only")
+        config = read_config(args.generator_config)
     else:
-        config = demo_config(
-            n_cases=args.n if args.n is not None else 20000,
-            seed=args.seed if args.seed is not None else demo_config().seed,
-            separation=args.separation if args.separation is not None else 0.35,
-        )
+        config = demo_config(n_cases=cfg["n"], seed=cfg["seed"], separation=cfg["separation"])
+    out = _out_dir(args)
     records = generate(config)
     viogen_payload = None
-    if not args.no_viogen:
+    if cfg["with_viogen"]:
         weights = severity_weights(config.schema)
         thresholds = score_thresholds(records, weights)
         records = attach_viogen_scores(records, weights, thresholds)
@@ -172,10 +227,9 @@ def cmd_generate(args) -> int:
         "seed": config.seed,
         "missing_rate": config.missing_rate,
         "profiles": [p.name for p in config.profiles],
-        "with_viogen": not args.no_viogen,
+        "with_viogen": cfg["with_viogen"],
     }
-    inputs = {"generator_config": args.config} if args.config else {}
-    _write_manifest(out, "generate", resolved, inputs, outputs)
+    _write_manifest(out, args, resolved, outputs)
     print(f"generated {len(records)} cases into {cases_path}")
     return 0
 
@@ -183,39 +237,25 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 # train / evaluate
 
-_TRAIN_DEFAULTS = {
-    "family": "nc",
-    "params": {"metric": "euclidean", "shrink_threshold": 0.1},
-    "train_fraction": 0.67,
-    "split_seed": 0,
-    "seed": 0,
-    "high_threshold": 3,
-}
-
-
-def cmd_train(args) -> int:
-    out = _out_dir(args, "train")
-    cfg = _resolve(args, _TRAIN_DEFAULTS)
-    cfg["params"] = _parse_params(cfg["params"])
-    matrix = _load_matrix_cfg(args, cfg)
-    train_part, test_part = split(matrix, SplitSpec(cfg["train_fraction"], cfg["split_seed"]))
+def cmd_train(args, cfg) -> int:
     config = ModelConfig(cfg["family"], cfg["params"])
+    matrix = _load_matrix(args, cfg)
+    out = _out_dir(args)
+    train_part, test_part = split(matrix, SplitSpec(cfg["train_fraction"], cfg["split_seed"]))
     model = fit_model(config, train_part, derive_seed(cfg["seed"], "train"))
-    save_model(out / "model.json", model, extra={"config": _jsonable(cfg), "manifest": MANIFEST_NAME})
+    save_model(out / "model.json", model, extra={"config": cfg, "manifest": MANIFEST_NAME})
     cm = confusion(model_predictions(model, test_part), test_part.labels)
     _write_metric_report(out / "holdout_metrics.csv", "model", cm, _DEFAULT_TAUS)
-    _write_manifest(out, "train", _jsonable(cfg),
-                    {"data": args.data, "schema": args.schema},
-                    ["model.json", "holdout_metrics.csv"])
+    _write_manifest(out, args, cfg, ["model.json", "holdout_metrics.csv"])
     print(f"trained {config.family} [{config.canonical()}]; "
           f"holdout police protection {police_protection(cm):.4f}")
     return 0
 
 
-def _load_matrix_cfg(args, cfg) -> FeatureMatrix:
+def _load_matrix(args, cfg) -> FeatureMatrix:
     schema = read_schema(args.schema)
     records = read_cases(args.data)
-    return encode_cases(records, schema, high_threshold=cfg.get("high_threshold", 3))
+    return encode_cases(records, schema, high_threshold=cfg["high_threshold"])
 
 
 def model_predictions(model, part: FeatureMatrix) -> np.ndarray:
@@ -242,19 +282,13 @@ def _write_metric_report(path: Path, model_id: str, cm, taus) -> None:
                 ((model_id, name, fmt_float(value)) for name, value in rows), MANIFEST_NAME)
 
 
-_EVALUATE_DEFAULTS = {"high_threshold": 3, "taus": list(_DEFAULT_TAUS)}
-
-
-def cmd_evaluate(args) -> int:
-    out = _out_dir(args, "evaluate")
-    cfg = _resolve(args, _EVALUATE_DEFAULTS)
+def cmd_evaluate(args, cfg) -> int:
     model = load_model(args.model)
-    matrix = _load_matrix_cfg(args, cfg)
+    matrix = _load_matrix(args, cfg)
+    out = _out_dir(args)
     cm = confusion(model_predictions(model, matrix), matrix.labels)
     _write_metric_report(out / "metrics.csv", Path(args.model).stem, cm, cfg["taus"])
-    _write_manifest(out, "evaluate", _jsonable(cfg),
-                    {"model": args.model, "data": args.data, "schema": args.schema},
-                    ["metrics.csv"])
+    _write_manifest(out, args, cfg, ["metrics.csv"])
     print(f"evaluated {model_family(model)}: police protection {police_protection(cm):.4f}")
     return 0
 
@@ -262,35 +296,15 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 # gridsearch / crossval
 
-_GRID_DEFAULTS = {
-    "objective": "high_f1",
-    "space": "default",
-    "train_fraction": 0.67,
-    "split_seed": 0,
-    "seed": 0,
-    "jobs": 1,
-    "high_threshold": 3,
-    "with_baseline": True,
-}
+_SPACES = {"default": default_search_space, "nc-fine": nc_fine_space}
 
 
-def _space_by_name(name: str) -> SearchSpace:
-    if name == "default":
-        return default_search_space()
-    if name == "nc-fine":
-        return nc_fine_space()
-    raise SystemExit(f"config error: unknown search space {name!r}")
-
-
-def cmd_gridsearch(args) -> int:
-    out = _out_dir(args, "gridsearch")
-    cfg = _resolve(args, _GRID_DEFAULTS)
-    if args.no_baseline:
-        cfg["with_baseline"] = False
-    matrix = _load_matrix_cfg(args, cfg)
+def cmd_gridsearch(args, cfg) -> int:
+    matrix = _load_matrix(args, cfg)
+    out = _out_dir(args)
     train_part, test_part = split(matrix, SplitSpec(cfg["train_fraction"], cfg["split_seed"]))
     table = grid_search(
-        _space_by_name(cfg["space"]),
+        _SPACES[cfg["space"]](),
         train_part,
         test_part,
         objective=cfg["objective"],
@@ -301,42 +315,25 @@ def cmd_gridsearch(args) -> int:
         table = compare_with_baseline(list(NAMED_RULE_SYSTEMS.values()), table, test_part)
     write_result_table(out / "results.csv", table, manifest=MANIFEST_NAME)
     (out / "results.txt").write_text(comment_lines(MANIFEST_NAME) + format_result_table(table) + "\n")
-    _write_manifest(out, "gridsearch", _jsonable(cfg),
-                    {"data": args.data, "schema": args.schema}, ["results.csv", "results.txt"])
+    _write_manifest(out, args, cfg, ["results.csv", "results.txt"])
     top = table.rows[0]
     print(f"gridsearch: {len(table.rows)} rows; best {top.family} [{top.canonical()}] "
           f"{table.objective.label()}={top.objective_value:.4f}")
     return 0
 
 
-_CROSSVAL_DEFAULTS = {
-    "space": "nc-fine",
-    "family": None,
-    "params": None,
-    "k": 10,
-    "objective": "police_protection",
-    "train_fraction": 0.67,
-    "split_seed": 0,
-    "seed": 0,
-    "jobs": 1,
-    "high_threshold": 3,
-}
-
-
-def cmd_crossval(args) -> int:
-    out = _out_dir(args, "crossval")
-    cfg = _resolve(args, _CROSSVAL_DEFAULTS)
-    matrix = _load_matrix_cfg(args, cfg)
-    train_part, _ = split(matrix, SplitSpec(cfg["train_fraction"], cfg["split_seed"]))
+def cmd_crossval(args, cfg) -> int:
     if cfg["family"]:
-        space = SearchSpace((ModelConfig(cfg["family"], _parse_params(cfg["params"])),))
+        space = SearchSpace((ModelConfig(cfg["family"], cfg["params"] or {}),))
     else:
-        space = _space_by_name(cfg["space"])
+        space = _SPACES[cfg["space"]]()
+    matrix = _load_matrix(args, cfg)
+    out = _out_dir(args)
+    train_part, _ = split(matrix, SplitSpec(cfg["train_fraction"], cfg["split_seed"]))
     table = cv_table(space, train_part, k=cfg["k"], objective=cfg["objective"],
                      master_seed=cfg["seed"], jobs=cfg["jobs"])
     write_cv_table(out / "cv_table.csv", table, manifest=MANIFEST_NAME)
-    _write_manifest(out, "crossval", _jsonable(cfg),
-                    {"data": args.data, "schema": args.schema}, ["cv_table.csv"])
+    _write_manifest(out, args, cfg, ["cv_table.csv"])
     top = table.rows[0]
     print(f"crossval: best {top.family} [{top.canonical()}] mean={top.mean:.4f} std={top.std:.4f}")
     return 0
@@ -345,31 +342,11 @@ def cmd_crossval(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep / decide / sensitivity
 
-_SWEEP_DEFAULTS = {
-    "rule_system": "cautious",
-    "ml_family": "nc",
-    "ml_params": {"metric": "euclidean", "shrink_threshold": 0.1},
-    "auto_ml": False,
-    "k": 10,
-    "grid_size": 200,
-    "n_runs": 10,
-    "taus": list(_DEFAULT_TAUS),
-    "profile_mu": 0.9,
-    "profile_runs": 50,
-    "train_fraction": 0.67,
-    "split_seed": 0,
-    "seed": 0,
-    "jobs": 1,
-    "high_threshold": 3,
-}
-
-
-def cmd_sweep(args) -> int:
-    out = _out_dir(args, "sweep")
-    cfg = _resolve(args, _SWEEP_DEFAULTS)
-    matrix = _load_matrix_cfg(args, cfg)
+def cmd_sweep(args, cfg) -> int:
+    matrix = _load_matrix(args, cfg)
     if matrix.viogen_scores is None:
         raise SystemExit("data error: sweep needs a viogen_score column for the baseline source")
+    out = _out_dir(args)
     train_part, test_part = split(matrix, SplitSpec(cfg["train_fraction"], cfg["split_seed"]))
 
     if cfg["auto_ml"]:
@@ -378,7 +355,7 @@ def cmd_sweep(args) -> int:
         ml_config = tuning.best_config()
         cfg["ml_family"], cfg["ml_params"] = ml_config.family, dict(ml_config.params)
     else:
-        ml_config = ModelConfig(cfg["ml_family"], _parse_params(cfg["ml_params"]))
+        ml_config = ModelConfig(cfg["ml_family"], cfg["ml_params"])
     model = fit_model(ml_config, train_part, derive_seed(cfg["seed"], "sweep-ml"))
 
     rule = get_rule_system(cfg["rule_system"])
@@ -433,102 +410,143 @@ def cmd_sweep(args) -> int:
     )
     outputs.append("resource_profile.csv")
 
-    _write_manifest(out, "sweep", _jsonable(cfg),
-                    {"data": args.data, "schema": args.schema}, outputs)
+    _write_manifest(out, args, cfg, outputs)
     print(f"sweep: protection mu=0 {protection.means[0]:.4f} -> mu=1 {protection.means[-1]:.4f} "
           f"({len(cfg['taus'])} resource curves)")
     return 0
 
 
-_DECIDE_DEFAULTS = {"r0": None, "monotone": False}
-
-
-def cmd_decide(args) -> int:
-    out = _out_dir(args, "decide")
-    cfg = _resolve(args, _DECIDE_DEFAULTS)
+def cmd_decide(args, cfg) -> int:
     if cfg["r0"] is None:
         raise SystemExit("config error: decide needs --r0")
     curve = read_sweep(args.curve)
     if curve.metric.name != "police_resource":
         raise SystemExit(f"data error: {args.curve} is a {curve.metric.name} curve, "
                          "decide needs a police_resource curve")
+    protection = None
+    if args.protection_curve:
+        protection = read_sweep(args.protection_curve)
+        if protection.metric.name != "police_protection":
+            raise ValueError(f"{args.protection_curve}: holds a {protection.metric.name} curve, "
+                             "--protection-curve needs a police_protection curve")
+        if not np.array_equal(protection.grid, curve.grid):
+            raise ValueError(f"{args.protection_curve}: its mu grid differs from {args.curve}'s")
     mu0 = decide_mu(curve, cfg["r0"], monotone=cfg["monotone"])
+    idx0 = int(np.argmin(np.abs(curve.grid - mu0)))
     report = {
         "mu0": mu0,
         "r0": cfg["r0"],
         "tau": curve.metric.tau,
         "monotone": cfg["monotone"],
-        "resource_at_mu0": float(curve.means[np.argmin(np.abs(curve.grid - mu0))]),
+        "resource_at_mu0": float(curve.means[idx0]),
     }
-    inputs = {"curve": args.curve}
-    if args.protection_curve:
-        protection = read_sweep(args.protection_curve)
-        idx0 = int(np.argmin(np.abs(protection.grid - mu0)))
+    if protection is not None:
         report["protection_at_mu0"] = float(protection.means[idx0])
         report["protection_at_zero"] = float(protection.means[0])
-        inputs["protection_curve"] = args.protection_curve
+    out = _out_dir(args)
     _write_json(out / "decision.json", report)
-    _write_manifest(out, "decide", _jsonable(cfg), inputs, ["decision.json"])
+    _write_manifest(out, args, cfg, ["decision.json"])
     print(f"decide: mu0 = {mu0:.6g} (tau={curve.metric.tau:g}, r0={cfg['r0']:g})")
     return 0
 
 
-_SENSITIVITY_DEFAULTS = {
-    "thresholds": [3, 4, 5],
-    "family": "nc",
-    "params": {"metric": "euclidean", "shrink_threshold": 0.1},
-    "train_fraction": 0.67,
-    "split_seed": 0,
-    "seed": 0,
-}
-
-
-def cmd_sensitivity(args) -> int:
-    out = _out_dir(args, "sensitivity")
-    cfg = _resolve(args, _SENSITIVITY_DEFAULTS)
-    if isinstance(cfg["thresholds"], str):
-        cfg["thresholds"] = [int(t) for t in cfg["thresholds"].split(",")]
-    schema = read_schema(args.schema)
-    records = read_cases(args.data)
+def cmd_sensitivity(args, cfg) -> int:
     plan = EvalPlan(
-        ModelConfig(cfg["family"], _parse_params(cfg["params"])),
+        ModelConfig(cfg["family"], cfg["params"]),
         SplitSpec(cfg["train_fraction"], cfg["split_seed"]),
         seed=cfg["seed"],
     )
+    schema = read_schema(args.schema)
+    records = read_cases(args.data)
+    out = _out_dir(args)
     rows = threshold_sensitivity(records, schema, cfg["thresholds"], plan)
     write_sensitivity(out / "sensitivity.csv", rows, manifest=MANIFEST_NAME)
-    _write_manifest(out, "sensitivity", _jsonable(cfg),
-                    {"data": args.data, "schema": args.schema}, ["sensitivity.csv"])
+    _write_manifest(out, args, cfg, ["sensitivity.csv"])
     for row in rows:
         print(f"threshold {row.high_threshold}: protection {row.protection:.4f}")
     return 0
 
 
 # ---------------------------------------------------------------------------
-# wiring
+# wiring: every command's inputs and options, declared once
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
+_NC_DEFAULT = {"metric": "euclidean", "shrink_threshold": 0.1}
+_OBJECTIVES = ("high_f1", "weighted_f1", "police_protection")
+_DATA = (Input("data"), Input("schema"))
+_SPLIT = (Option("train_fraction", 0.67, float), Option("split_seed", 0, int), Option("seed", 0, int))
+_HIGH_THRESHOLD = Option("high_threshold", 3, int)
+_JOBS = Option("jobs", 1, int, help="parallel worker bound (results are jobs-invariant)")
+_TAUS = Option("taus", list(_DEFAULT_TAUS), list[float], flag="--tau")
+_PARAMS_HELP = "hyperparameters as a JSON object"
+
+COMMANDS = {
+    "generate": Command(
+        "emit a synthetic corpus",
+        (Input("generator_config", required=False, flag="--config",
+               help="generator config JSON (defaults to the demo mixture)"),),
+        (Option("n", 20000, int), Option("seed", DEMO_SEED, int), Option("separation", 0.35, float),
+         Option("with_viogen", True, bool, flag="--no-viogen")),
+        config_file=False,
+    ),
+    "train": Command("fit one model on the train split", _DATA, (
+        Option("family", "nc", str, FAMILIES),
+        Option("params", _NC_DEFAULT, dict, help=_PARAMS_HELP),
+        *_SPLIT, _HIGH_THRESHOLD,
+    )),
+    "evaluate": Command("score a saved model on a case file", (Input("model"), *_DATA),
+                        (_HIGH_THRESHOLD, _TAUS)),
+    "gridsearch": Command("exhaustive hyperparameter search", _DATA, (
+        Option("objective", "high_f1", str, _OBJECTIVES),
+        Option("space", "default", str, tuple(_SPACES)),
+        *_SPLIT, _JOBS, _HIGH_THRESHOLD,
+        Option("with_baseline", True, bool, flag="--no-baseline"),
+    )),
+    "crossval": Command("k-fold tuning table", _DATA, (
+        Option("space", "nc-fine", str, tuple(_SPACES)),
+        Option("family", None, str, FAMILIES),
+        Option("params", None, dict, help=_PARAMS_HELP),
+        Option("k", 10, int),
+        Option("objective", "police_protection", str),
+        *_SPLIT, _JOBS, _HIGH_THRESHOLD,
+    )),
+    "sweep": Command("hybrid-weight sweeps of protection and resource", _DATA, (
+        Option("rule_system", "cautious", str),
+        Option("ml_family", "nc", str, FAMILIES),
+        Option("ml_params", _NC_DEFAULT, dict, help=_PARAMS_HELP),
+        Option("auto_ml", False, bool, help="pick the ML source by k-fold police protection"),
+        Option("k", 10, int),
+        Option("grid_size", 200, int),
+        Option("n_runs", 10, int),
+        _TAUS,
+        Option("profile_mu", 0.9, float),
+        Option("profile_runs", 50, int),
+        *_SPLIT, _JOBS, _HIGH_THRESHOLD,
+    )),
+    "decide": Command(
+        "largest hybrid weight within a resource budget",
+        (Input("curve", help="resource sweep CSV"),
+         Input("protection_curve", required=False, help="protection sweep CSV on the same mu grid")),
+        (Option("r0", None, float), Option("monotone", False, bool)),
+    ),
+    "sensitivity": Command("High-threshold sensitivity table", _DATA, (
+        Option("thresholds", [3, 4, 5], list[int], help="comma-separated, each >= 2"),
+        Option("family", "nc", str, FAMILIES),
+        Option("params", _NC_DEFAULT, dict, help=_PARAMS_HELP),
+        *_SPLIT,
+    )),
+}
 
 
-def _add_common(parser, with_jobs=False):
-    parser.add_argument("--config", help="JSON file with command defaults")
-    parser.add_argument("--seed", type=int, default=None)
-    if with_jobs:
-        parser.add_argument("--jobs", type=int, default=None,
-                            help="parallel worker bound (results are jobs-invariant)")
-    parser.add_argument("--out-dir", default=None)
-    parser.add_argument("--train-fraction", type=float, default=None, dest="train_fraction")
-    parser.add_argument("--split-seed", type=int, default=None, dest="split_seed")
-    parser.add_argument("--high-threshold", type=int, default=None, dest="high_threshold")
+def _add_option(parser, option: Option) -> None:
+    # not given -> absent from the namespace, so the layers below it show through
+    kwargs = {"dest": option.name, "default": argparse.SUPPRESS, "help": option.help}
+    if option.type is bool:
+        parser.add_argument(_flag(option), action="store_const", const=not option.default, **kwargs)
+    elif option.type == list[float]:
+        parser.add_argument(_flag(option), action="append", type=float, **kwargs)
+    else:
+        parser.add_argument(_flag(option), type=_FROM_TEXT[option.type],
+                            choices=option.choices or None, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -538,101 +556,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "police-oriented metrics, hybrid tuning.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="emit a synthetic corpus")
-    p.add_argument("--config", help="generator config JSON (defaults to the demo mixture)")
-    p.add_argument("--demo", action="store_true", help="use the shipped demo config (default)")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--separation", type=float, default=None)
-    p.add_argument("--no-viogen", action="store_true", dest="no_viogen")
-    p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("train", help="fit one model on the train split")
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--family", default=None)
-    p.add_argument("--params", default=None, help="hyperparameters as a JSON object")
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="score a saved model on a case file")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--tau", type=float, action="append", default=None, dest="taus")
-    p.add_argument("--config", help="JSON file with command defaults")
-    p.add_argument("--high-threshold", type=int, default=None, dest="high_threshold")
-    p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("gridsearch", help="exhaustive hyperparameter search")
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--objective", default=None,
-                   choices=("high_f1", "weighted_f1", "police_protection"))
-    p.add_argument("--space", default=None, choices=("default", "nc-fine"))
-    p.add_argument("--no-baseline", action="store_true", dest="no_baseline")
-    _add_common(p, with_jobs=True)
-    p.set_defaults(func=cmd_gridsearch)
-
-    p = sub.add_parser("crossval", help="k-fold tuning table")
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--space", default=None, choices=("default", "nc-fine"))
-    p.add_argument("--family", default=None)
-    p.add_argument("--params", default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--objective", default=None)
-    _add_common(p, with_jobs=True)
-    p.set_defaults(func=cmd_crossval)
-
-    p = sub.add_parser("sweep", help="hybrid-weight sweeps of protection and resource")
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--rule-system", default=None, dest="rule_system")
-    p.add_argument("--ml-family", default=None, dest="ml_family")
-    p.add_argument("--ml-params", default=None, dest="ml_params")
-    p.add_argument("--auto-ml", action="store_true", dest="auto_ml",
-                   help="pick the ML source by k-fold police protection")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--grid-size", type=int, default=None, dest="grid_size")
-    p.add_argument("--n-runs", type=int, default=None, dest="n_runs")
-    p.add_argument("--tau", type=float, action="append", default=None, dest="taus")
-    p.add_argument("--profile-mu", type=float, default=None, dest="profile_mu")
-    p.add_argument("--profile-runs", type=int, default=None, dest="profile_runs")
-    _add_common(p, with_jobs=True)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("decide", help="largest hybrid weight within a resource budget")
-    p.add_argument("--curve", required=True, help="resource sweep CSV")
-    p.add_argument("--r0", type=float, default=None)
-    p.add_argument("--monotone", action="store_true")
-    p.add_argument("--protection-curve", default=None, dest="protection_curve")
-    p.add_argument("--config", help="JSON file with command defaults")
-    p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_decide)
-
-    p = sub.add_parser("sensitivity", help="High-threshold sensitivity table")
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--thresholds", default=None, help="comma-separated, each >= 2")
-    p.add_argument("--family", default=None)
-    p.add_argument("--params", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_sensitivity)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for item in command.inputs:
+            p.add_argument(_flag(item), dest=item.name, required=item.required, help=item.help)
+        if command.config_file:
+            p.add_argument("--config", help="JSON object of option values, keyed by the option "
+                                            "names with _ for -; flags win")
+        for option in command.options:
+            _add_option(p, option)
+        p.add_argument("--out-dir", default=f"runs/{name}")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except SystemExit:
-        raise
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        cfg = _resolve(args, COMMANDS[args.command])
+        # looked up when the command runs, so a wrapper installed on the module attribute sees it
+        return globals()[f"cmd_{args.command}"](args, cfg)
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import types
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -384,6 +385,26 @@ def read_json(path: str | Path, build):
         raise ValueError(f"{path}: field of the wrong type ({exc})") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def require_type(what: str, value, annotation) -> None:
+    """Raise ValueError("<what> must be <annotation>") unless a JSON value has
+    the annotated type. An int counts as a float, a bool as neither, and None
+    only where the annotation names it; nothing is converted."""
+
+    def conforms(value, annotation) -> bool:
+        if isinstance(annotation, types.UnionType):
+            return any(conforms(value, arm) for arm in annotation.__args__)
+        if isinstance(annotation, types.GenericAlias):  # list[int], list[float]
+            return isinstance(value, list) and all(conforms(v, annotation.__args__[0]) for v in value)
+        if isinstance(value, bool):
+            return annotation is bool
+        return isinstance(value, (int, float) if annotation is float else annotation)
+
+    if not conforms(value, annotation):
+        name = annotation.__name__ if isinstance(annotation, type) else str(annotation)
+        raise ValueError(f"{what} must be {name}")
+
 
 CASE_FIELDS = ("case_id", "recidivism_count", "viogen_score")
 

@@ -9,8 +9,9 @@ same fit seed, which makes the sharing exact: the grid's rule derives it from
 the hyperparameters that reach the sampler (so any one grid point refitted
 alone reproduces its row), the k-fold rule from the fold.
 
-A config's hyperparameters, with their defaults, are its family's fit
-function's parameters; a config naming any other is rejected, and a value the
+A config's hyperparameters, with their defaults and types, are its family's
+fit function's parameters; a config naming any other, or giving a value of
+another type than the parameter's annotation, is rejected, and a value the
 fit function rejects makes an error row.
 """
 
@@ -32,6 +33,7 @@ from .dataset import (
     encode_cases,
     fmt_float,
     kfold,
+    require_type,
     split,
     top_label,
     write_table,
@@ -45,10 +47,11 @@ from .trees import _forest_tree, _validate, forest_fit, tree_fit
 _FIT_NAMES = {"nc": "nc_fit", "knn": "knn_fit", "tree": "tree_fit", "forest": "forest_fit"}
 FAMILIES = tuple(_FIT_NAMES)
 
-# Each fit function's parameters after the training data, with their defaults:
-# the one list of hyperparameters. `seed` among them is passed by the caller.
+# Each fit function's parameters after the training data, with their defaults
+# and annotated types: the one list of hyperparameters. `seed` among them is
+# passed by the caller.
 _FIT_PARAMS = {
-    family: {name: p.default for name, p in list(inspect.signature(globals()[fit]).parameters.items())[1:]}
+    family: dict(list(inspect.signature(globals()[fit], eval_str=True).parameters.items())[1:])
     for family, fit in _FIT_NAMES.items()
 }
 
@@ -61,22 +64,26 @@ class ModelConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        names = [name for name in _FIT_PARAMS[self.family] if name != "seed"]
+        fit_params = _FIT_PARAMS[self.family]
+        names = [name for name in fit_params if name != "seed"]
         unknown = sorted(set(self.params) - set(names))
         missing = [name for name in names if name not in self.params
-                   and _FIT_PARAMS[self.family][name] is inspect.Parameter.empty]
+                   and fit_params[name].default is inspect.Parameter.empty]
         if unknown or missing:
             problem = (f"unknown parameter(s) {', '.join(unknown)}" if unknown
                        else f"missing parameter(s) {', '.join(missing)}")
             raise ValueError(f"{self.family} [{self.canonical()}]: {problem}; "
                              f"{self.family} takes {', '.join(names)}")
+        for name, value in self.params.items():
+            require_type(f"{self.family} [{self.canonical()}]: parameter '{name}'", value,
+                         fit_params[name].annotation)
 
     def canonical(self) -> str:
         return _canonical_params(self.params)
 
     def value(self, name: str):
         """The value of a hyperparameter: as given, else its fit function's default."""
-        return self.params.get(name, _FIT_PARAMS[self.family][name])
+        return self.params.get(name, _FIT_PARAMS[self.family][name].default)
 
 
 def _canonical_params(params: dict) -> str:

@@ -169,6 +169,95 @@ def test_config_file_with_cli_override(generated, tmp_path):
 
 
 CURVE_HEADER = "mu,mean,std,ci_lo,ci_hi,metric,tau,n_runs\n"
+RESOURCE_CURVE = (CURVE_HEADER + "0.0,0.1,0.0,0.1,0.1,police_resource,0.5,3\n"
+                  "1.0,0.2,0.0,0.2,0.2,police_resource,0.5,3\n")
+
+
+@pytest.fixture(scope="module")
+def trained(generated, tmp_path_factory):
+    out = tmp_path_factory.mktemp("model")
+    assert main(["train", "--data", str(generated / "cases.csv"),
+                 "--schema", str(generated / "schema.json"), "--out-dir", str(out)]) == 0
+    return out / "model.json"
+
+
+# name: (command, --config fields, the message that follows `error: <config path>: `)
+CONFIG_ERRORS = {
+    "train_params_list": ("train", {"params": [1]}, "field 'params' must be dict\n"),
+    "train_seed_string": ("train", {"seed": "x"}, "field 'seed' must be int\n"),
+    "evaluate_taus_number": ("evaluate", {"taus": 0.5}, "field 'taus' must be list[float]\n"),
+    "decide_r0_string": ("decide", {"r0": "0.1"}, "field 'r0' must be float | None\n"),
+    "crossval_k_string": ("crossval", {"k": "3"}, "field 'k' must be int\n"),
+    "gridsearch_unknown_space": ("gridsearch", {"space": "bogus"},
+                                 "field 'space' must be one of default, nc-fine\n"),
+    "sweep_auto_ml_string": ("sweep", {"auto_ml": "yes"}, "field 'auto_ml' must be bool\n"),
+    "train_unknown_field": ("train", {"family": "nc", "depth": 3},
+                            "unknown field(s) depth; train takes family, params, "),
+}
+
+
+def _argv(command, generated, curve, model=None):
+    """A runnable command line for `command` on the generated corpus."""
+    data = ["--data", str(generated / "cases.csv"), "--schema", str(generated / "schema.json")]
+    if command == "decide":
+        return ["decide", "--curve", str(curve)]
+    if command == "evaluate":
+        return ["evaluate", "--model", str(model), *data]
+    return [command, *data]
+
+
+@pytest.mark.parametrize("case", CONFIG_ERRORS)
+def test_config_file_errors_are_oneline(generated, trained, tmp_path, capsys, case):
+    command, fields, message = CONFIG_ERRORS[case]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(fields))
+    curve = tmp_path / "resource.csv"
+    curve.write_text(RESOURCE_CURVE)
+    out = tmp_path / "out"
+    code = main(_argv(command, generated, curve, trained) + ["--config", str(config), "--out-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"error: {config}: {message}")
+    assert not out.exists()
+
+
+# command: (flags, the same values as --config fields)
+EQUIVALENT = {
+    "train": (["--family", "tree", "--params", '{"max_depth": 3}', "--train-fraction", "0.5",
+               "--split-seed", "2", "--seed", "4", "--high-threshold", "4"],
+              {"family": "tree", "params": {"max_depth": 3}, "train_fraction": 0.5, "split_seed": 2,
+               "seed": 4, "high_threshold": 4}),
+    "crossval": (["--family", "knn", "--params", '{"k": 5}', "--k", "3", "--objective", "high_f1",
+                  "--jobs", "2"],
+                 {"family": "knn", "params": {"k": 5}, "k": 3, "objective": "high_f1", "jobs": 2}),
+    "sweep": (["--rule-system", "lax", "--ml-family", "knn", "--ml-params", '{"k": 7}', "--grid-size", "5",
+               "--n-runs", "2", "--tau", "0.5", "--tau", "2", "--profile-mu", "1", "--profile-runs", "3"],
+              {"rule_system": "lax", "ml_family": "knn", "ml_params": {"k": 7}, "grid_size": 5, "n_runs": 2,
+               "taus": [0.5, 2], "profile_mu": 1, "profile_runs": 3}),
+    "sensitivity": (["--thresholds", "3,5", "--params", '{"metric": "manhattan", "shrink_threshold": null}'],
+                    {"thresholds": [3, 5], "params": {"metric": "manhattan", "shrink_threshold": None}}),
+    "decide": (["--r0", "1", "--monotone"], {"r0": 1, "monotone": True}),
+}
+
+
+@pytest.mark.parametrize("command", EQUIVALENT)
+def test_flags_and_config_file_give_the_same_run(generated, tmp_path, command):
+    flags, fields = EQUIVALENT[command]
+    curve = tmp_path / "resource.csv"
+    curve.write_text(RESOURCE_CURVE)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(fields))
+    by_flags, by_file = tmp_path / "flags", tmp_path / "file"
+    argv = _argv(command, generated, curve)
+    assert main(argv + flags + ["--out-dir", str(by_flags)]) == 0
+    assert main(argv + ["--config", str(config), "--out-dir", str(by_file)]) == 0
+    names = sorted(p.name for p in by_flags.iterdir())
+    assert names == sorted(p.name for p in by_file.iterdir())
+    for name in names:
+        assert (by_file / name).read_bytes() == (by_flags / name).read_bytes(), name
+    recorded = json.loads((by_flags / "manifest.json").read_text())["config"]
+    assert {key: recorded[key] for key in fields} == fields  # the values took effect
 
 
 def _tree(feature, left, right):
@@ -227,6 +316,14 @@ BAD_INPUTS = {
         "question 'q1': field 'allows_missing' must be true or false"),
     "schema_id_number": ("train_schema", '{"questions": [{"id": 7, "options": ["A", "B"]}]}',
                          "question 1: field 'id' must be a string"),
+    "protection_curve_of_resource": ("decide_protection", RESOURCE_CURVE,
+                                     "holds a police_resource curve, --protection-curve needs a "
+                                     "police_protection curve"),
+    "protection_curve_other_grid": ("decide_protection",
+                                    CURVE_HEADER + "0.0,0.5,0.0,0.5,0.5,police_protection,,3\n"
+                                    "0.5,0.6,0.0,0.6,0.6,police_protection,,3\n"
+                                    "1.0,0.7,0.0,0.7,0.7,police_protection,,3\n",
+                                    "its mu grid differs from "),
 }
 
 
@@ -236,11 +333,15 @@ def test_missing_file_is_oneline_error(generated, tmp_path, capsys, case):
     path = tmp_path / "input"
     if text is not None:
         path.write_text(text(generated) if callable(text) else text)
+    resource_curve = tmp_path / "resource.csv"
+    resource_curve.write_text(RESOURCE_CURVE)
     cases = ["--data", str(generated / "cases.csv")]
     schema = ["--schema", str(generated / "schema.json")]
     argv = {
         "evaluate": ["evaluate", "--model", str(path), *cases, *schema],
         "decide": ["decide", "--curve", str(path), "--r0", "0.1"],
+        "decide_protection": ["decide", "--curve", str(resource_curve), "--r0", "0.1",
+                              "--protection-curve", str(path)],
         "train": ["train", "--data", str(path), *schema],
         "train_schema": ["train", *cases, "--schema", str(path)],
         "train_config": ["train", *cases, *schema, "--config", str(path)],
@@ -267,8 +368,10 @@ def test_missing_file_is_oneline_error(generated, tmp_path, capsys, case):
     (["decide", "--curve", "c.csv", "--r0", "0.1", "--jobs", "2"], "2"),
     (["train", "--data", "c.csv", "--schema", "s.json", "--jobs", "2"], "2"),
     (["sensitivity", "--data", "c.csv", "--schema", "s.json", "--jobs", "2"], "2"),
+    (["generate", "--demo"], "2"),
+    (["sensitivity", "--data", "c.csv", "--schema", "s.json", "--high-threshold", "4"], "2"),
 ], ids=["generate_n_0", "separation_with_config", "generate_jobs", "evaluate_jobs", "decide_jobs",
-        "train_jobs", "sensitivity_jobs"])
+        "train_jobs", "sensitivity_jobs", "generate_demo", "sensitivity_high_threshold"])
 def test_rejected_flags_write_nothing(tmp_path, argv, status):
     config_path = tmp_path / "generator.json"
     write_config(config_path, demo_config(n_cases=50, seed=1))
@@ -297,7 +400,12 @@ def test_console_script_help_runs():
     ("crossval", "forest", {"n_estimators": 0}, "forest [n_estimators=0]: n_estimators must be >= 1"),
     ("train", "forest", {"n_estimator": 5}, "forest [n_estimator=5]: unknown parameter(s) n_estimator"),
     ("train", "knn", {}, "knn []: missing parameter(s) k"),
-], ids=["crossval_misspelt", "crossval_k_0", "crossval_no_trees", "train_misspelt", "train_no_k"])
+    ("crossval", "knn", {"k": "5"}, "knn [k=5]: parameter 'k' must be int\n"),
+    ("crossval", "knn", {"k": True}, "knn [k=True]: parameter 'k' must be int\n"),
+    ("train", "tree", {"max_depth": 2.5}, "tree [max_depth=2.5]: parameter 'max_depth' must be int | None\n"),
+    ("train", "forest", {"bootstrap": "no"}, "forest [bootstrap=no]: parameter 'bootstrap' must be bool\n"),
+], ids=["crossval_misspelt", "crossval_k_0", "crossval_no_trees", "train_misspelt", "train_no_k",
+        "crossval_k_string", "crossval_k_bool", "train_depth_float", "train_bootstrap_string"])
 def test_bad_model_params_are_oneline_errors(generated, tmp_path, capsys, command, family, params,
                                              message):
     argv = [command, "--data", str(generated / "cases.csv"), "--schema", str(generated / "schema.json"),

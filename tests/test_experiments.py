@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recidrisk.baseline import NAMED_RULE_SYSTEMS
@@ -299,25 +299,42 @@ CONFIGS = st.one_of(
 @settings(max_examples=25, deadline=None)
 @given(configs=st.lists(CONFIGS, min_size=1, max_size=6), duplicate=st.booleans(),
        k=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+@example(configs=[ModelConfig("nc", {"shrink_threshold": 0.1})], duplicate=False, k=2, seed=258)
 def test_cv_table_is_the_per_config_oracle_and_jobs_invariant(configs, duplicate, k, seed):
+    # seed 258 leaves one fold's fit part a single class-1 row, which shrinkage rejects
     space = SearchSpace(tuple(configs + configs[:1] if duplicate else configs))
     data = _property_data()
     objective = MetricSpec("police_protection")
-    table = cv_table(space, data, k=k, master_seed=seed)
-    expected = []
+    expected, rejected = [], None
     for config in space.configs:
-        values = cv_oracle(config, data, k, objective, seed)
+        try:
+            values = cv_oracle(config, data, k, objective, seed)
+        except ValueError as exc:  # the first config rejected on a fold fails the table
+            rejected = f"{config.family} [{config.canonical()}]: {exc}"
+            break
         expected.append((config.family, config.canonical(), values.mean(), values.std()))
-    expected.sort(key=lambda r: (-r[2], r[0], r[1]))
-    assert [(r.family, r.canonical(), r.mean, r.std) for r in table.rows] == expected
-    assert [r.rank for r in table.rows] == list(range(1, len(space) + 1))
-    assert cv_table(space, data, k=k, master_seed=seed, jobs=3) == table
+    if rejected is not None:
+        for jobs in (1, 3):
+            with pytest.raises(ValueError) as raised:
+                cv_table(space, data, k=k, master_seed=seed, jobs=jobs)
+            assert str(raised.value) == rejected
+    else:
+        table = cv_table(space, data, k=k, master_seed=seed)
+        expected.sort(key=lambda r: (-r[2], r[0], r[1]))
+        assert [(r.family, r.canonical(), r.mean, r.std) for r in table.rows] == expected
+        assert [r.rank for r in table.rows] == list(range(1, len(space) + 1))
+        assert cv_table(space, data, k=k, master_seed=seed, jobs=3) == table
 
     train, test = data.take(np.arange(30)), data.take(np.arange(30, 45))
     grid = grid_search(space, train, test, objective, master_seed=seed)
     assert grid_search(space, train, test, objective, master_seed=seed, jobs=3) == grid
     for row in grid.rows:
-        assert rescore_row(row, train, test, objective, master_seed=seed) == replace(row, rank=0)
+        if row.error is not None:
+            with pytest.raises(ValueError) as raised:
+                rescore_row(row, train, test, objective, master_seed=seed)
+            assert str(raised.value) == row.error
+        else:
+            assert rescore_row(row, train, test, objective, master_seed=seed) == replace(row, rank=0)
 
 
 @pytest.mark.parametrize("family, bad, good", [
@@ -346,7 +363,24 @@ def test_invalid_config_is_an_error_row(small_split, family, bad, good):
     ("forest", {"n_estimator": 5}),
     ("nc", {"seed": 1}),
     ("knn", {}),
+    ("knn", {"k": "5"}),
+    ("knn", {"k": True}),
+    ("tree", {"max_depth": 2.5}),
+    ("forest", {"bootstrap": "no"}),
 ])
 def test_config_names_only_fit_parameters(family, params):
-    with pytest.raises(ValueError, match=rf"^{family} \[.*\]: (unknown|missing) parameter"):
+    with pytest.raises(ValueError, match=rf"^{family} \[.*\]: ((unknown|missing) parameter"
+                                         rf"|parameter '\w+' must be (int|int \| None|bool)$)"):
         ModelConfig(family, params)
+
+
+def test_config_types_follow_the_fit_annotations():
+    # an int is a float, None only where the annotation allows it; nothing is converted
+    config = ModelConfig("nc", {"metric": "manhattan", "shrink_threshold": 1, "p": 3})
+    assert config.params == {"metric": "manhattan", "shrink_threshold": 1, "p": 3}
+    assert config.canonical() == "metric=manhattan, p=3, shrink_threshold=1"
+    ModelConfig("forest", {"max_depth": None, "bootstrap": False, "n_estimators": 2})
+    with pytest.raises(ValueError, match=r"^nc \[p=none\]: parameter 'p' must be float$"):
+        ModelConfig("nc", {"p": None})
+    with pytest.raises(ValueError, match=r"^tree \[criterion=1\]: parameter 'criterion' must be str$"):
+        ModelConfig("tree", {"criterion": 1})

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from recidrisk.baseline import ViogenClass
 from recidrisk.dataset import MISSING, Question, QuestionnaireSchema, encode_cases, label_from_recidivism
 from recidrisk.nearest_centroid import nc_fit
 from recidrisk.synthgen import (
+    CHUNK_SIZE,
     GeneratorConfig,
     ResponseProfile,
+    _generate_chunk,
     attach_viogen_scores,
     config_from_json,
     config_to_json,
@@ -47,11 +51,26 @@ def test_generate_differs_across_seeds():
     assert a != b
 
 
-def test_generate_is_chunk_prefix_stable():
-    # a shorter corpus is a prefix of a longer one: chunks derive their own seeds
-    small = generate(demo_config(n_cases=1024, seed=3))
-    large = generate(demo_config(n_cases=2048, seed=3))
-    assert large[:1024] == small
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 3 * CHUNK_SIZE), n_other=st.integers(1, 3 * CHUNK_SIZE),
+       missing_rate=st.sampled_from([0.0, 0.3]), dispersion=st.sampled_from([None, 2.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_generate_is_chunk_prefix_stable(n, n_other, missing_rate, dispersion, seed):
+    # chunks derive their own seeds: corpora of any two sizes share their common
+    # full chunks, and the chunks can be drawn in any order
+    schema = tiny_schema()
+    profiles = (uniform_profile(schema, "a", 0.5, rate=0.4), uniform_profile(schema, "b", 0.5, rate=2.0))
+
+    def config(n_cases):
+        return GeneratorConfig(n_cases, schema, profiles, missing_rate, seed, dispersion)
+
+    corpus = generate(config(n))
+    shared = min(n, n_other) // CHUNK_SIZE * CHUNK_SIZE
+    assert generate(config(n_other))[:shared] == corpus[:shared]
+    starts = range(0, n, CHUNK_SIZE)
+    chunks = {start: _generate_chunk(config(n), start, min(start + CHUNK_SIZE, n))
+              for start in reversed(starts)}
+    assert [rec for start in starts for rec in chunks[start]] == corpus
 
 
 def test_missing_rate_zero_has_no_missing():
