@@ -89,6 +89,7 @@ class Option:
     choices: tuple = ()
     flag: str | None = None  # a bool option's flag sets the opposite of its default
     help: str | None = None
+    check: object = None  # check(what, value) raises ValueError for a value the type admits
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,25 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _out_dir(args) -> Path:
+    """The output directory, without the files an earlier run of this command listed.
+
+    A directory whose manifest records another command is refused, so a
+    directory never holds files its manifest does not list.
+    """
     out = Path(args.out_dir)
+    manifest = out / MANIFEST_NAME
+    if manifest.exists():
+        def listed_outputs(payload) -> list[str]:
+            if payload["command"] != args.command:
+                raise ValueError(f"holds a {payload['command']} run")
+            require_type("field 'outputs'", payload["outputs"], list[str])
+            for name in payload["outputs"]:
+                if name in ("", ".", "..") or Path(name).name != name or (out / name).is_dir():
+                    raise ValueError(f"output {name!r} is not a file name in {out}")
+            return payload["outputs"]
+
+        for name in read_json(manifest, listed_outputs):
+            (out / name).unlink(missing_ok=True)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -182,6 +201,8 @@ def _resolve(args, command: Command) -> dict:
                 value = float(value)
             elif option.type == list[float]:
                 value = [float(v) for v in value]
+            if option.check:
+                option.check(what(option), value)
             result[name] = value
         return result
 
@@ -198,7 +219,7 @@ def _resolve(args, command: Command) -> dict:
 def cmd_generate(args, cfg) -> int:
     if args.generator_config:
         if any(name in args for name in ("n", "seed", "separation")):
-            raise SystemExit("config error: --n/--seed/--separation apply to the demo config only")
+            raise ValueError("--n/--seed/--separation apply to the demo config only, not with --config")
         config = read_config(args.generator_config)
     else:
         config = demo_config(n_cases=cfg["n"], seed=cfg["seed"], separation=cfg["separation"])
@@ -244,7 +265,7 @@ def cmd_train(args, cfg) -> int:
     train_part, test_part = split(matrix, SplitSpec(cfg["train_fraction"], cfg["split_seed"]))
     model = fit_model(config, train_part, derive_seed(cfg["seed"], "train"))
     save_model(out / "model.json", model, extra={"config": cfg, "manifest": MANIFEST_NAME})
-    cm = confusion(model_predictions(model, test_part), test_part.labels)
+    cm = confusion(model.predict(test_part.values), test_part.labels)
     _write_metric_report(out / "holdout_metrics.csv", "model", cm, _DEFAULT_TAUS)
     _write_manifest(out, args, cfg, ["model.json", "holdout_metrics.csv"])
     print(f"trained {config.family} [{config.canonical()}]; "
@@ -256,14 +277,6 @@ def _load_matrix(args, cfg) -> FeatureMatrix:
     schema = read_schema(args.schema)
     records = read_cases(args.data)
     return encode_cases(records, schema, high_threshold=cfg["high_threshold"])
-
-
-def model_predictions(model, part: FeatureMatrix) -> np.ndarray:
-    if isinstance(model, RuleSystem):
-        if part.viogen_scores is None:
-            raise SystemExit("data error: rule-system models need a viogen_score column")
-        return model.apply_many(part.viogen_scores)
-    return model.predict(part.values)
 
 
 def _write_metric_report(path: Path, model_id: str, cm, taus) -> None:
@@ -285,8 +298,14 @@ def _write_metric_report(path: Path, model_id: str, cm, taus) -> None:
 def cmd_evaluate(args, cfg) -> int:
     model = load_model(args.model)
     matrix = _load_matrix(args, cfg)
+    if isinstance(model, RuleSystem):
+        if matrix.viogen_scores is None:
+            raise ValueError(f"{args.data}: rule-system models need a viogen_score column")
+        predictions = model.apply_many(matrix.viogen_scores)
+    else:
+        predictions = model.predict(matrix.values)
     out = _out_dir(args)
-    cm = confusion(model_predictions(model, matrix), matrix.labels)
+    cm = confusion(predictions, matrix.labels)
     _write_metric_report(out / "metrics.csv", Path(args.model).stem, cm, cfg["taus"])
     _write_manifest(out, args, cfg, ["metrics.csv"])
     print(f"evaluated {model_family(model)}: police protection {police_protection(cm):.4f}")
@@ -345,7 +364,7 @@ def cmd_crossval(args, cfg) -> int:
 def cmd_sweep(args, cfg) -> int:
     matrix = _load_matrix(args, cfg)
     if matrix.viogen_scores is None:
-        raise SystemExit("data error: sweep needs a viogen_score column for the baseline source")
+        raise ValueError(f"{args.data}: sweep needs a viogen_score column for the baseline source")
     out = _out_dir(args)
     train_part, test_part = split(matrix, SplitSpec(cfg["train_fraction"], cfg["split_seed"]))
 
@@ -418,10 +437,10 @@ def cmd_sweep(args, cfg) -> int:
 
 def cmd_decide(args, cfg) -> int:
     if cfg["r0"] is None:
-        raise SystemExit("config error: decide needs --r0")
+        raise ValueError("decide needs --r0")
     curve = read_sweep(args.curve)
     if curve.metric.name != "police_resource":
-        raise SystemExit(f"data error: {args.curve} is a {curve.metric.name} curve, "
+        raise ValueError(f"{args.curve}: holds a {curve.metric.name} curve, "
                          "decide needs a police_resource curve")
     protection = None
     if args.protection_curve:
@@ -467,6 +486,16 @@ def cmd_sensitivity(args, cfg) -> int:
     return 0
 
 
+def _distinct_taus(what: str, taus: list[float]) -> None:
+    """Taus name their outputs by `tau{tau:g}` (sweep curve files, report rows),
+    so two taus with one name would write over each other."""
+    names = [f"{tau:g}" for tau in taus]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"{what} holds {taus[names.index(name)]!r} and {taus[i]!r}, "
+                             f"which share the output name tau{name}")
+
+
 # ---------------------------------------------------------------------------
 # wiring: every command's inputs and options, declared once
 
@@ -476,7 +505,7 @@ _DATA = (Input("data"), Input("schema"))
 _SPLIT = (Option("train_fraction", 0.67, float), Option("split_seed", 0, int), Option("seed", 0, int))
 _HIGH_THRESHOLD = Option("high_threshold", 3, int)
 _JOBS = Option("jobs", 1, int, help="parallel worker bound (results are jobs-invariant)")
-_TAUS = Option("taus", list(_DEFAULT_TAUS), list[float], flag="--tau")
+_TAUS = Option("taus", list(_DEFAULT_TAUS), list[float], flag="--tau", check=_distinct_taus)
 _PARAMS_HELP = "hyperparameters as a JSON object"
 
 COMMANDS = {

@@ -103,22 +103,24 @@ def fit_model(config: ModelConfig, train: FeatureMatrix, seed: int = 0):
     return fit(train, **config.params)
 
 
-def config_seed(master_seed: int, config: ModelConfig) -> int:
-    """Seed for one grid point, shared by every config that samples identically.
+def _group_key(config: ModelConfig) -> tuple:
+    """Configs with equal keys sample identically: they share one seed and their work.
 
     Depth caps and ensemble-size prefixes reuse the same random stream, which
-    is what makes the structure sharing above exact rather than approximate.
+    is what makes the structure sharing of the group predictors exact rather
+    than approximate.
     """
     if config.family == "tree":
-        return derive_seed(master_seed, "tree", config.value("criterion"), config.value("splitter"))
+        return ("tree", config.value("criterion"), config.value("splitter"))
     if config.family == "forest":
-        return derive_seed(
-            master_seed,
-            "forest",
-            config.value("criterion"),
-            "bootstrap" if config.value("bootstrap") else "plain",
-        )
-    return derive_seed(master_seed, config.family)
+        return ("forest", config.value("criterion"),
+                "bootstrap" if config.value("bootstrap") else "plain")
+    return (config.family,)
+
+
+def config_seed(master_seed: int, config: ModelConfig) -> int:
+    """Seed for one grid point, the same for every config of its group."""
+    return derive_seed(master_seed, *_group_key(config))
 
 
 def parallel_map(fn, items, jobs: int = 1) -> list:
@@ -362,15 +364,6 @@ def _predict_forest_group(configs, train, test, seed_of):
 # per family: the predicted labels of each config of a group, or why its fit function rejects it
 _PREDICTORS = {"nc": _predict_nc, "knn": _predict_knn, "tree": _predict_tree_group,
                "forest": _predict_forest_group}
-
-
-def _group_key(config: ModelConfig) -> tuple:
-    """Configs with equal keys are evaluated together, sharing one seed and their work."""
-    if config.family == "tree":
-        return ("tree", config.value("criterion"), config.value("splitter"))
-    if config.family == "forest":
-        return ("forest", config.value("criterion"), config.value("bootstrap"))
-    return (config.family,)
 
 
 def evaluate_space(

@@ -2,9 +2,9 @@
 
 Trees take 0/1 features, the one-hot rows that `encode_cases` produces, and
 reject any other value with a ValueError. One growth engine serves both
-learners: it grows a tree level by level, searching every node of a level
-with a few numpy operations. For a 0/1 column the only split is x < 0.5
-against x >= 0.5, so class counts per candidate come from segment sums.
+learners: it grows a tree level by level, with one draw and one count per
+level. For a 0/1 column the only partition is x == 0 against x == 1, so one
+bincount over (node, class, feature) keys gives every candidate's class counts.
 
 Split contract: the best splitter scores every (feature, midpoint between
 distinct values) candidate by impurity decrease; the random splitter draws
@@ -12,11 +12,14 @@ one uniform threshold per candidate feature between the node's smallest and
 largest value of it, and keeps the best of those. Ties in decrease go to the
 lowest feature index. A node becomes a leaf at purity, at the depth cap, or
 when no candidate strictly decreases impurity. Leaves predict their majority
-class, ties resolved toward the higher risk label.
+class, ties resolved toward the higher risk label. On 0/1 features both
+splitters make the same partitions; a random threshold is its uniform draw u,
+and a candidate whose u is exactly 0 is invalid.
 
 Randomness (thresholds for the random splitter, per-split feature subsets,
-bootstrap resampling) is consumed from a single generator in breadth-first
-node order, so a tree is a pure function of (data, hyperparameters, seed).
+bootstrap resampling) comes from a single generator, consumed as if node after
+node in breadth-first order; each level takes its draws in one call, so a tree
+is a pure function of (data, hyperparameters, seed).
 """
 
 from __future__ import annotations
@@ -204,23 +207,16 @@ def _forest_tree(X, y, criterion, max_depth, seed, tree_index, bootstrap) -> Tre
 # ---------------------------------------------------------------------------
 # Growth engine.
 
-def _draw_features(rng, d: int, m: int) -> np.ndarray:
-    if m >= d:
-        return np.arange(d)
-    feats = rng.permutation(d)[:m]
-    feats.sort()  # candidate order fixes the tie rule at the lowest feature index
-    return feats
-
-
 def _grow(X, y, rows, criterion, splitter, max_depth, max_features, rng):
     """Level-synchronous growth of one tree over the (possibly repeated) `rows`.
 
-    All nodes of a level are searched with a handful of array operations:
-    for 0/1 columns the left side of any candidate is exactly the x == 0
-    rows, so class counts come from segment sums instead of per-node sorts.
-    Returns the flat (feature, threshold, left, right, counts) arrays.
+    Each level is one draw and one count: every searched node's feature subset
+    and thresholds come from one generator call each, and one bincount over
+    (node, class, feature) keys gives the class counts of every candidate's
+    x == 1 side. Returns the flat (feature, threshold, left, right, counts) arrays.
     """
-    if not ((X == 0) | (X == 1)).all():
+    ones_mask = X == 1
+    if not (ones_mask | (X == 0)).all():
         raise ValueError("tree features must be 0 or 1 (one-hot encoded, as from encode_cases)")
     d = X.shape[1]
     m = min(max_features, d)
@@ -237,7 +233,7 @@ def _grow(X, y, rows, criterion, splitter, max_depth, max_features, rng):
     order = rows
     node_ids = np.array([0], dtype=np.int64)
     lengths = np.array([order.shape[0]], dtype=np.int64)
-    counts = node_counts[:1].astype(np.float64)
+    counts = node_counts[:1]
     level = 0
 
     while node_ids.size:
@@ -248,43 +244,31 @@ def _grow(X, y, rows, criterion, splitter, max_depth, max_features, rng):
             break
 
         # Drop settled leaves from the frame before searching.
-        keep_pos = np.repeat(search, lengths)
-        order = order[keep_pos]
+        order = order[np.repeat(search, lengths)]
         node_ids, lengths, counts = node_ids[search], lengths[search], counts[search]
         s = node_ids.size
-        starts = np.concatenate(([0], np.cumsum(lengths)))[:-1]
+        pos_node = np.repeat(np.arange(s), lengths)
 
-        # Per-node draws in breadth-first node order: subset first, then thresholds.
+        # The level's draws, in the stream order of one node after another:
+        # each node's subset is a sorted permutation prefix (sorted, so the
+        # lowest feature index wins ties), and only full-width trees draw
+        # thresholds, so subsets and thresholds never interleave.
         if m < d:
-            feats = np.empty((s, m), dtype=np.int64)
+            feats = np.sort(rng.permuted(np.tile(np.arange(d), (s, 1)), axis=1)[:, :m], axis=1)
+            cols = ones_mask[order[:, None], feats[pos_node]]
         else:
             feats = np.broadcast_to(np.arange(d), (s, d))
-        u = np.empty((s, m), dtype=np.float64) if splitter == "random" else None
-        for i in range(s):
-            if m < d:
-                feats[i] = _draw_features(rng, d, m)
-            if u is not None:
-                u[i] = rng.random(m)
+            cols = ones_mask[order]
+        # On 0/1 columns every threshold in (0, 1) makes the same partition,
+        # so a random threshold is its uniform draw, invalid only at exactly 0.
+        thresholds = rng.random((s, m)) if splitter == "random" else np.full((s, m), 0.5)
 
-        pos_node = np.repeat(np.arange(s), lengths)
-        Xsub = X[order[:, None], feats[pos_node]]
-        ysub = y[order]
-
-        ones = np.empty((s, m, N_LABELS), dtype=np.float64)
-        for c in range(N_LABELS):
-            ones[:, :, c] = np.add.reduceat(Xsub * (ysub == c)[:, None], starts, axis=0)
+        keys = (pos_node * N_LABELS + y[order])[:, None] * m + np.arange(m)
+        ones = np.bincount(keys[cols], minlength=s * N_LABELS * m)
+        ones = ones.reshape(s, N_LABELS, m).transpose(0, 2, 1)
         n_right = ones.sum(axis=2)
         n_left = lengths[:, None] - n_right
-
-        if splitter == "random":
-            # a uniform threshold between the node's smallest and largest value
-            lo = np.where(n_left > 0, 0.0, 1.0)
-            hi = np.where(n_right > 0, 1.0, 0.0)
-            thresholds = lo + u * (hi - lo)
-            valid = (n_left > 0) & (n_right > 0) & (thresholds > 0)
-        else:
-            thresholds = np.full((s, m), 0.5)
-            valid = (n_left > 0) & (n_right > 0)
+        valid = (n_left > 0) & (n_right > 0) & (thresholds > 0)
 
         left = counts[:, None, :] - ones
         decrease = (
@@ -314,20 +298,16 @@ def _grow(X, y, rows, criterion, splitter, max_depth, max_features, rng):
         counts = counts.reshape(-1, N_LABELS)
         node_counts[first:n_nodes] = counts
 
-        # Partition surviving rows to their child, preserving node order.
+        # Partition surviving rows to their child, preserving node order; a
+        # row's side is its gathered column at the node's chosen feature.
         local_new = np.full(s, -1, dtype=np.int64)
         local_new[split_idx] = np.arange(split_idx.size)
         row_split = splits[pos_node]
-        rows_keep = order[row_split]
-        feat_per_row = feats[pos_node, best_j[pos_node]][row_split]
-        thr_per_row = thresholds[pos_node, best_j[pos_node]][row_split]
-        go_right = X[rows_keep, feat_per_row] >= thr_per_row
+        go_right = cols[np.arange(order.shape[0]), best_j[pos_node]][row_split]
         child_key = 2 * local_new[pos_node[row_split]] + go_right
-        sort_idx = np.argsort(child_key, kind="stable")
-
-        order = rows_keep[sort_idx]
+        order = order[row_split][np.argsort(child_key, kind="stable")]
         node_ids = np.arange(first, n_nodes)
-        lengths = counts.sum(axis=1).astype(np.int64)
+        lengths = counts.sum(axis=1)
         level += 1
 
     # copies, so a finished tree does not hold its 2n - 1 node buffers

@@ -126,16 +126,20 @@ def test_sweep_and_decide(generated, tmp_path):
     assert "protection_at_mu0" in report
 
 
-def test_decide_rejects_protection_curve_input(generated, tmp_path):
+def test_decide_rejects_protection_curve_input(generated, tmp_path, capsys):
     out = tmp_path / "sweep2"
     main([
         "sweep", "--data", str(generated / "cases.csv"),
         "--schema", str(generated / "schema.json"),
         "--grid-size", "5", "--n-runs", "2", "--tau", "1.0", "--out-dir", str(out),
     ])
-    with pytest.raises(SystemExit):
-        main(["decide", "--curve", str(out / "protection_sweep.csv"), "--r0", "0.1",
-              "--out-dir", str(tmp_path / "d2")])
+    capsys.readouterr()
+    curve = out / "protection_sweep.csv"
+    code = main(["decide", "--curve", str(curve), "--r0", "0.1", "--out-dir", str(tmp_path / "d2")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"error: {curve}: holds a police_protection curve")
 
 
 def test_sensitivity(generated, tmp_path):
@@ -193,6 +197,11 @@ CONFIG_ERRORS = {
     "sweep_auto_ml_string": ("sweep", {"auto_ml": "yes"}, "field 'auto_ml' must be bool\n"),
     "train_unknown_field": ("train", {"family": "nc", "depth": 3},
                             "unknown field(s) depth; train takes family, params, "),
+    "sweep_taus_repeated": ("sweep", {"taus": [0.5, 0.5]},
+                            "field 'taus' holds 0.5 and 0.5, which share the output name tau0.5\n"),
+    "sweep_taus_equal_to_6_digits": ("sweep", {"taus": [0.1, 0.1000001]},
+                                     "field 'taus' holds 0.1 and 0.1000001, which share the output "
+                                     "name tau0.1\n"),
 }
 
 
@@ -362,7 +371,7 @@ def test_missing_file_is_oneline_error(generated, tmp_path, capsys, case):
 
 @pytest.mark.parametrize("argv, status", [
     (["generate", "--n", "0"], "1"),
-    (["generate", "--config", "{config}", "--separation", "0.9"], "config error:"),
+    (["generate", "--config", "{config}", "--separation", "0.9"], "1"),
     (["generate", "--jobs", "2"], "2"),
     (["evaluate", "--model", "m.json", "--data", "c.csv", "--schema", "s.json", "--jobs", "2"], "2"),
     (["decide", "--curve", "c.csv", "--r0", "0.1", "--jobs", "2"], "2"),
@@ -383,6 +392,59 @@ def test_rejected_flags_write_nothing(tmp_path, argv, status):
         code = exc.code
     assert str(code).startswith(status)
     assert not (out / "cases.csv").exists()
+
+
+def _sweep_argv(generated, out, *flags):
+    return ["sweep", "--data", str(generated / "cases.csv"), "--schema", str(generated / "schema.json"),
+            "--grid-size", "3", "--n-runs", "1", "--profile-runs", "2", *flags, "--out-dir", str(out)]
+
+
+@pytest.mark.parametrize("first, second", [("0.5", "0.5"), ("0.1", "0.1000001")])
+def test_colliding_tau_flags_are_refused(generated, tmp_path, capsys, first, second):
+    out = tmp_path / "sweep"
+    assert main(_sweep_argv(generated, out, "--tau", first, "--tau", second)) == 1
+    assert capsys.readouterr().err == (f"error: --tau holds {float(first)!r} and {float(second)!r}, "
+                                       f"which share the output name tau{float(first):g}\n")
+    assert not out.exists()
+
+
+def test_reused_out_dir_holds_only_the_new_runs_files(generated, tmp_path):
+    out = tmp_path / "sweep"
+    assert main(_sweep_argv(generated, out)) == 0
+    assert (out / "resource_sweep_tau5.csv").exists()
+    assert main(_sweep_argv(generated, out, "--tau", "0.5")) == 0
+    listed = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(listed + ["manifest.json"])
+    assert "resource_sweep_tau0.5.csv" in listed
+
+
+def test_out_dir_of_another_command_is_refused(generated, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(_sweep_argv(generated, out)) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    code = main(["train", "--data", str(generated / "cases.csv"),
+                 "--schema", str(generated / "schema.json"), "--out-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {out / 'manifest.json'}: holds a sweep run\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("name", ["../cases.csv", "sub/x.csv", "", "..", "nested"])
+def test_manifest_output_outside_its_directory_deletes_nothing(generated, tmp_path, capsys, name):
+    out = tmp_path / "sweep"
+    assert main(_sweep_argv(generated, out)) == 0
+    (out / "nested").mkdir()
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["outputs"] = ["protection_sweep.csv", name]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    before = sorted(p.name for p in out.iterdir())
+    capsys.readouterr()
+    assert main(_sweep_argv(generated, out)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {out / 'manifest.json'}: output {name!r} is not a file name in {out}\n"
+    assert sorted(p.name for p in out.iterdir()) == before
 
 
 def test_console_script_help_runs():

@@ -3,7 +3,7 @@ depth truncation."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recidrisk.dataset import N_LABELS
@@ -12,8 +12,8 @@ from recidrisk.trees import (
     _DECREASE_TOL,
     ForestModel,
     TreeModel,
-    _draw_features,
     _forest_tree,
+    _grow,
     _impurity_sum,
     forest_fit,
     tree_fit,
@@ -137,6 +137,13 @@ def _oracle_random(Xn, yn, counts, criterion, rng):
     return int(pick), float(thresholds[pick])
 
 
+def _oracle_features(rng, d, m):
+    """One node's candidate features: all of them, else a sorted permutation prefix."""
+    if m >= d:
+        return np.arange(d)
+    return np.sort(rng.permutation(d)[:m])
+
+
 def _oracle_grow(X, y, rows, criterion, splitter, max_depth, max_features, rng):
     """Breadth-first growth, one node at a time; returns the flat tree arrays."""
     feature, threshold, left, right, counts = [], [], [], [], []
@@ -153,7 +160,7 @@ def _oracle_grow(X, y, rows, criterion, splitter, max_depth, max_features, rng):
         for node, node_rows, depth in queue:
             if counts[node].max() == node_rows.size or (max_depth is not None and depth >= max_depth):
                 continue
-            feats = _draw_features(rng, X.shape[1], max_features)
+            feats = _oracle_features(rng, X.shape[1], max_features)
             Xn, yn = X[node_rows][:, feats], y[node_rows]
             if splitter == "random":
                 found = _oracle_random(Xn, yn, counts[node], criterion, rng)
@@ -217,6 +224,12 @@ def test_binary_and_general_paths_grow_identical_trees(criterion, splitter):
         _assert_same_tree(fast, TreeModel(*slow, n_features=d))
 
 
+# three 0/1 columns, each repeated three times: drawn subsets hold tied
+# candidates, so a member must pick the lowest feature index among them
+_BITS = ((np.arange(40)[:, None] >> np.arange(3)) & 1).astype(float)
+_TIED_COLUMNS = (np.repeat(_BITS, 3, axis=1), np.minimum(_BITS.sum(axis=1), 2).astype(np.int64))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     problem=binary_problems(),
@@ -226,6 +239,9 @@ def test_binary_and_general_paths_grow_identical_trees(criterion, splitter):
     seed=st.integers(0, 1000),
     tree_index=st.integers(0, 20),
 )
+@example(problem=_TIED_COLUMNS, criterion="gini", max_depth=None, bootstrap=False, seed=0, tree_index=0)
+@example(problem=_TIED_COLUMNS, criterion="entropy", max_depth=None, bootstrap=True, seed=2,
+         tree_index=0)
 def test_forest_member_is_the_oracle_tree(problem, criterion, max_depth, bootstrap, seed,
                                           tree_index):
     # members search ceil(sqrt(d)) < d features per split for d >= 3, and a
@@ -238,6 +254,24 @@ def test_forest_member_is_the_oracle_tree(problem, criterion, max_depth, bootstr
     max_features = int(np.ceil(np.sqrt(X.shape[1])))
     expected = _oracle_grow(X, y, rows, criterion, "best", max_depth, max_features, rng)
     _assert_same_tree(model, TreeModel(*expected, n_features=X.shape[1]))
+
+
+class _ZeroDraws:
+    """A generator whose every uniform draw is exactly 0.0."""
+
+    def random(self, shape):
+        return np.zeros(shape)
+
+
+def test_random_threshold_drawn_at_zero_is_no_split():
+    # u == 0.0 puts no row below the threshold, so the candidate is invalid
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+    y = np.array([0, 2, 2, 0])
+    rows = np.arange(4)
+    got = _grow(X, y, rows, "gini", "random", None, 2, _ZeroDraws())
+    expected = _oracle_grow(X, y, rows, "gini", "random", None, 2, _ZeroDraws())
+    _assert_same_tree(TreeModel(*got, n_features=2), TreeModel(*expected, n_features=2))
+    assert got[0].tolist() == [-1]
 
 
 @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan])
