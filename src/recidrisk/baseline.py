@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import MISSING, CaseRecord, RiskLabel, read_json
+from .dataset import MISSING, CaseRecord, RiskLabel, read_json, require_type
 
 
 class ViogenClass(IntEnum):
@@ -117,6 +117,8 @@ def write_rule_system(path: str | Path, rule_system: RuleSystem) -> None:
 
 def read_rule_system(path: str | Path) -> RuleSystem:
     def build(payload):
+        require_type("field 'name'", payload["name"], str)
+        require_type("field 'mapping'", payload["mapping"], list[int])
         return RuleSystem(payload["name"], tuple(RiskLabel(v) for v in payload["mapping"]))
 
     return read_json(path, build)

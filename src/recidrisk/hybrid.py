@@ -8,8 +8,17 @@ between each case's expected label is f0 + mu * (f1 - f0), so mu weighs how
 far predictions have migrated from the first model to the second.
 
 Metrics of the hybrid are random variables; they are estimated over repeated
-executions with derived per-run seeds, reported as mean, standard deviation
-and a 0.95 normal-approximation confidence half-width 1.96 * std / sqrt(runs).
+executions, reported as mean, standard deviation and a 0.95
+normal-approximation confidence half-width 1.96 * std / sqrt(runs).
+
+Labels take the values 0..2, so every metric depends only on how many cases
+fall in each of the 27 (f0, f1, truth) cells. Executions are drawn per cell,
+not per case: a cell with f1 = f0 keeps its count, a one-step cell moves a
+Binomial(count, mu) share to f1, and a two-step cell splits as a
+Multinomial(count, [(1-mu)^2, 2mu(1-mu), mu^2]) over f0, the middle label and
+f1. Summed over a cell's cases this is exactly the per-case law above. All
+runs at one mu come from one generator, drawn as arrays of shape
+(runs, cells), and are scored as one stack of confusion matrices.
 """
 
 from __future__ import annotations
@@ -19,8 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import fmt_float, read_table, write_table
-from .metrics import ConfusionMatrix, MetricSpec, confusion, police_resource
+from .dataset import N_LABELS, fmt_float, read_table, write_table
+# `confusion` is unused here but stays importable as recidrisk.hybrid.confusion,
+# where perfbench's tracer looks for it
+from .metrics import ConfusionMatrix, MetricSpec, confusion, police_resource  # noqa: F401
 from .seeding import derive_rng
 
 Z_95 = 1.96
@@ -48,19 +59,50 @@ class HybridEstimate:
     values: np.ndarray  # per-run metric values
 
 
-def _run_confusions(f0, f1, truths, mu, n_runs, seed_parts) -> list[ConfusionMatrix]:
-    f0 = np.asarray(f0, dtype=np.int64)
-    f1 = np.asarray(f1, dtype=np.int64)
-    truths = np.asarray(truths, dtype=np.int64)
-    if not (f0.shape == f1.shape == truths.shape):
-        raise ValueError("prediction and truth vectors must be aligned")
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    cms = []
-    for run in range(n_runs):
-        rng = derive_rng(*seed_parts, run)
-        cms.append(confusion(hybrid_sample(f0, f1, mu, rng), truths))
-    return cms
+class _Cells:
+    """The occupied (f0, f1, truth) cells of aligned label vectors, grouped by gap.
+
+    A confusion matrix is held flat: slot pred*3 + truth. `fixed` counts the
+    cells whose f1 equals f0, and `scatter` maps each column `draw` samples to
+    its slot.
+    """
+
+    def __init__(self, f0, f1, truths):
+        f0, f1, truths = (np.asarray(v, dtype=np.int64) for v in (f0, f1, truths))
+        if not (f0.shape == f1.shape == truths.shape) or f0.ndim != 1:
+            raise ValueError("prediction and truth vectors must be 1-D and aligned")
+        if f0.size == 0:
+            raise ValueError("cannot evaluate the hybrid on empty inputs")
+        for v in (f0, f1, truths):
+            if ((v < 0) | (v >= N_LABELS)).any():
+                raise ValueError(f"labels must lie in [0, {N_LABELS})")
+        tensor = np.bincount((f0 * N_LABELS + f1) * N_LABELS + truths, minlength=N_LABELS**3)
+        occupied = np.flatnonzero(tensor)
+        a, b, t = np.unravel_index(occupied, (N_LABELS,) * 3)
+        count, gap = tensor[occupied], np.abs(b - a)
+        zero, one, two = (gap == g for g in range(3))
+        eye = np.eye(N_LABELS**2, dtype=np.int64)  # row i: one case in flat slot i
+        self.fixed = count[zero] @ eye[a[zero] * N_LABELS + t[zero]]
+        self.one, self.two = count[one], count[two]
+        # the label of each sampled column: one-step cells stay, then move;
+        # two-step cells at f0, at the middle label, at f1
+        labels = np.concatenate([a[one], b[one],
+                                 np.stack([a[two], (a[two] + b[two]) // 2, b[two]], axis=1).ravel()])
+        truth = np.concatenate([t[one], t[one], np.repeat(t[two], 3)])
+        self.scatter = eye[labels * N_LABELS + truth]
+
+    def draw(self, mu: float, n_runs: int, rng: np.random.Generator) -> ConfusionMatrix:
+        """A (n_runs, 3, 3) stack: the confusion matrix of each of n_runs executions."""
+        if not 0.0 <= mu <= 1.0:
+            raise ValueError("mu must lie in [0, 1]")
+        if n_runs < 1:
+            raise ValueError("n_runs must be >= 1")
+        moved = rng.binomial(self.one, mu, size=(n_runs, self.one.size))
+        split = rng.multinomial(self.two, [(1.0 - mu) ** 2, 2.0 * mu * (1.0 - mu), mu**2],
+                                size=(n_runs, self.two.size))
+        columns = np.concatenate([self.one - moved, moved, split.reshape(n_runs, -1)], axis=1)
+        counts = self.fixed + columns @ self.scatter
+        return ConfusionMatrix(counts.reshape(n_runs, N_LABELS, N_LABELS))
 
 
 def _summarize(values: np.ndarray) -> HybridEstimate:
@@ -75,8 +117,8 @@ def evaluate_hybrid(
     f0_preds, f1_preds, truths, mu: float, metric: MetricSpec, n_runs: int, master_seed: int
 ) -> HybridEstimate:
     """Monte Carlo estimate of one metric at one mu."""
-    cms = _run_confusions(f0_preds, f1_preds, truths, mu, n_runs, (master_seed, "run"))
-    return _summarize(np.array([metric.evaluate(cm) for cm in cms]))
+    stack = _Cells(f0_preds, f1_preds, truths).draw(mu, n_runs, derive_rng(master_seed, "run"))
+    return _summarize(metric.evaluate(stack))
 
 
 @dataclass
@@ -101,16 +143,16 @@ def mu_sweep(
     n_runs: int = 10,
     master_seed: int = 0,
 ) -> SweepResult:
-    """Metric statistics along a uniform mu grid on [0, 1]."""
+    """Metric statistics along a uniform mu grid on [0, 1], one generator per point."""
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
+    cells = _Cells(f0_preds, f1_preds, truths)
     grid = np.linspace(0.0, 1.0, grid_size)
     means = np.empty(grid_size)
     stds = np.empty(grid_size)
     halves = np.empty(grid_size)
     for i, mu in enumerate(grid):
-        cms = _run_confusions(f0_preds, f1_preds, truths, mu, n_runs, (master_seed, "mu", i))
-        est = _summarize(np.array([metric.evaluate(cm) for cm in cms]))
+        est = _summarize(metric.evaluate(cells.draw(mu, n_runs, derive_rng(master_seed, "mu", i))))
         means[i], stds[i], halves[i] = est.mean, est.std, est.ci_half_width
     return SweepResult(grid, means, stds, halves, n_runs, metric)
 
@@ -132,16 +174,16 @@ def resource_profile(
 ) -> list[ResourceSummary]:
     """Resource-overload distributions for several penalties at a fixed mu.
 
-    Executions are shared across penalties: each run draws one hybrid
-    prediction vector and every tau scores the same confusion matrix.
+    Executions are shared across penalties: each run draws one confusion
+    matrix and every tau scores the same stack.
     """
     tau_list = list(tau_list)
     if any(tau < 0 for tau in tau_list):
         raise ValueError("penalties must be >= 0")
-    cms = _run_confusions(f0_preds, f1_preds, truths, mu, n_runs, (master_seed, "run"))
+    stack = _Cells(f0_preds, f1_preds, truths).draw(mu, n_runs, derive_rng(master_seed, "run"))
     out = []
     for tau in tau_list:
-        values = np.array([police_resource(cm, tau) for cm in cms])
+        values = police_resource(stack, tau)
         est = _summarize(values)
         quantiles = tuple(np.quantile(values, (0.0, 0.25, 0.5, 0.75, 1.0)))
         out.append(

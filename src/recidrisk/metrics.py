@@ -16,6 +16,11 @@ Every measure is a pure function of a 3x3 confusion matrix indexed
 where tau >= 0 is the extra surveillance cost of a High-level measure over a
 Low-level one. Protection rewards identifying the threatened victims;
 resource overload penalizes predictions above the true risk.
+
+A ConfusionMatrix may also hold a stack of matrices, counts of shape
+(..., 3, 3); every measure then returns one value per matrix, bit for bit
+what it returns for that matrix alone. A single matrix is the stack with no
+batch axes, and its measures are plain floats.
 """
 
 from __future__ import annotations
@@ -29,19 +34,21 @@ from .dataset import N_LABELS, RiskLabel
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """3x3 count table of (predicted, true) label pairs."""
+    """3x3 count table of (predicted, true) label pairs, or a (..., 3, 3) stack."""
 
     counts: np.ndarray
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.shape != (N_LABELS, N_LABELS) or (counts < 0).any():
-            raise ValueError("counts must be a 3x3 table of non-negative integers")
+        if counts.shape[-2:] != (N_LABELS, N_LABELS) or (counts < 0).any():
+            raise ValueError("counts must be 3x3 tables of non-negative integers")
         object.__setattr__(self, "counts", counts)
 
     @property
-    def total(self) -> int:
-        return int(self.counts.sum())
+    def total(self):
+        """Number of cases: an int, or an array over the stack."""
+        total = self.counts.sum(axis=(-2, -1))
+        return total if total.ndim else int(total)
 
     def scaled(self, k: int) -> "ConfusionMatrix":
         return ConfusionMatrix(self.counts * k)
@@ -49,11 +56,11 @@ class ConfusionMatrix:
 
 @dataclass(frozen=True)
 class ClassScores:
-    precision: np.ndarray  # (3,) per class
+    precision: np.ndarray  # (..., 3) per class
     recall: np.ndarray
     f1: np.ndarray
-    weighted_f1: float  # true-class support weights
-    macro_f1: float  # uniform weights, reported for reference
+    weighted_f1: float | np.ndarray  # true-class support weights
+    macro_f1: float | np.ndarray  # uniform weights, reported for reference
 
 
 def confusion(preds, truths) -> ConfusionMatrix:
@@ -68,6 +75,11 @@ def confusion(preds, truths) -> ConfusionMatrix:
     return ConfusionMatrix(counts)
 
 
+def _value(x):
+    """A float for a single matrix's measure, the array for a stack's."""
+    return x if x.ndim else float(x)
+
+
 def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     out = np.zeros_like(num, dtype=np.float64)
     np.divide(num, den, out=out, where=den > 0)
@@ -76,34 +88,37 @@ def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 def class_scores(cm: ConfusionMatrix) -> ClassScores:
     counts = cm.counts
-    diag = np.diag(counts).astype(np.float64)
-    predicted = counts.sum(axis=1).astype(np.float64)
-    support = counts.sum(axis=0).astype(np.float64)
+    diag = np.diagonal(counts, axis1=-2, axis2=-1).astype(np.float64)
+    predicted = counts.sum(axis=-1).astype(np.float64)
+    support = counts.sum(axis=-2).astype(np.float64)
     precision = _safe_ratio(diag, predicted)
     recall = _safe_ratio(diag, support)
     f1 = _safe_ratio(2.0 * precision * recall, precision + recall)
-    weighted_f1 = float(np.dot(support / cm.total, f1))
-    macro_f1 = float(f1.mean())
-    return ClassScores(precision, recall, f1, weighted_f1, macro_f1)
+    weights = support / support.sum(axis=-1, keepdims=True)
+    # a row-by-column matmul runs np.dot's kernel on every matrix of a stack
+    weighted_f1 = (weights[..., None, :] @ f1[..., :, None])[..., 0, 0]
+    macro_f1 = f1.sum(axis=-1) / N_LABELS  # bit for bit f1.mean(axis=-1), and cheaper
+    return ClassScores(precision, recall, f1, _value(weighted_f1), _value(macro_f1))
 
 
-def police_protection(cm: ConfusionMatrix) -> float:
+def police_protection(cm: ConfusionMatrix) -> float | np.ndarray:
     scores = class_scores(cm)
-    return float(
-        scores.precision[RiskLabel.NO] + scores.f1[RiskLabel.LOW] + scores.recall[RiskLabel.HIGH]
+    return _value(
+        scores.precision[..., RiskLabel.NO] + scores.f1[..., RiskLabel.LOW]
+        + scores.recall[..., RiskLabel.HIGH]
     )
 
 
-def police_resource(cm: ConfusionMatrix, tau: float) -> float:
+def police_resource(cm: ConfusionMatrix, tau: float) -> float | np.ndarray:
     if tau < 0:
         raise ValueError("tau must be >= 0")
     c = cm.counts
     over = (
-        c[RiskLabel.LOW, RiskLabel.NO]
-        + tau * c[RiskLabel.HIGH, RiskLabel.LOW]
-        + (1.0 + tau) * c[RiskLabel.HIGH, RiskLabel.NO]
+        c[..., RiskLabel.LOW, RiskLabel.NO]
+        + tau * c[..., RiskLabel.HIGH, RiskLabel.LOW]
+        + (1.0 + tau) * c[..., RiskLabel.HIGH, RiskLabel.NO]
     )
-    return float(over / (2.0 * cm.total * (1.0 + tau)))
+    return _value(over / (2.0 * cm.total * (1.0 + tau)))
 
 
 @dataclass(frozen=True)
@@ -128,14 +143,15 @@ class MetricSpec:
     def higher_is_better(self) -> bool:
         return self.name != "police_resource"
 
-    def evaluate(self, cm: ConfusionMatrix) -> float:
+    def evaluate(self, cm: ConfusionMatrix) -> float | np.ndarray:
+        """The metric's value: a float, or one value per matrix of a stack."""
         if self.name == "police_protection":
             return police_protection(cm)
         if self.name == "police_resource":
             return police_resource(cm, self.tau)
         scores = class_scores(cm)
         if self.name == "high_f1":
-            return float(scores.f1[RiskLabel.HIGH])
+            return _value(scores.f1[..., RiskLabel.HIGH])
         if self.name == "weighted_f1":
             return scores.weighted_f1
         return scores.macro_f1

@@ -1,9 +1,10 @@
 """Deterministic seed derivation for every random component in the pipeline.
 
 All randomness flows from explicit integer seeds. Sub-streams (per chunk,
-per tree, per grid point, per run) are derived with `numpy.random.SeedSequence`
-keyed on the master seed plus stable integer tags, so results never depend on
-worker count, scheduling, or process-level hash randomization.
+per tree, per grid point, per hybrid mu point) are derived with
+`numpy.random.SeedSequence` keyed on the master seed plus stable integer tags,
+so results never depend on worker count, scheduling, or process-level hash
+randomization.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import classify_score, score_responses
-from .dataset import MISSING, CaseRecord, Question, QuestionnaireSchema, read_json
+from .dataset import MISSING, CaseRecord, Question, QuestionnaireSchema, read_json, require_type
 from .seeding import derive_rng
 
 CHUNK_SIZE = 1024  # atomic generation unit; fixed so output is worker-independent
@@ -300,14 +300,12 @@ def config_from_json(payload: dict) -> GeneratorConfig:
         )
         for item in payload["profiles"]
     )
-    return GeneratorConfig(
-        n_cases=payload["n_cases"],
-        schema=schema,
-        profiles=profiles,
-        missing_rate=payload.get("missing_rate", 0.0),
-        seed=payload.get("seed", 0),
-        dispersion=payload.get("dispersion"),
-    )
+    scalars = {"n_cases": payload["n_cases"], "missing_rate": payload.get("missing_rate", 0.0),
+               "seed": payload.get("seed", 0), "dispersion": payload.get("dispersion")}
+    for name, annotation in (("n_cases", int), ("missing_rate", float), ("seed", int),
+                             ("dispersion", float | None)):
+        require_type(f"field '{name}'", scalars[name], annotation)
+    return GeneratorConfig(schema=schema, profiles=profiles, **scalars)
 
 
 def write_config(path: str | Path, config: GeneratorConfig) -> None:

@@ -281,6 +281,12 @@ def _model(family, state):
     return json.dumps({"format": "recidrisk-model", "version": 1, "family": family, "state": state})
 
 
+def _generator_config(**fields):
+    """The generated corpus's generator config with some fields replaced, as file text."""
+    return lambda gen: json.dumps({**json.loads((gen / "generator_config.json").read_text()),
+                                   **fields})
+
+
 # name: (command, input file text, or a function of the generated corpus
 # directory, or None for a missing file; the line the error must name, or the
 # message that must follow the path)
@@ -311,6 +317,24 @@ BAD_INPUTS = {
     "rule_system_without_mapping": ("sweep_rule", '{"name": "mine"}', "missing field 'mapping'"),
     "rule_system_bad_label": ("sweep_rule", '{"name": "mine", "mapping": [0, 1, 2, 2, 7]}',
                               "7 is not a valid RiskLabel"),
+    "rule_system_bool_label": ("sweep_rule", '{"name": "x", "mapping": [true, 1, 1, 2, 2]}',
+                               "field 'mapping' must be list[int]"),
+    "rule_system_float_label": ("sweep_rule", '{"name": "x", "mapping": [0, 1, 1.5, 2, 2]}',
+                                "field 'mapping' must be list[int]"),
+    "rule_system_mapping_string": ("sweep_rule", '{"name": "x", "mapping": "00122"}',
+                                   "field 'mapping' must be list[int]"),
+    "rule_system_name_number": ("sweep_rule", '{"name": 5, "mapping": [0, 1, 1, 2, 2]}',
+                                "field 'name' must be str"),
+    "generator_config_n_cases_bool": ("generate_config", _generator_config(n_cases=True),
+                                      "field 'n_cases' must be int"),
+    "generator_config_n_cases_float": ("generate_config", _generator_config(n_cases=50.0),
+                                       "field 'n_cases' must be int"),
+    "generator_config_seed_bool": ("generate_config", _generator_config(seed=True),
+                                   "field 'seed' must be int"),
+    "generator_config_missing_rate_string": ("generate_config", _generator_config(missing_rate="0.1"),
+                                             "field 'missing_rate' must be float"),
+    "generator_config_dispersion_bool": ("generate_config", _generator_config(dispersion=True),
+                                         "field 'dispersion' must be float | None"),
     "tree_child_outside_arrays": ("evaluate", _model("tree", _tree([0], [5], [5])),
                                   "tree node 0: children must lie after the node and before 1"),
     "forest_member_feature_out_of_range": (
@@ -406,6 +430,23 @@ def test_colliding_tau_flags_are_refused(generated, tmp_path, capsys, first, sec
     assert capsys.readouterr().err == (f"error: --tau holds {float(first)!r} and {float(second)!r}, "
                                        f"which share the output name tau{float(first):g}\n")
     assert not out.exists()
+
+
+def test_sweep_output_does_not_depend_on_jobs(generated, tmp_path):
+    runs = {}
+    for jobs in ("1", "3"):
+        out = tmp_path / f"jobs{jobs}"
+        argv = _sweep_argv(generated, out, "--grid-size", "9", "--n-runs", "25", "--tau", "0.5",
+                           "--tau", "2", "--jobs", jobs)
+        assert main(argv) == 0
+        runs[jobs] = {p.name: p.read_bytes() for p in out.iterdir()}
+    manifests = {jobs: json.loads(files.pop("manifest.json")) for jobs, files in runs.items()}
+    assert sorted(runs["1"]) == ["protection_sweep.csv", "resource_profile.csv",
+                                 "resource_sweep_tau0.5.csv", "resource_sweep_tau2.csv"]
+    assert runs["1"] == runs["3"]
+    assert manifests["1"]["config"].pop("jobs") == 1 and manifests["3"]["config"].pop("jobs") == 3
+    assert manifests["1"]["config"]["auto_ml"] is False
+    assert manifests["1"] == manifests["3"]
 
 
 def test_reused_out_dir_holds_only_the_new_runs_files(generated, tmp_path):

@@ -6,9 +6,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recidrisk.hybrid import (
     SweepResult,
+    _Cells,
     _isotonic_non_decreasing,
     decide_mu,
     evaluate_hybrid,
@@ -145,9 +148,75 @@ def test_monte_carlo_matches_exhaustive_enumeration():
     assert abs(est.mean - exact) < 4 * se
 
 
+LABELS = st.integers(0, 2)
+
+
+@st.composite
+def hybrid_inputs(draw):
+    """(f0, f1, truths) of 3 to 8 cases, holding gaps of 0, 1 and 2 steps."""
+    same = draw(LABELS)
+    cases = [(same, same, draw(LABELS)),
+             draw(st.sampled_from([(0, 1), (1, 0), (1, 2), (2, 1)])) + (draw(LABELS),),
+             draw(st.sampled_from([(0, 2), (2, 0)])) + (draw(LABELS),),
+             *draw(st.lists(st.tuples(LABELS, LABELS, LABELS), max_size=5))]
+    cases = draw(st.permutations(cases))
+    return tuple(np.array(column) for column in zip(*cases))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(inputs=hybrid_inputs(), mu=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1))
+def test_cell_draws_are_hybrid_executions_with_the_exact_mean(inputs, mu, seed):
+    f0, f1, truths = inputs
+    n_runs = 4000
+    counts = _Cells(f0, f1, truths).draw(mu, n_runs, derive_rng(seed)).counts
+    assert counts.shape == (n_runs, 3, 3)
+    # every run keeps each truth column's support exactly
+    assert (counts.sum(axis=1) == np.bincount(truths, minlength=3)).all()
+    # and its counts can be dealt out to the cases with each case's label
+    # between f0 and f1: for every label range, the cases whose whole segment
+    # lies inside it fit in its counts (Hall's condition on intervals)
+    lo, hi = np.minimum(f0, f1), np.maximum(f0, f1)
+    for first in range(3):
+        for last in range(first, 3):
+            inside = np.bincount(truths[(lo >= first) & (hi <= last)], minlength=3)
+            assert (counts[:, first:last + 1].sum(axis=1) >= inside).all()
+    # the mean stack lies within 5 standard errors of the exact expectation
+    expected = np.zeros((3, 3))
+    variance = np.zeros((3, 3))
+    for a, b, t in zip(f0, f1, truths):
+        for label, p in case_outcome_dist(a, b, mu).items():
+            expected[label, t] += p
+            variance[label, t] += p * (1.0 - p)
+    error = np.abs(counts.mean(axis=0) - expected)
+    assert (error <= 5.0 * np.sqrt(variance / n_runs) + 1e-9).all(), (error, variance)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inputs=hybrid_inputs(), seed=st.integers(0, 2**32 - 1))
+def test_cell_draws_at_the_endpoints_are_the_sources(inputs, seed):
+    f0, f1, truths = inputs
+    cells = _Cells(f0, f1, truths)
+    for mu, source in ((0.0, f0), (1.0, f1)):
+        counts = cells.draw(mu, 50, derive_rng(seed)).counts
+        assert (counts == confusion(source, truths).counts).all()
+
+
 def test_evaluate_hybrid_rejects_misaligned():
     with pytest.raises(ValueError):
         evaluate_hybrid([0, 1], [2], [0, 1], 0.5, MetricSpec("police_protection"), 2, 0)
+
+
+@pytest.mark.parametrize("f0, f1, truths, mu, n_runs", [
+    ([], [], [], 0.5, 2),
+    ([0, 3], [0, 1], [0, 1], 0.5, 2),
+    ([0, 1], [0, -1], [0, 1], 0.5, 2),
+    ([0, 1], [0, 1], [0, 5], 0.5, 2),
+    ([0, 1], [2, 1], [0, 1], 1.5, 2),
+    ([0, 1], [2, 1], [0, 1], 0.5, 0),
+], ids=["empty", "f0_label_3", "f1_label_negative", "truth_label_5", "mu_above_one", "no_runs"])
+def test_evaluate_hybrid_rejects_bad_input(f0, f1, truths, mu, n_runs):
+    with pytest.raises(ValueError):
+        evaluate_hybrid(f0, f1, truths, mu, MetricSpec("police_protection"), n_runs, 0)
 
 
 def test_ci_half_width_shrinks_with_runs():

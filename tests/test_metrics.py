@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recidrisk.metrics import (
+    ConfusionMatrix,
     MetricSpec,
     class_scores,
     confusion,
@@ -226,3 +229,35 @@ def test_metric_spec_dispatch():
         MetricSpec("police_resource")
     with pytest.raises(ValueError):
         MetricSpec("unknown_metric")
+
+
+@st.composite
+def matrix_stacks(draw):
+    """(k, 3, 3) count stacks, k in [1, 6], with zero rows and columns; no empty matrix."""
+    k = draw(st.integers(1, 6))
+    counts = np.array(draw(st.lists(st.integers(0, 6), min_size=9 * k, max_size=9 * k)))
+    counts = counts.reshape(k, 3, 3)
+    for i in range(k):
+        for row in draw(st.sets(st.integers(0, 2), max_size=2)):
+            counts[i, row, :] = 0
+        for col in draw(st.sets(st.integers(0, 2), max_size=2)):
+            counts[i, :, col] = 0
+        if counts[i].sum() == 0:
+            counts[i, draw(st.integers(0, 2)), draw(st.integers(0, 2))] = 1
+    return counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack=matrix_stacks(), tau=st.sampled_from([0.0, 0.5, 1.0, 5.0]) | st.floats(0.0, 10.0))
+def test_stack_evaluation_is_per_matrix_evaluation(stack, tau):
+    for name in MetricSpec._KNOWN:
+        spec = MetricSpec(name, tau if name == "police_resource" else None)
+        values = spec.evaluate(ConfusionMatrix(stack))
+        assert isinstance(values, np.ndarray) and values.shape == (len(stack),)
+        for cm_counts, value in zip(stack, values):
+            single = spec.evaluate(ConfusionMatrix(cm_counts))
+            assert type(single) is float
+            assert value == single, (name, cm_counts)
+    # leading batch axes of any rank: a (1, k) stack gives the same values
+    nested = MetricSpec("weighted_f1").evaluate(ConfusionMatrix(stack[None]))
+    assert np.array_equal(nested[0], MetricSpec("weighted_f1").evaluate(ConfusionMatrix(stack)))
