@@ -42,7 +42,7 @@ from .knn import knn_fit, neighbor_labels, vote
 from .metrics import MetricSpec, class_scores, confusion, police_protection
 from .nearest_centroid import nc_fit
 from .seeding import derive_seed
-from .trees import _forest_tree, _validate, forest_fit, tree_fit
+from .trees import _forest_members, _validate, forest_fit, tree_fit
 
 _FIT_NAMES = {"nc": "nc_fit", "knn": "knn_fit", "tree": "tree_fit", "forest": "forest_fit"}
 FAMILIES = tuple(_FIT_NAMES)
@@ -348,8 +348,9 @@ def _predict_forest_group(configs, train, test, seed_of):
     sizes = sorted({c.value("n_estimators") for c in valid.values()})
     votes = {d: np.zeros((test.n_rows, 3), dtype=np.int64) for d in depths}
     labels_at = {}
-    for i in range(max(sizes)):
-        tree = _forest_tree(train.values, train.labels, criterion, None, seed, i, bootstrap)
+    members = _forest_members(train.values, train.labels, criterion, None, seed,
+                              range(max(sizes)), bootstrap)
+    for i, tree in enumerate(members):
         per_depth = tree.predict_at_depths(test.values, depths)
         for d, pred in zip(depths, per_depth):
             votes[d][np.arange(test.n_rows), pred] += 1

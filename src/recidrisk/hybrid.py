@@ -32,6 +32,7 @@ from .dataset import N_LABELS, fmt_float, read_table, write_table
 # `confusion` is unused here but stays importable as recidrisk.hybrid.confusion,
 # where perfbench's tracer looks for it
 from .metrics import ConfusionMatrix, MetricSpec, confusion, police_resource  # noqa: F401
+from .metrics import check_labels
 from .seeding import derive_rng
 
 Z_95 = 1.96
@@ -45,6 +46,8 @@ def hybrid_sample(f0, f1, mu: float, rng: np.random.Generator) -> np.ndarray:
     f1 = np.asarray(f1, dtype=np.int64)
     if f0.shape != f1.shape:
         raise ValueError("prediction vectors must be aligned")
+    check_labels("f0", f0)
+    check_labels("f1", f1)
     rho = f1 - f0
     steps = rng.binomial(np.abs(rho), mu)
     return f0 + np.sign(rho) * steps
@@ -73,9 +76,8 @@ class _Cells:
             raise ValueError("prediction and truth vectors must be 1-D and aligned")
         if f0.size == 0:
             raise ValueError("cannot evaluate the hybrid on empty inputs")
-        for v in (f0, f1, truths):
-            if ((v < 0) | (v >= N_LABELS)).any():
-                raise ValueError(f"labels must lie in [0, {N_LABELS})")
+        for name, v in (("f0", f0), ("f1", f1), ("truths", truths)):
+            check_labels(name, v)
         tensor = np.bincount((f0 * N_LABELS + f1) * N_LABELS + truths, minlength=N_LABELS**3)
         occupied = np.flatnonzero(tensor)
         a, b, t = np.unravel_index(occupied, (N_LABELS,) * 3)

@@ -63,6 +63,13 @@ class ClassScores:
     macro_f1: float | np.ndarray  # uniform weights, reported for reference
 
 
+def check_labels(name: str, labels: np.ndarray) -> None:
+    """Reject a label outside 0..2, naming the first such value."""
+    bad = labels[(labels < 0) | (labels >= N_LABELS)]
+    if bad.size:
+        raise ValueError(f"{name}: label {bad[0]} is outside 0..{N_LABELS - 1}")
+
+
 def confusion(preds, truths) -> ConfusionMatrix:
     preds = np.asarray(preds, dtype=np.int64)
     truths = np.asarray(truths, dtype=np.int64)
@@ -70,6 +77,8 @@ def confusion(preds, truths) -> ConfusionMatrix:
         raise ValueError("predictions and truths must be 1-D and equally long")
     if preds.size == 0:
         raise ValueError("cannot build a confusion matrix from empty inputs")
+    check_labels("predictions", preds)
+    check_labels("truths", truths)
     counts = np.zeros((N_LABELS, N_LABELS), dtype=np.int64)
     np.add.at(counts, (preds, truths), 1)
     return ConfusionMatrix(counts)

@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import RuleSystem
-from .dataset import N_LABELS, RiskLabel, read_json
+from .dataset import N_LABELS, RiskLabel, read_json, require_type
 from .knn import KNNModel
 from .nearest_centroid import NearestCentroidModel
-from .trees import ForestModel, TreeModel
+from .trees import ForestModel, TreeModel, _validate
 
 FORMAT_TAG = "recidrisk-model"
 FORMAT_VERSION = 1
@@ -109,6 +109,11 @@ def _tree_state(model: TreeModel) -> dict:
     }
 
 
+def _require_fields(state: dict, annotations: dict) -> None:
+    for name, annotation in annotations.items():
+        require_type(f"field '{name}'", state[name], annotation)
+
+
 def _int_array(values, key: str) -> np.ndarray:
     array = np.asarray(values)
     if array.size and array.dtype.kind not in "iu":
@@ -122,6 +127,9 @@ def _check_nodes(bad: np.ndarray, what: str) -> None:
 
 
 def _tree_restore(state: dict) -> TreeModel:
+    _require_fields(state, {"n_features": int, "criterion": str, "splitter": str,
+                            "max_depth": int | None})
+    _validate(state["criterion"], state["splitter"], state["max_depth"])
     feature, left, right, counts = (_int_array(state[key], key)
                                     for key in ("feature", "left", "right", "counts"))
     threshold = np.asarray(state["threshold"], dtype=np.float64)
@@ -161,6 +169,9 @@ def _forest_state(model: ForestModel) -> dict:
 
 
 def _forest_restore(state: dict) -> ForestModel:
+    _require_fields(state, {"trees": list, "n_features": int, "criterion": str,
+                            "max_depth": int | None, "seed": int, "bootstrap": bool})
+    _validate(state["criterion"], "best", state["max_depth"], len(state["trees"]))
     return ForestModel(
         trees=[_tree_restore(t) for t in state["trees"]],
         n_features=state["n_features"],

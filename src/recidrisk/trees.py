@@ -2,9 +2,12 @@
 
 Trees take 0/1 features, the one-hot rows that `encode_cases` produces, and
 reject any other value with a ValueError. One growth engine serves both
-learners: it grows a tree level by level, with one draw and one count per
-level. For a 0/1 column the only partition is x == 0 against x == 1, so one
-bincount over (node, class, feature) keys gives every candidate's class counts.
+learners: it grows a batch of trees level by level together, with one draw per
+member and one count for the whole batch per level. A single tree is a batch
+of one; a forest grows its members in batches of consecutive members, at most
+BUDGET row slots each. For a 0/1 column the only partition is x == 0 against
+x == 1, so one bincount over (node, class, feature) keys gives every
+candidate's class counts.
 
 Split contract: the best splitter scores every (feature, midpoint between
 distinct values) candidate by impurity decrease; the random splitter draws
@@ -17,9 +20,10 @@ splitters make the same partitions; a random threshold is its uniform draw u,
 and a candidate whose u is exactly 0 is invalid.
 
 Randomness (thresholds for the random splitter, per-split feature subsets,
-bootstrap resampling) comes from a single generator, consumed as if node after
-node in breadth-first order; each level takes its draws in one call, so a tree
-is a pure function of (data, hyperparameters, seed).
+bootstrap resampling) comes from one generator per tree, consumed as if node
+after node in breadth-first order; each level takes a member's draws in one
+call on that member's generator, so a tree is a pure function of (data,
+hyperparameters, seed), the same whether it grows alone or in a batch.
 """
 
 from __future__ import annotations
@@ -185,55 +189,92 @@ def forest_fit(
     _validate(criterion, "best", max_depth, n_estimators)
     if X.shape[0] < 1:
         raise ValueError("cannot fit a forest on an empty training set")
-    trees = [
-        _forest_tree(X, y, criterion, max_depth, seed, i, bootstrap)
-        for i in range(n_estimators)
-    ]
+    trees = list(_forest_members(X, y, criterion, max_depth, seed, range(n_estimators), bootstrap))
     return ForestModel(trees, n_features=X.shape[1], criterion=criterion,
                        max_depth=max_depth, seed=seed, bootstrap=bootstrap)
 
 
 def _forest_tree(X, y, criterion, max_depth, seed, tree_index, bootstrap) -> TreeModel:
     """One ensemble member: bootstrap then grow, all from the per-tree stream."""
-    rng = derive_rng(seed, "forest-tree", tree_index)
-    n = X.shape[0]
-    rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-    max_features = int(np.ceil(np.sqrt(X.shape[1])))
-    arrays = _grow(X, y, rows, criterion, "best", max_depth, max_features, rng)
-    return TreeModel(*arrays, n_features=X.shape[1], criterion=criterion,
-                     splitter="best", max_depth=max_depth)
+    members = _forest_members(X, y, criterion, max_depth, seed,
+                              range(tree_index, tree_index + 1), bootstrap)
+    return next(members)
+
+
+def _forest_members(X, y, criterion, max_depth, seed, indices, bootstrap):
+    """The members `indices` (a range) in order, grown in batches of consecutive
+    members; member i bootstraps and grows from its own stream, so it equals
+    the member grown alone."""
+    ones = _binary_mask(X)
+    n, d = X.shape
+    max_features = int(np.ceil(np.sqrt(d)))
+    size = max(1, BUDGET // n)
+    for start in range(indices.start, indices.stop, size):
+        members = []
+        for i in range(start, min(start + size, indices.stop)):
+            rng = derive_rng(seed, "forest-tree", i)
+            members.append((rng.integers(0, n, size=n) if bootstrap else np.arange(n), rng))
+        for arrays in _grow_batch(ones, y, members, criterion, "best", max_depth, max_features):
+            yield TreeModel(*arrays, n_features=d, criterion=criterion, splitter="best",
+                            max_depth=max_depth)
 
 
 # ---------------------------------------------------------------------------
 # Growth engine.
 
-def _grow(X, y, rows, criterion, splitter, max_depth, max_features, rng):
-    """Level-synchronous growth of one tree over the (possibly repeated) `rows`.
+# Row slots one batch of forest members may hold: a batch grows
+# max(1, BUDGET // n) members of n rows each, so its per-level temporaries
+# stay bounded while small training sets share each level's numpy calls.
+BUDGET = 4096
 
-    Each level is one draw and one count: every searched node's feature subset
-    and thresholds come from one generator call each, and one bincount over
-    (node, class, feature) keys gives the class counts of every candidate's
-    x == 1 side. Returns the flat (feature, threshold, left, right, counts) arrays.
-    """
-    ones_mask = X == 1
-    if not (ones_mask | (X == 0)).all():
+
+def _binary_mask(X) -> np.ndarray:
+    """X == 1, after checking that every feature is 0 or 1."""
+    ones = X == 1
+    if not (ones | (X == 0)).all():
         raise ValueError("tree features must be 0 or 1 (one-hot encoded, as from encode_cases)")
-    d = X.shape[1]
+    return ones
+
+
+def _grow(X, y, rows, criterion, splitter, max_depth, max_features, rng):
+    """One tree over the (possibly repeated) `rows`: a batch of one member."""
+    return _grow_batch(_binary_mask(X), y, [(rows, rng)], criterion, splitter, max_depth,
+                       max_features)[0]
+
+
+def _grow_batch(ones, y, members, criterion, splitter, max_depth, max_features):
+    """Level-synchronous growth of a batch of trees, one per (rows, rng) member.
+
+    The frame holds every member's unsettled nodes, member after member, and
+    their rows. Each level is one draw per member and one count for the batch:
+    every searched node's feature subset and thresholds come from one call each
+    on its member's generator, and one bincount over (frame node, class,
+    feature) keys gives the class counts of every candidate's x == 1 side.
+    Returns each member's flat (feature, threshold, left, right, counts) arrays.
+    """
+    d = ones.shape[1]
     m = min(max_features, d)
-    # every leaf keeps at least one row, so n rows grow at most 2n - 1 nodes
-    capacity = 2 * rows.shape[0] - 1
+    b = len(members)
+    rngs = [rng for _, rng in members]
+    lengths = np.array([rows.shape[0] for rows, _ in members], dtype=np.int64)
+    # Nodes are numbered across the batch in creation order; restricted to one
+    # member that order is its breadth-first order, renumbered at the end.
+    # Every leaf keeps at least one row, so n rows grow at most 2n - 1 nodes.
+    capacity = 2 * int(lengths.sum()) - b
     feature = np.full(capacity, -1, dtype=np.int32)
     threshold = np.zeros(capacity, dtype=np.float64)
     left_child = np.full(capacity, -1, dtype=np.int32)
     right_child = np.full(capacity, -1, dtype=np.int32)
+    owner = np.zeros(capacity, dtype=np.int32)  # each node's member
+    owner[:b] = np.arange(b)
     node_counts = np.zeros((capacity, N_LABELS), dtype=np.int64)
-    node_counts[0] = np.bincount(y[rows], minlength=N_LABELS)
-    n_nodes = 1
 
-    order = rows
-    node_ids = np.array([0], dtype=np.int64)
-    lengths = np.array([order.shape[0]], dtype=np.int64)
-    counts = node_counts[:1]
+    order = np.concatenate([rows for rows, _ in members])
+    root = np.repeat(np.arange(b), lengths)
+    node_counts[:b] = np.bincount(root * N_LABELS + y[order], minlength=b * N_LABELS).reshape(b, -1)
+    n_nodes = b
+    node_ids = np.arange(b)
+    counts = node_counts[:b]
     level = 0
 
     while node_ids.size:
@@ -248,33 +289,39 @@ def _grow(X, y, rows, criterion, splitter, max_depth, max_features, rng):
         node_ids, lengths, counts = node_ids[search], lengths[search], counts[search]
         s = node_ids.size
         pos_node = np.repeat(np.arange(s), lengths)
+        per_member = np.bincount(owner[node_ids], minlength=b)
 
-        # The level's draws, in the stream order of one node after another:
-        # each node's subset is a sorted permutation prefix (sorted, so the
-        # lowest feature index wins ties), and only full-width trees draw
-        # thresholds, so subsets and thresholds never interleave.
+        # The level's draws, per member in the stream order of one node after
+        # another: each node's subset is a sorted permutation prefix (sorted,
+        # so the lowest feature index wins ties), and only full-width trees
+        # draw thresholds, so subsets and thresholds never interleave.
         if m < d:
-            feats = np.sort(rng.permuted(np.tile(np.arange(d), (s, 1)), axis=1)[:, :m], axis=1)
-            cols = ones_mask[order[:, None], feats[pos_node]]
+            feats = np.sort(_draws(rngs, per_member, lambda rng, k: rng.permuted(
+                np.tile(np.arange(d), (k, 1)), axis=1)[:, :m]), axis=1)
+            cols = ones[order[:, None], feats[pos_node]]
         else:
             feats = np.broadcast_to(np.arange(d), (s, d))
-            cols = ones_mask[order]
+            cols = ones[order]
         # On 0/1 columns every threshold in (0, 1) makes the same partition,
         # so a random threshold is its uniform draw, invalid only at exactly 0.
-        thresholds = rng.random((s, m)) if splitter == "random" else np.full((s, m), 0.5)
+        thresholds = (_draws(rngs, per_member, lambda rng, k: rng.random((k, m)))
+                      if splitter == "random" else np.full((s, m), 0.5))
 
-        keys = (pos_node * N_LABELS + y[order])[:, None] * m + np.arange(m)
-        ones = np.bincount(keys[cols], minlength=s * N_LABELS * m)
-        ones = ones.reshape(s, N_LABELS, m).transpose(0, 2, 1)
-        n_right = ones.sum(axis=2)
+        # int32 keys halve the level's largest temporary where s * 3 * m fits
+        key_type = np.int32 if s * N_LABELS * m < 2**31 else np.int64
+        keys = (((pos_node * N_LABELS + y[order]) * m).astype(key_type)[:, None]
+                + np.arange(m, dtype=key_type))
+        ones_counts = np.bincount(keys[cols], minlength=s * N_LABELS * m)
+        ones_counts = ones_counts.reshape(s, N_LABELS, m).transpose(0, 2, 1)
+        n_right = ones_counts.sum(axis=2)
         n_left = lengths[:, None] - n_right
         valid = (n_left > 0) & (n_right > 0) & (thresholds > 0)
 
-        left = counts[:, None, :] - ones
+        left = counts[:, None, :] - ones_counts
         decrease = (
             _impurity_sum(counts, criterion)[:, None]
             - _impurity_sum(left, criterion)
-            - _impurity_sum(ones, criterion)
+            - _impurity_sum(ones_counts, criterion)
         )
         decrease[~valid] = -np.inf
         best_j = np.argmax(decrease, axis=1)  # first max = lowest feature (feats sorted)
@@ -294,7 +341,8 @@ def _grow(X, y, rows, criterion, splitter, max_depth, max_features, rng):
         threshold[parents] = thresholds[split_idx, split_j]
         left_child[parents] = left_ids
         right_child[parents] = left_ids + 1
-        counts = np.stack((left[split_idx, split_j], ones[split_idx, split_j]), axis=1)
+        owner[first:n_nodes] = np.repeat(owner[parents], 2)
+        counts = np.stack((left[split_idx, split_j], ones_counts[split_idx, split_j]), axis=1)
         counts = counts.reshape(-1, N_LABELS)
         node_counts[first:n_nodes] = counts
 
@@ -310,6 +358,24 @@ def _grow(X, y, rows, criterion, splitter, max_depth, max_features, rng):
         lengths = counts.sum(axis=1)
         level += 1
 
-    # copies, so a finished tree does not hold its 2n - 1 node buffers
-    return (feature[:n_nodes].copy(), threshold[:n_nodes].copy(), left_child[:n_nodes].copy(),
-            right_child[:n_nodes].copy(), node_counts[:n_nodes].copy())
+    # Renumber each member's nodes 0.. in breadth-first order; the gathers
+    # copy, so a finished tree does not hold the batch's node buffers.
+    by_member = np.argsort(owner[:n_nodes], kind="stable")
+    sizes = np.bincount(owner[:n_nodes], minlength=b)
+    starts = np.cumsum(sizes) - sizes
+    local = np.empty(n_nodes + 1, dtype=np.int32)
+    local[by_member] = np.arange(n_nodes) - np.repeat(starts, sizes)
+    local[n_nodes] = -1  # a leaf's child -1 indexes this last slot
+    left_child, right_child = local[left_child[:n_nodes]], local[right_child[:n_nodes]]
+    out = []
+    for start, size in zip(starts, sizes):
+        ids = by_member[start:start + size]
+        out.append((feature[ids], threshold[ids], left_child[ids], right_child[ids],
+                    node_counts[ids]))
+    return out
+
+
+def _draws(rngs, per_member, draw):
+    """`draw(rng, k)` for every member with k > 0 frame nodes, stacked in member order."""
+    parts = [draw(rng, k) for rng, k in zip(rngs, per_member) if k]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)

@@ -277,6 +277,12 @@ def _tree(feature, left, right):
             "splitter": "best", "max_depth": None}
 
 
+def _forest(**fields):
+    """Forest model state of one single-leaf member, with some fields replaced."""
+    return {"trees": [_tree([-1], [-1], [-1])], "n_features": 250, "criterion": "gini",
+            "max_depth": None, "seed": 0, "bootstrap": True, **fields}
+
+
 def _model(family, state):
     return json.dumps({"format": "recidrisk-model", "version": 1, "family": family, "state": state})
 
@@ -342,6 +348,28 @@ BAD_INPUTS = {
                                       "n_features": 250, "criterion": "gini", "max_depth": None,
                                       "seed": 0, "bootstrap": True}),
         "tree node 0: feature must lie in [-1, 250)"),
+    "tree_max_depth_string": ("evaluate", _model("tree", {**_tree([-1], [-1], [-1]), "max_depth": "1"}),
+                              "field 'max_depth' must be int | None"),
+    "tree_max_depth_zero": ("evaluate", _model("tree", {**_tree([-1], [-1], [-1]), "max_depth": 0}),
+                            "max_depth must be a positive integer or None"),
+    "tree_n_features_float": ("evaluate", _model("tree", {**_tree([-1], [-1], [-1]), "n_features": 250.0}),
+                              "field 'n_features' must be int"),
+    "tree_criterion_unknown": ("evaluate", _model("tree", {**_tree([-1], [-1], [-1]), "criterion": "mse"}),
+                               "criterion must be one of ('entropy', 'gini')"),
+    "tree_splitter_number": ("evaluate", _model("tree", {**_tree([-1], [-1], [-1]), "splitter": 1}),
+                             "field 'splitter' must be str"),
+    "forest_bootstrap_string": ("evaluate", _model("forest", _forest(bootstrap="no")),
+                                "field 'bootstrap' must be bool"),
+    "forest_seed_string": ("evaluate", _model("forest", _forest(seed="x")), "field 'seed' must be int"),
+    "forest_seed_bool": ("evaluate", _model("forest", _forest(seed=False)), "field 'seed' must be int"),
+    "forest_max_depth_zero": ("evaluate", _model("forest", _forest(max_depth=0)),
+                              "max_depth must be a positive integer or None"),
+    "forest_trees_object": ("evaluate", _model("forest", _forest(trees={})), "field 'trees' must be list"),
+    "forest_without_trees": ("evaluate", _model("forest", _forest(trees=[])),
+                             "n_estimators must be >= 1"),
+    "forest_member_max_depth_string": (
+        "evaluate", _model("forest", _forest(trees=[{**_tree([-1], [-1], [-1]), "max_depth": "1"}])),
+        "field 'max_depth' must be int | None"),
     "schema_options_string": ("train_schema", '{"questions": [{"id": "q1", "options": "AB"}]}',
                               "question 'q1': field 'options' must be a list of strings"),
     "schema_allows_missing_string": (

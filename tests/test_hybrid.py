@@ -93,6 +93,15 @@ def test_mu_out_of_range_rejected():
         hybrid_sample([0], [2], -0.1, derive_rng(0))
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("side", ["f0", "f1"])
+def test_hybrid_sample_rejects_out_of_range_labels(side, bad):
+    labels = {"f0": [0, 1], "f1": [0, 1]}
+    labels[side] = [bad, 1]
+    with pytest.raises(ValueError, match=f"^{side}: label {bad} is outside 0..2$"):
+        hybrid_sample(labels["f0"], labels["f1"], 0.5, derive_rng(0))
+
+
 def test_two_step_distribution_matches_binomial():
     rng = derive_rng(9)
     draws = np.array([hybrid_sample([0], [2], 0.5, rng)[0] for _ in range(100000)])

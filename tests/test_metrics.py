@@ -95,6 +95,16 @@ def test_confusion_rejects_bad_input():
         confusion([], [])
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("side", ["predictions", "truths"])
+def test_confusion_rejects_out_of_range_labels(side, bad):
+    # -1 must not wrap to the High row, and 3 must not escape as an IndexError
+    labels = {"predictions": [NO, NO], "truths": [NO, NO]}
+    labels[side] = [bad, NO]
+    with pytest.raises(ValueError, match=f"^{side}: label {bad} is outside 0..2$"):
+        confusion(labels["predictions"], labels["truths"])
+
+
 # ---------------------------------------------------------------------------
 # Per-class scores.
 

@@ -1,12 +1,16 @@
 """Trees and forests: split contract, the engine against a per-node oracle,
 depth truncation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from recidrisk.dataset import N_LABELS
+from recidrisk import trees
+from recidrisk.dataset import N_LABELS, FeatureMatrix
+from recidrisk.experiments import ModelConfig, _predict_forest_group
 from recidrisk.seeding import derive_rng
 from recidrisk.trees import (
     _DECREASE_TOL,
@@ -254,6 +258,45 @@ def test_forest_member_is_the_oracle_tree(problem, criterion, max_depth, bootstr
     max_features = int(np.ceil(np.sqrt(X.shape[1])))
     expected = _oracle_grow(X, y, rows, criterion, "best", max_depth, max_features, rng)
     _assert_same_tree(model, TreeModel(*expected, n_features=X.shape[1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    problem=binary_problems(),
+    criterion=st.sampled_from(["gini", "entropy"]),
+    max_depth=st.one_of(st.none(), st.integers(1, 5)),
+    bootstrap=st.booleans(),
+    seed=st.integers(0, 1000),
+    n_estimators=st.integers(1, 7),
+    budget=st.sampled_from(["1", "n", "3n", "whole forest"]),
+)
+def test_batched_members_are_grown_alone(problem, criterion, max_depth, bootstrap, seed,
+                                         n_estimators, budget):
+    # batches of one member, of a few (the last one partial), and of the whole forest
+    X, y = problem
+    n = X.shape[0]
+    rows_per_batch = {"1": 1, "n": n, "3n": 3 * n, "whole forest": n * n_estimators}[budget]
+    alone = [_forest_tree(X, y, criterion, None, seed, i, bootstrap) for i in range(n_estimators)]
+    with mock.patch.object(trees, "BUDGET", rows_per_batch):
+        forest = forest_fit((X, y), criterion, n_estimators, max_depth, seed, bootstrap)
+        configs = [ModelConfig("forest", {"criterion": criterion, "n_estimators": size,
+                                          "max_depth": depth, "bootstrap": bootstrap})
+                   for size in sorted({1, n_estimators}) for depth in (None, max_depth or 1)]
+        train, test = FeatureMatrix(X, y), FeatureMatrix(np.vstack((X, 1 - X)), np.zeros(2 * n))
+        grid = _predict_forest_group(configs, train, test, lambda config: seed)
+    max_features = int(np.ceil(np.sqrt(X.shape[1])))
+    for i, member in enumerate(forest.trees):
+        rng = derive_rng(seed, "forest-tree", i)
+        rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        expected = _oracle_grow(X, y, rows, criterion, "best", max_depth, max_features, rng)
+        _assert_same_tree(member, TreeModel(*expected, n_features=X.shape[1]))
+        _assert_same_tree(member, _forest_tree(X, y, criterion, max_depth, seed, i, bootstrap))
+    for config, labels in zip(configs, grid):
+        votes = np.zeros((test.n_rows, N_LABELS), dtype=np.int64)
+        for tree in alone[:config.value("n_estimators")]:
+            pred = tree.predict_at_depths(test.values, [config.value("max_depth")])[0]
+            votes[np.arange(test.n_rows), pred] += 1
+        assert np.array_equal(labels, 2 - np.argmax(votes[:, ::-1], axis=1))
 
 
 class _ZeroDraws:
