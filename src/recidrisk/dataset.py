@@ -133,7 +133,6 @@ class FeatureMatrix:
     values: np.ndarray  # (n, width) float64 with entries in {0, 1}
     labels: np.ndarray  # (n,) int in {0, 1, 2}
     viogen_scores: np.ndarray | None = None  # (n,) int in 0..4, when available
-    case_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -157,7 +156,6 @@ class FeatureMatrix:
             self.values[indices],
             self.labels[indices],
             None if self.viogen_scores is None else self.viogen_scores[indices],
-            None if self.case_ids is None else tuple(self.case_ids[i] for i in indices),
         )
 
 
@@ -246,12 +244,7 @@ def encode_cases(
         if rec.viogen_score is not None:
             scores[i] = rec.viogen_score
     has_scores = bool(np.all(scores >= 0)) and n > 0
-    return FeatureMatrix(
-        values,
-        labels,
-        viogen_scores=scores if has_scores else None,
-        case_ids=tuple(rec.case_id for rec in records),
-    )
+    return FeatureMatrix(values, labels, viogen_scores=scores if has_scores else None)
 
 
 def decode_row(row: np.ndarray, schema: QuestionnaireSchema) -> dict:

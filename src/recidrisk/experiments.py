@@ -12,7 +12,9 @@ alone reproduces its row), the k-fold rule from the fold.
 A config's hyperparameters, with their defaults and types, are its family's
 fit function's parameters; a config naming any other, or giving a value of
 another type than the parameter's annotation, is rejected, and a value the
-fit function rejects makes an error row.
+family's rule (the checks its fit function makes first) rejects makes an
+error row. `check_params` is the one check of a dict of hyperparameters: for
+configs, for the grid's groups and for model files.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import knn, nearest_centroid, trees
 from .baseline import RuleSystem
 from .dataset import (
     CaseRecord,
@@ -42,7 +45,7 @@ from .knn import knn_fit, neighbor_labels, vote
 from .metrics import MetricSpec, class_scores, confusion, police_protection
 from .nearest_centroid import nc_fit
 from .seeding import derive_seed
-from .trees import _forest_members, _validate, forest_fit, tree_fit
+from .trees import _forest_members, forest_fit, tree_fit
 
 _FIT_NAMES = {"nc": "nc_fit", "knn": "knn_fit", "tree": "tree_fit", "forest": "forest_fit"}
 FAMILIES = tuple(_FIT_NAMES)
@@ -55,6 +58,37 @@ _FIT_PARAMS = {
     for family, fit in _FIT_NAMES.items()
 }
 
+# Each family's value rule: the checks its fit function makes first. A rule
+# takes fit parameters by name, and kNN's also the training-row count n_rows.
+_RULES = {"nc": nearest_centroid._validate, "knn": knn._validate, "tree": trees._validate,
+          "forest": trees._validate}
+_RULE_ARGS = {family: tuple(inspect.signature(rule).parameters) for family, rule in _RULES.items()}
+
+
+def check_params(family: str, params: dict, kind: str, n_rows: int | None = None,
+                 config: bool = False) -> None:
+    """Check a dict of `family`'s hyperparameters as its fit function takes them:
+    the names, each value's type against the fit annotation (ValueError("<kind>
+    '<name>' must be <type>"), `kind` being "parameter" or "field"), then the
+    values by the family's rule on `n_rows` training rows, with the fit's own
+    message. A config (`config=True`) is checked for names and types only, and
+    may not name `seed`, which its caller passes."""
+    fit_params = _FIT_PARAMS[family]
+    names = [name for name in fit_params if not (config and name == "seed")]
+    unknown = sorted(set(params) - set(names))
+    missing = [name for name in names if name not in params
+               and fit_params[name].default is inspect.Parameter.empty]
+    if unknown or missing:
+        problem = (f"unknown {kind}(s) {', '.join(unknown)}" if unknown
+                   else f"missing {kind}(s) {', '.join(missing)}")
+        raise ValueError(f"{problem}; {family} takes {', '.join(names)}")
+    for name, value in params.items():
+        require_type(f"{kind} '{name}'", value, fit_params[name].annotation)
+    if not config:
+        values = {name: params.get(name, p.default) for name, p in fit_params.items()}
+        values["n_rows"] = n_rows
+        _RULES[family](**{name: values[name] for name in _RULE_ARGS[family] if name in values})
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -64,19 +98,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        fit_params = _FIT_PARAMS[self.family]
-        names = [name for name in fit_params if name != "seed"]
-        unknown = sorted(set(self.params) - set(names))
-        missing = [name for name in names if name not in self.params
-                   and fit_params[name].default is inspect.Parameter.empty]
-        if unknown or missing:
-            problem = (f"unknown parameter(s) {', '.join(unknown)}" if unknown
-                       else f"missing parameter(s) {', '.join(missing)}")
-            raise ValueError(f"{self.family} [{self.canonical()}]: {problem}; "
-                             f"{self.family} takes {', '.join(names)}")
-        for name, value in self.params.items():
-            require_type(f"{self.family} [{self.canonical()}]: parameter '{name}'", value,
-                         fit_params[name].annotation)
+        try:
+            check_params(self.family, self.params, "parameter", config=True)
+        except ValueError as exc:
+            raise ValueError(f"{self.family} [{self.canonical()}]: {exc}") from None
 
     def canonical(self) -> str:
         return _canonical_params(self.params)
@@ -281,12 +306,13 @@ def _error_row(config: ModelConfig, message: str) -> ResultRow:
     return ResultRow(config.family, dict(config.params), None, None, None, None, error=message)
 
 
-def _checked(configs, check):
-    """The message for each config `check` rejects, and {position: config} for the rest."""
+def _checked(configs, n_rows):
+    """The message for each config its family's rule rejects on `n_rows` training rows,
+    and {position: config} for the rest."""
     out, valid = [None] * len(configs), {}
     for i, config in enumerate(configs):
         try:
-            check(config)
+            check_params(config.family, config.params, "parameter", n_rows)
             valid[i] = config
         except ValueError as exc:
             out[i] = str(exc)
@@ -303,16 +329,9 @@ def _predict_nc(configs, train, test, seed_of):
     return out
 
 
-def _check_knn(config, train):
-    k = config.params["k"]
-    if k > train.n_rows:
-        raise ValueError(f"k={k} exceeds {train.n_rows} training rows")
-    knn_fit(train, k)
-
-
 def _predict_knn(configs, train, test, seed_of):
     """Every k from one ranking of the neighbors."""
-    out, valid = _checked(configs, lambda config: _check_knn(config, train))
+    out, valid = _checked(configs, train.n_rows)
     if valid:
         k_max = max(config.params["k"] for config in valid.values())
         ranked = neighbor_labels(train.values, train.labels, test.values, k_max)
@@ -323,8 +342,7 @@ def _predict_knn(configs, train, test, seed_of):
 
 def _predict_tree_group(configs, train, test, seed_of):
     """All depth caps of one (criterion, splitter) pair from a single fit."""
-    out, valid = _checked(configs, lambda c: _validate(
-        c.value("criterion"), c.value("splitter"), c.value("max_depth")))
+    out, valid = _checked(configs, train.n_rows)
     if valid:
         first = next(iter(valid.values()))
         full = tree_fit(train, criterion=first.value("criterion"), splitter=first.value("splitter"),
@@ -338,8 +356,7 @@ def _predict_tree_group(configs, train, test, seed_of):
 def _predict_forest_group(configs, train, test, seed_of):
     """One (criterion, bootstrap) group: every (n_estimators, max_depth) point
     is a vote prefix over shared full-depth member trees."""
-    out, valid = _checked(configs, lambda c: _validate(
-        c.value("criterion"), "best", c.value("max_depth"), c.value("n_estimators")))
+    out, valid = _checked(configs, train.n_rows)
     if not valid:
         return out
     first = next(iter(valid.values()))

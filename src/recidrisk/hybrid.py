@@ -29,10 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import N_LABELS, fmt_float, read_table, write_table
-# `confusion` is unused here but stays importable as recidrisk.hybrid.confusion,
-# where perfbench's tracer looks for it
-from .metrics import ConfusionMatrix, MetricSpec, confusion, police_resource  # noqa: F401
-from .metrics import check_labels
+from .metrics import ConfusionMatrix, MetricSpec, check_labels, police_resource
 from .seeding import derive_rng
 
 Z_95 = 1.96

@@ -3,6 +3,10 @@
 Neighbors are ranked by Euclidean distance (squared distances give the same
 order). Ties in computed distance keep the lower training-row index, vote
 ties resolve toward the higher risk label.
+
+`_validate` is the family's hyperparameter rule, 1 <= k <= the number of
+training rows; `knn_fit` applies it first, and model selection and model
+files check k through it too.
 """
 
 from __future__ import annotations
@@ -38,10 +42,15 @@ class KNNModel:
         return labels[0] if squeeze else labels
 
 
+def _validate(k: int, n_rows: int) -> None:
+    """The hyperparameter check of knn_fit on `n_rows` training rows."""
+    if not 1 <= k <= n_rows:
+        raise ValueError(f"k must satisfy 1 <= k <= {n_rows}, got {k}")
+
+
 def knn_fit(train, k: int) -> KNNModel:
     X, y = as_xy(train)
-    if not 1 <= k <= X.shape[0]:
-        raise ValueError(f"k must satisfy 1 <= k <= {X.shape[0]}, got {k}")
+    _validate(k, X.shape[0])
     return KNNModel(X, y, k)
 
 

@@ -3,7 +3,8 @@
 Floats are emitted through Python's shortest round-trip repr, so centroid and
 tree parameters reload exactly. One-hot training matrices (the k-NN state)
 are stored as per-row active column indices; anything non-binary falls back
-to dense lists.
+to dense lists. A learner's hyperparameter fields reload through
+`experiments.check_params`, the check its configs and fits go through.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import numpy as np
 
 from .baseline import RuleSystem
 from .dataset import N_LABELS, RiskLabel, read_json, require_type
+from .experiments import check_params
 from .knn import KNNModel
 from .nearest_centroid import NearestCentroidModel
-from .trees import ForestModel, TreeModel, _validate
+from .trees import ForestModel, TreeModel
 
 FORMAT_TAG = "recidrisk-model"
 FORMAT_VERSION = 1
@@ -43,6 +45,8 @@ def _nc_state(model: NearestCentroidModel) -> dict:
 
 
 def _nc_restore(state: dict) -> NearestCentroidModel:
+    check_params("nc", {key: state[key] for key in ("metric", "shrink_threshold", "p")}, "field")
+
     def arr(key):
         return None if state[key] is None else np.asarray(state[key], dtype=np.float64)
 
@@ -70,7 +74,13 @@ def _matrix_state(values: np.ndarray) -> dict:
     return {"encoding": "dense", "width": values.shape[1], "rows": values.tolist()}
 
 
+_ENCODINGS = ("active-columns", "dense")
+
+
 def _matrix_restore(state: dict) -> np.ndarray:
+    _require_fields(state, {"width": int})
+    if state["encoding"] not in _ENCODINGS:
+        raise ValueError(f"field 'encoding' must be one of {_ENCODINGS}")
     if state["encoding"] == "dense":
         return np.asarray(state["rows"], dtype=np.float64)
     values = np.zeros((len(state["rows"]), state["width"]), dtype=np.float64)
@@ -88,9 +98,11 @@ def _knn_state(model: KNNModel) -> dict:
 
 
 def _knn_restore(state: dict) -> KNNModel:
+    labels = np.asarray(state["train_labels"], dtype=np.int64)
+    check_params("knn", {"k": state["k"]}, "field", n_rows=len(labels))
     return KNNModel(
         train_values=_matrix_restore(state["train_values"]),
-        train_labels=np.asarray(state["train_labels"], dtype=np.int64),
+        train_labels=labels,
         k=state["k"],
     )
 
@@ -127,9 +139,9 @@ def _check_nodes(bad: np.ndarray, what: str) -> None:
 
 
 def _tree_restore(state: dict) -> TreeModel:
-    _require_fields(state, {"n_features": int, "criterion": str, "splitter": str,
-                            "max_depth": int | None})
-    _validate(state["criterion"], state["splitter"], state["max_depth"])
+    _require_fields(state, {"n_features": int})
+    check_params("tree", {key: state[key] for key in ("criterion", "splitter", "max_depth")},
+                 "field")
     feature, left, right, counts = (_int_array(state[key], key)
                                     for key in ("feature", "left", "right", "counts"))
     threshold = np.asarray(state["threshold"], dtype=np.float64)
@@ -169,9 +181,9 @@ def _forest_state(model: ForestModel) -> dict:
 
 
 def _forest_restore(state: dict) -> ForestModel:
-    _require_fields(state, {"trees": list, "n_features": int, "criterion": str,
-                            "max_depth": int | None, "seed": int, "bootstrap": bool})
-    _validate(state["criterion"], "best", state["max_depth"], len(state["trees"]))
+    _require_fields(state, {"trees": list, "n_features": int})
+    params = {key: state[key] for key in ("criterion", "max_depth", "seed", "bootstrap")}
+    check_params("forest", {**params, "n_estimators": len(state["trees"])}, "field")
     return ForestModel(
         trees=[_tree_restore(t) for t in state["trees"]],
         n_features=state["n_features"],

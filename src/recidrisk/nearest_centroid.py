@@ -16,6 +16,10 @@ are soft-thresholded at delta,
 
 and the shrunken centroids are mean_j + m_k * (s_j + s_0) * d'_kj. Features
 whose offsets vanish for every class no longer influence any distance.
+
+`_validate` is the family's hyperparameter rule (a known metric, p >= 1 for
+minkowski, a shrink threshold >= 0 or None); `nc_fit` applies it first, and
+model selection and model files check the same values through it.
 """
 
 from __future__ import annotations
@@ -91,18 +95,23 @@ def _distances(X: np.ndarray, centroids: np.ndarray, metric: str, p: float) -> n
     return (diff**p).sum(axis=2) ** (1.0 / p)
 
 
-def nc_fit(
-    train,
-    metric: str = "euclidean",
-    shrink_threshold: float | None = None,
-    p: float = 2.0,
-) -> NearestCentroidModel:
+def _validate(metric: str, shrink_threshold, p) -> None:
+    """The hyperparameter checks of nc_fit."""
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
     if metric == "minkowski" and p < 1:
         raise ValueError("minkowski order p must be >= 1")
     if shrink_threshold is not None and shrink_threshold < 0:
         raise ValueError("shrink_threshold must be >= 0 or None")
+
+
+def nc_fit(
+    train,
+    metric: str = "euclidean",
+    shrink_threshold: float | None = None,
+    p: float = 2.0,
+) -> NearestCentroidModel:
+    _validate(metric, shrink_threshold, p)
     X, y = as_xy(train)
     if X.shape[0] == 0:
         raise ValueError("cannot fit on an empty training set")

@@ -291,21 +291,29 @@ def config_to_json(config: GeneratorConfig) -> dict:
 
 def config_from_json(payload: dict) -> GeneratorConfig:
     schema = QuestionnaireSchema.from_json(payload["schema"])
-    profiles = tuple(
-        ResponseProfile(
-            name=item["name"],
-            weight=item["weight"],
-            response_dists={qid: tuple(dist) for qid, dist in item["response_dists"].items()},
-            recidivism_rate=item["recidivism_rate"],
-        )
-        for item in payload["profiles"]
-    )
+    profiles = tuple(_profile_from_json(number, item)
+                     for number, item in enumerate(payload["profiles"], 1))
     scalars = {"n_cases": payload["n_cases"], "missing_rate": payload.get("missing_rate", 0.0),
                "seed": payload.get("seed", 0), "dispersion": payload.get("dispersion")}
     for name, annotation in (("n_cases", int), ("missing_rate", float), ("seed", int),
                              ("dispersion", float | None)):
         require_type(f"field '{name}'", scalars[name], annotation)
     return GeneratorConfig(schema=schema, profiles=profiles, **scalars)
+
+
+def _profile_from_json(number: int, item: dict) -> ResponseProfile:
+    require_type(f"profile {number}: field 'name'", item["name"], str)
+    what = f"profile {item['name']!r}"
+    for name, annotation in (("weight", float), ("recidivism_rate", float), ("response_dists", dict)):
+        require_type(f"{what}: field '{name}'", item[name], annotation)
+    for qid, dist in item["response_dists"].items():
+        require_type(f"{what}, question {qid!r}: field 'response_dists'", dist, list[float])
+    return ResponseProfile(
+        name=item["name"],
+        weight=item["weight"],
+        response_dists={qid: tuple(dist) for qid, dist in item["response_dists"].items()},
+        recidivism_rate=item["recidivism_rate"],
+    )
 
 
 def write_config(path: str | Path, config: GeneratorConfig) -> None:

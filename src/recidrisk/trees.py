@@ -147,7 +147,7 @@ class ForestModel:
         return top_label(votes)
 
 
-def _validate(criterion: str, splitter: str, max_depth, n_estimators: int = 1) -> None:
+def _validate(criterion: str, splitter: str = "best", max_depth=None, n_estimators: int = 1) -> None:
     """The hyperparameter checks of tree_fit and forest_fit."""
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}")
@@ -186,7 +186,7 @@ def forest_fit(
     bootstrap: bool = True,
 ) -> ForestModel:
     X, y = as_xy(train)
-    _validate(criterion, "best", max_depth, n_estimators)
+    _validate(criterion, max_depth=max_depth, n_estimators=n_estimators)
     if X.shape[0] < 1:
         raise ValueError("cannot fit a forest on an empty training set")
     trees = list(_forest_members(X, y, criterion, max_depth, seed, range(n_estimators), bootstrap))

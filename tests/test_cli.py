@@ -287,6 +287,38 @@ def _model(family, state):
     return json.dumps({"format": "recidrisk-model", "version": 1, "family": family, "state": state})
 
 
+def _trained(family, params, **fields):
+    """A model of `family` trained on the generated corpus, with some state fields
+    replaced, as file text."""
+    def text(gen):
+        out = gen.parent / f"trained_{family}"
+        if not (out / "model.json").exists():
+            assert main(["train", "--data", str(gen / "cases.csv"), "--schema",
+                         str(gen / "schema.json"), "--family", family, "--params",
+                         json.dumps(params), "--out-dir", str(out)]) == 0
+        payload = json.loads((out / "model.json").read_text())
+        payload["state"].update(fields)
+        return json.dumps(payload)
+    return text
+
+
+def _nc(**fields):
+    return _trained("nc", {"metric": "minkowski", "p": 3}, **fields)
+
+
+def _knn(**fields):
+    return _trained("knn", {"k": 5}, **fields)
+
+
+def _one_profile(**fields):
+    """A one-profile generator config over one two-option question, with some
+    profile fields replaced, as file text."""
+    profile = {"name": "only", "weight": 1.0, "recidivism_rate": 0.5,
+               "response_dists": {"q1": [0.5, 0.5]}, **fields}
+    return json.dumps({"n_cases": 50, "schema": {"questions": [{"id": "q1", "options": ["A", "B"]}]},
+                       "profiles": [profile]})
+
+
 def _generator_config(**fields):
     """The generated corpus's generator config with some fields replaced, as file text."""
     return lambda gen: json.dumps({**json.loads((gen / "generator_config.json").read_text()),
@@ -370,6 +402,27 @@ BAD_INPUTS = {
     "forest_member_max_depth_string": (
         "evaluate", _model("forest", _forest(trees=[{**_tree([-1], [-1], [-1]), "max_depth": "1"}])),
         "field 'max_depth' must be int | None"),
+    "nc_metric_unknown": ("evaluate", _nc(metric="chebyshev", p=2),
+                          "metric must be one of ('euclidean', 'manhattan', 'minkowski')"),
+    "nc_p_below_one": ("evaluate", _nc(p=0.5), "minkowski order p must be >= 1"),
+    "nc_shrink_negative": ("evaluate", _nc(shrink_threshold=-1),
+                           "shrink_threshold must be >= 0 or None"),
+    "nc_p_string": ("evaluate", _nc(p="3"), "field 'p' must be float"),
+    "knn_k_zero": ("evaluate", _knn(k=0), "k must satisfy 1 <= k <= "),
+    "knn_k_float": ("evaluate", _knn(k=5.5), "field 'k' must be int"),
+    "knn_k_bool": ("evaluate", _knn(k=True), "field 'k' must be int"),
+    "knn_encoding_unknown": ("evaluate", lambda gen: _knn()(gen).replace('"active-columns"', '"sparse"'),
+                             "field 'encoding' must be one of ('active-columns', 'dense')"),
+    "knn_width_bool": ("evaluate", lambda gen: _knn()(gen).replace('"width": 250', '"width": true'),
+                       "field 'width' must be int"),
+    "profile_weight_bool": ("generate_config", _one_profile(weight=True),
+                            "profile 'only': field 'weight' must be float"),
+    "profile_recidivism_rate_bool": ("generate_config", _one_profile(recidivism_rate=True),
+                                     "profile 'only': field 'recidivism_rate' must be float"),
+    "profile_name_number": ("generate_config", _one_profile(name=5),
+                            "profile 1: field 'name' must be str"),
+    "profile_dist_bools": ("generate_config", _one_profile(response_dists={"q1": [True, False]}),
+                           "profile 'only', question 'q1': field 'response_dists' must be list[float]"),
     "schema_options_string": ("train_schema", '{"questions": [{"id": "q1", "options": "AB"}]}',
                               "question 'q1': field 'options' must be a list of strings"),
     "schema_allows_missing_string": (

@@ -342,10 +342,11 @@ def test_cv_table_is_the_per_config_oracle_and_jobs_invariant(configs, duplicate
     ("knn", {"k": -1}, {"k": 3}),
     ("tree", {"criterion": "gini", "max_depth": 0}, {"criterion": "gini", "max_depth": 3}),
     ("forest", {"criterion": "gini", "n_estimators": 0}, {"criterion": "gini", "n_estimators": 2}),
-], ids=["knn_k_0", "knn_k_negative", "tree_depth_0", "forest_no_trees"])
+    ("knn", lambda train: {"k": train.n_rows + 1}, {"k": 3}),
+], ids=["knn_k_0", "knn_k_negative", "tree_depth_0", "forest_no_trees", "knn_k_above_rows"])
 def test_invalid_config_is_an_error_row(small_split, family, bad, good):
     train, test = small_split
-    config = ModelConfig(family, bad)
+    config = ModelConfig(family, bad(train) if callable(bad) else bad)
     with pytest.raises(ValueError) as rejected:
         fit_model(config, train)
     sibling = ModelConfig(family, good)  # same group, must still be scored
