@@ -10,6 +10,10 @@ carry a `manifest` key.
 Each command's input files and options are declared once, in `COMMANDS`; the
 flags, the defaults, the check of a `--config` file and the config recorded
 in the manifest all come from those declarations.
+
+`--jobs` (gridsearch, crossval) bounds the worker count and never changes a
+result. `sweep` draws one set of hybrid executions per mu point, from one
+seed, and scores the protection curve and every resource curve on it.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ from .experiments import (
     format_result_table,
     grid_search,
     nc_fine_space,
-    parallel_map,
     threshold_sensitivity,
     write_cv_table,
     write_result_table,
@@ -382,34 +385,14 @@ def cmd_sweep(args, cfg) -> int:
     f1 = model.predict(test_part.values)
     truths = test_part.labels
 
-    # protection curve plus one resource curve per tau; independent tasks with
-    # their own derived seeds, so the worker count cannot change the output
-    tasks = [
-        (
-            "protection_sweep.csv",
-            MetricSpec("police_protection"),
-            derive_seed(cfg["seed"], "sweep-protection"),
-        )
-    ]
-    for tau_idx, tau in enumerate(cfg["taus"]):
-        tasks.append(
-            (
-                f"resource_sweep_tau{tau:g}.csv",
-                MetricSpec("police_resource", float(tau)),
-                derive_seed(cfg["seed"], "sweep-resource", tau_idx),
-            )
-        )
-
-    def run_curve(task):
-        _, metric, seed = task
-        return mu_sweep(f0, f1, truths, metric, grid_size=cfg["grid_size"],
-                        n_runs=cfg["n_runs"], master_seed=seed)
-
-    curves = parallel_map(run_curve, tasks, cfg["jobs"])
-    outputs = []
-    for (name, _, _), curve in zip(tasks, curves):
+    # the protection curve and one resource curve per tau, all scoring the same executions
+    outputs = ["protection_sweep.csv", *(f"resource_sweep_tau{tau:g}.csv" for tau in cfg["taus"])]
+    metrics = [MetricSpec("police_protection"),
+               *(MetricSpec("police_resource", tau) for tau in cfg["taus"])]
+    curves = mu_sweep(f0, f1, truths, metrics, grid_size=cfg["grid_size"], n_runs=cfg["n_runs"],
+                      master_seed=derive_seed(cfg["seed"], "sweep"))
+    for name, curve in zip(outputs, curves):
         write_sweep(out / name, curve, manifest=MANIFEST_NAME)
-        outputs.append(name)
     protection = curves[0]
 
     profile = resource_profile(
@@ -496,6 +479,18 @@ def _distinct_taus(what: str, taus: list[float]) -> None:
                              f"which share the output name tau{name}")
 
 
+def _at_least(low: int):
+    def check(what: str, value: int) -> None:
+        if value < low:
+            raise ValueError(f"{what} must be >= {low}")
+    return check
+
+
+def _unit_interval(what: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{what} must lie in [0, 1]")
+
+
 # ---------------------------------------------------------------------------
 # wiring: every command's inputs and options, declared once
 
@@ -544,12 +539,12 @@ COMMANDS = {
         Option("ml_params", _NC_DEFAULT, dict, help=_PARAMS_HELP),
         Option("auto_ml", False, bool, help="pick the ML source by k-fold police protection"),
         Option("k", 10, int),
-        Option("grid_size", 200, int),
-        Option("n_runs", 10, int),
+        Option("grid_size", 200, int, check=_at_least(2)),
+        Option("n_runs", 10, int, check=_at_least(1)),
         _TAUS,
-        Option("profile_mu", 0.9, float),
-        Option("profile_runs", 50, int),
-        *_SPLIT, _JOBS, _HIGH_THRESHOLD,
+        Option("profile_mu", 0.9, float, check=_unit_interval),
+        Option("profile_runs", 50, int, check=_at_least(1)),
+        *_SPLIT, _HIGH_THRESHOLD,
     )),
     "decide": Command(
         "largest hybrid weight within a resource budget",

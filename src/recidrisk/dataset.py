@@ -167,6 +167,18 @@ def as_xy(train) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64)
 
 
+def as_rows(X, width: int) -> tuple[np.ndarray, bool]:
+    """The predict input rule: X as 2-D float rows of `width` columns, a single
+    1-D row as one row, and whether X was that single row (its prediction is
+    then a scalar label)."""
+    X = np.asarray(X, dtype=np.float64)
+    single = X.ndim == 1
+    rows = X[None, :] if single else X
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"expected width {width}, got shape {X.shape}")
+    return rows, single
+
+
 def top_label(counts: np.ndarray) -> np.ndarray:
     """Label with the most votes per row of per-label counts; exact ties go to the higher label."""
     counts = np.atleast_2d(counts)
@@ -395,7 +407,8 @@ def require_type(what: str, value, annotation) -> None:
         return isinstance(value, (int, float) if annotation is float else annotation)
 
     if not conforms(value, annotation):
-        name = annotation.__name__ if isinstance(annotation, type) else str(annotation)
+        plain = isinstance(annotation, type) and not isinstance(annotation, types.GenericAlias)
+        name = annotation.__name__ if plain else str(annotation)  # a list[int] is a type before 3.11
         raise ValueError(f"{what} must be {name}")
 
 

@@ -18,7 +18,9 @@ Binomial(count, mu) share to f1, and a two-step cell splits as a
 Multinomial(count, [(1-mu)^2, 2mu(1-mu), mu^2]) over f0, the middle label and
 f1. Summed over a cell's cases this is exactly the per-case law above. All
 runs at one mu come from one generator, drawn as arrays of shape
-(runs, cells), and are scored as one stack of confusion matrices.
+(runs, cells), and are scored as one stack of confusion matrices. Every
+metric of a sweep scores the same stacks, as every penalty of a resource
+profile scores the same stack: one set of executions serves every curve.
 """
 
 from __future__ import annotations
@@ -137,23 +139,24 @@ def mu_sweep(
     f0_preds,
     f1_preds,
     truths,
-    metric: MetricSpec,
+    metrics: list[MetricSpec],
     grid_size: int = 200,
     n_runs: int = 10,
     master_seed: int = 0,
-) -> SweepResult:
-    """Metric statistics along a uniform mu grid on [0, 1], one generator per point."""
+) -> list[SweepResult]:
+    """One curve per metric along a uniform mu grid on [0, 1]: one generator
+    per point, and every metric scores the stack of executions it draws."""
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     cells = _Cells(f0_preds, f1_preds, truths)
     grid = np.linspace(0.0, 1.0, grid_size)
-    means = np.empty(grid_size)
-    stds = np.empty(grid_size)
-    halves = np.empty(grid_size)
+    stats = np.empty((len(metrics), 3, grid_size))  # mean, std, CI half-width
     for i, mu in enumerate(grid):
-        est = _summarize(metric.evaluate(cells.draw(mu, n_runs, derive_rng(master_seed, "mu", i))))
-        means[i], stds[i], halves[i] = est.mean, est.std, est.ci_half_width
-    return SweepResult(grid, means, stds, halves, n_runs, metric)
+        stack = cells.draw(mu, n_runs, derive_rng(master_seed, "mu", i))
+        for m, metric in enumerate(metrics):
+            est = _summarize(metric.evaluate(stack))
+            stats[m, :, i] = est.mean, est.std, est.ci_half_width
+    return [SweepResult(grid, *curve, n_runs, metric) for curve, metric in zip(stats, metrics)]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import N_LABELS, as_xy, top_label
+from .dataset import N_LABELS, as_rows, as_xy, top_label
 
 _QUERY_CHUNK = 512  # bounds the distance-matrix block to a few dozen MB
 
@@ -31,15 +31,10 @@ class KNNModel:
         return self.train_values.shape[1]
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        squeeze = X.ndim == 1
-        if squeeze:
-            X = X[None, :]
-        if X.shape[1] != self.width:
-            raise ValueError(f"expected width {self.width}, got {X.shape[1]}")
+        X, single = as_rows(X, self.width)
         ranked = neighbor_labels(self.train_values, self.train_labels, X, self.k)
         labels = vote(ranked, self.k)
-        return labels[0] if squeeze else labels
+        return labels[0] if single else labels
 
 
 def _validate(k: int, n_rows: int) -> None:

@@ -4,7 +4,9 @@ Floats are emitted through Python's shortest round-trip repr, so centroid and
 tree parameters reload exactly. One-hot training matrices (the k-NN state)
 are stored as per-row active column indices; anything non-binary falls back
 to dense lists. A learner's hyperparameter fields reload through
-`experiments.check_params`, the check its configs and fits go through.
+`experiments.check_params`, the check its configs and fits go through, and
+its data fields must agree: labels in 0..2, one per row, active columns
+inside the width, and arrays of the shapes the classes and width give.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .baseline import RuleSystem
 from .dataset import N_LABELS, RiskLabel, read_json, require_type
 from .experiments import check_params
 from .knn import KNNModel
+from .metrics import check_labels
 from .nearest_centroid import NearestCentroidModel
 from .trees import ForestModel, TreeModel
 
@@ -46,22 +49,48 @@ def _nc_state(model: NearestCentroidModel) -> dict:
 
 def _nc_restore(state: dict) -> NearestCentroidModel:
     check_params("nc", {key: state[key] for key in ("metric", "shrink_threshold", "p")}, "field")
-
-    def arr(key):
-        return None if state[key] is None else np.asarray(state[key], dtype=np.float64)
-
+    classes = _labels(state, "classes")
+    if classes.size == 0 or (np.diff(classes) <= 0).any():
+        raise ValueError("field 'classes' must hold distinct labels in ascending order")
+    require_type("field 'centroids'", state["centroids"], list[list[float]])
+    k, d = classes.size, len(state["centroids"][0]) if state["centroids"] else 0
+    shrinkage = {"s": (d,), "offsets": (k, d), "shrunken_centroids": (k, d)}
+    arrays = dict.fromkeys(shrinkage)
+    if state["shrink_threshold"] is None:
+        for key in ("s0", *shrinkage):
+            if state[key] is not None:
+                raise ValueError(f"field '{key}' must be null without a shrink_threshold")
+    else:
+        require_type("field 's0'", state["s0"], float)
+        arrays = {key: _floats(state, key, shape) for key, shape in shrinkage.items()}
     return NearestCentroidModel(
-        classes=np.asarray(state["classes"], dtype=np.int64),
-        centroids=np.asarray(state["centroids"], dtype=np.float64),
-        overall_centroid=np.asarray(state["overall_centroid"], dtype=np.float64),
-        s=arr("s"),
+        classes=classes,
+        centroids=_floats(state, "centroids", (k, d)),
+        overall_centroid=_floats(state, "overall_centroid", (d,)),
         s0=state["s0"],
-        offsets=arr("offsets"),
-        shrunken_centroids=arr("shrunken_centroids"),
+        **arrays,
         metric=state["metric"],
         p=state["p"],
         shrink_threshold=state["shrink_threshold"],
     )
+
+
+def _labels(state: dict, key: str) -> np.ndarray:
+    """An int field of labels in 0..2, as an array."""
+    require_type(f"field '{key}'", state[key], list[int])
+    labels = np.asarray(state[key])  # not yet int64: an int beyond it must fail the check
+    check_labels(f"field '{key}'", labels)
+    return labels.astype(np.int64)
+
+
+def _floats(state: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A float field of the given shape, (d,) or (k, d), as an array."""
+    value = state[key]
+    require_type(f"field '{key}'", value, list[float] if len(shape) == 1 else list[list[float]])
+    rows = value if len(shape) == 2 else []
+    if len(value) != shape[0] or any(len(row) != shape[1] for row in rows):
+        raise ValueError(f"field '{key}' must have shape {shape}")
+    return np.array(value, dtype=np.float64).reshape(shape)
 
 
 def _matrix_state(values: np.ndarray) -> dict:
@@ -78,14 +107,19 @@ _ENCODINGS = ("active-columns", "dense")
 
 
 def _matrix_restore(state: dict) -> np.ndarray:
-    _require_fields(state, {"width": int})
+    _require_fields(state, {"width": int, "rows": list})
     if state["encoding"] not in _ENCODINGS:
         raise ValueError(f"field 'encoding' must be one of {_ENCODINGS}")
+    rows, width = state["rows"], state["width"]
     if state["encoding"] == "dense":
-        return np.asarray(state["rows"], dtype=np.float64)
-    values = np.zeros((len(state["rows"]), state["width"]), dtype=np.float64)
-    for i, cols in enumerate(state["rows"]):
-        values[i, cols] = 1.0
+        return _floats(state, "rows", (len(rows), width))
+    require_type("field 'rows'", rows, list[list[int]])
+    row = np.repeat(np.arange(len(rows)), [len(cols) for cols in rows])
+    col = np.array([c for cols in rows for c in cols])  # as in _labels, checked before int64
+    if ((col < 0) | (col >= width)).any():
+        raise ValueError(f"field 'rows': active columns must lie in [0, {width})")
+    values = np.zeros((len(rows), width), dtype=np.float64)
+    values[row, col.astype(np.int64)] = 1.0
     return values
 
 
@@ -98,13 +132,13 @@ def _knn_state(model: KNNModel) -> dict:
 
 
 def _knn_restore(state: dict) -> KNNModel:
-    labels = np.asarray(state["train_labels"], dtype=np.int64)
-    check_params("knn", {"k": state["k"]}, "field", n_rows=len(labels))
-    return KNNModel(
-        train_values=_matrix_restore(state["train_values"]),
-        train_labels=labels,
-        k=state["k"],
-    )
+    labels = _labels(state, "train_labels")
+    values = _matrix_restore(state["train_values"])
+    if labels.size != values.shape[0]:
+        raise ValueError(f"field 'train_labels' holds {labels.size} labels for "
+                         f"{values.shape[0]} rows")
+    check_params("knn", {"k": state["k"]}, "field", n_rows=labels.size)
+    return KNNModel(train_values=values, train_labels=labels, k=state["k"])
 
 
 def _tree_state(model: TreeModel) -> dict:

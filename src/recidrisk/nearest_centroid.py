@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import as_xy
+from .dataset import as_rows, as_xy
 
 METRICS = ("euclidean", "manhattan", "minkowski")
 
@@ -66,17 +66,12 @@ class NearestCentroidModel:
         return (self.offsets != 0).any(axis=0)
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        squeeze = X.ndim == 1
-        if squeeze:
-            X = X[None, :]
-        if X.shape[1] != self.width:
-            raise ValueError(f"expected width {self.width}, got {X.shape[1]}")
+        X, single = as_rows(X, self.width)
         dist = _distances(X, self.effective_centroids, self.metric, self.p)
         # last argmin over ascending classes = higher-risk label on exact ties
         pick = dist.shape[1] - 1 - np.argmin(dist[:, ::-1], axis=1)
         labels = self.classes[pick]
-        return labels[0] if squeeze else labels
+        return labels[0] if single else labels
 
 
 def _distances(X: np.ndarray, centroids: np.ndarray, metric: str, p: float) -> np.ndarray:

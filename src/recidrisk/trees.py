@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import N_LABELS, as_xy, top_label
+from .dataset import N_LABELS, as_rows, as_xy, top_label
 from .seeding import derive_rng
 
 CRITERIA = ("entropy", "gini")
@@ -83,16 +83,10 @@ class TreeModel:
                 depths[self.right[i]] = depths[i] + 1
         return int(depths.max())
 
-    def _check_width(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.shape[1] != self.n_features:
-            raise ValueError(f"expected width {self.n_features}, got {X.shape[1]}")
-        return X
-
     def predict(self, X) -> np.ndarray:
-        return self.predict_at_depths(X, [self.max_depth])[0]
+        X, single = as_rows(X, self.n_features)
+        labels = self.predict_at_depths(X, [self.max_depth])[0]
+        return labels[0] if single else labels
 
     def predict_at_depths(self, X, depth_cuts) -> list[np.ndarray]:
         """Labels this tree assigns when truncated at each requested depth.
@@ -100,7 +94,7 @@ class TreeModel:
         A cut of None means the full tree. One descent serves all cuts, which
         is what lets a deep tree stand in for its shallower siblings.
         """
-        X = self._check_width(X)
+        X, _ = as_rows(X, self.n_features)
         n = X.shape[0]
         labels = top_label(self.counts)
         node = np.zeros(n, dtype=np.int64)
@@ -138,13 +132,12 @@ class ForestModel:
         return len(self.trees)
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
+        X, single = as_rows(X, self.n_features)
         votes = np.zeros((X.shape[0], N_LABELS), dtype=np.int64)
         for tree in self.trees:
             votes[np.arange(X.shape[0]), tree.predict(X)] += 1
-        return top_label(votes)
+        labels = top_label(votes)
+        return labels[0] if single else labels
 
 
 def _validate(criterion: str, splitter: str = "best", max_depth=None, n_estimators: int = 1) -> None:

@@ -201,8 +201,8 @@ def test_criterion_08_rule_system_lock():
 def test_criterion_09_mu_sweep_qualitative(demo_sources):
     start = time.monotonic()
     f0, f1, truths, best = demo_sources
-    sweep = mu_sweep(f0, f1, truths, MetricSpec("police_protection"),
-                     grid_size=200, n_runs=10, master_seed=909)
+    sweep = mu_sweep(f0, f1, truths, [MetricSpec("police_protection")],
+                     grid_size=200, n_runs=10, master_seed=909)[0]
     assert len(sweep) == 200
     assert sweep.means[-1] > sweep.means[0]
     slope = np.polyfit(sweep.grid, sweep.means, 1)[0]
@@ -227,7 +227,7 @@ def test_criterion_10_resource_bounds_ci_and_decision(demo_sources):
     ratio = large.ci_half_width / small.ci_half_width
     assert abs(ratio - 0.5) <= 0.15 * 0.5
 
-    curve = mu_sweep(f0, f1, truths, spec, grid_size=50, n_runs=10, master_seed=1012)
+    curve = mu_sweep(f0, f1, truths, [spec], grid_size=50, n_runs=10, master_seed=1012)[0]
     budgets = np.linspace(0.0, 0.5, 60)
     choices = [decide_mu(curve, r0) for r0 in budgets]
     assert choices == sorted(choices)

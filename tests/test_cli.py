@@ -202,6 +202,11 @@ CONFIG_ERRORS = {
     "sweep_taus_equal_to_6_digits": ("sweep", {"taus": [0.1, 0.1000001]},
                                      "field 'taus' holds 0.1 and 0.1000001, which share the output "
                                      "name tau0.1\n"),
+    "sweep_grid_size_1": ("sweep", {"grid_size": 1}, "field 'grid_size' must be >= 2\n"),
+    "sweep_n_runs_0": ("sweep", {"n_runs": 0}, "field 'n_runs' must be >= 1\n"),
+    "sweep_profile_runs_0": ("sweep", {"profile_runs": 0}, "field 'profile_runs' must be >= 1\n"),
+    "sweep_profile_mu_1.5": ("sweep", {"profile_mu": 1.5}, "field 'profile_mu' must lie in [0, 1]\n"),
+    "sweep_jobs": ("sweep", {"jobs": 2}, "unknown field(s) jobs; sweep takes rule_system, "),
 }
 
 
@@ -310,6 +315,22 @@ def _knn(**fields):
     return _trained("knn", {"k": 5}, **fields)
 
 
+def _derived(model, fields):
+    """A trained model's file text (`model`, a function of the corpus directory)
+    with the state fields that `fields(state)` returns replaced."""
+    def text(gen):
+        payload = json.loads(model(gen))
+        payload["state"].update(fields(payload["state"]))
+        return json.dumps(payload)
+    return text
+
+
+def _knn_rows(rows):
+    """The trained kNN model with the active columns of its first rows replaced."""
+    return _derived(_knn(), lambda state: {"train_values": {
+        **state["train_values"], "rows": rows + state["train_values"]["rows"][len(rows):]}})
+
+
 def _one_profile(**fields):
     """A one-profile generator config over one two-option question, with some
     profile fields replaced, as file text."""
@@ -415,6 +436,39 @@ BAD_INPUTS = {
                              "field 'encoding' must be one of ('active-columns', 'dense')"),
     "knn_width_bool": ("evaluate", lambda gen: _knn()(gen).replace('"width": 250', '"width": true'),
                        "field 'width' must be int"),
+    "knn_label_float": ("evaluate", _derived(_knn(), lambda state: {
+        "train_labels": [1.5, *state["train_labels"][1:]]}), "field 'train_labels' must be list[int]"),
+    "knn_label_7": ("evaluate", _derived(_knn(), lambda state: {
+        "train_labels": [7, *state["train_labels"][1:]]}),
+        "field 'train_labels': label 7 is outside 0..2"),
+    "knn_fewer_labels_than_rows": ("evaluate", _derived(_knn(), lambda state: {
+        "train_labels": state["train_labels"][:-1]}), "field 'train_labels' holds "),
+    "knn_active_column_negative": ("evaluate", _knn_rows([[-1]]),
+                                   "field 'rows': active columns must lie in [0, 250)"),
+    "knn_active_column_past_width": ("evaluate", _knn_rows([[3], [250]]),
+                                     "field 'rows': active columns must lie in [0, 250)"),
+    "knn_active_column_beyond_int64": ("evaluate", _knn_rows([[2**70]]),
+                                       "field 'rows': active columns must lie in [0, 250)"),
+    "knn_active_column_float": ("evaluate", _knn_rows([[3.0]]), "field 'rows' must be list[list[int]]"),
+    "knn_active_column_nested": ("evaluate", _knn_rows([[[3]]]), "field 'rows' must be list[list[int]]"),
+    "knn_active_column_bool": ("evaluate", _knn_rows([[True]]), "field 'rows' must be list[list[int]]"),
+    "knn_active_row_not_a_list": ("evaluate", _knn_rows([3]), "field 'rows' must be list[list[int]]"),
+    "knn_dense_row_short": ("evaluate", _model("knn", {
+        "k": 1, "train_labels": [0, 1],
+        "train_values": {"encoding": "dense", "width": 2, "rows": [[0.0, 1.0], [1.0]]}}),
+        "field 'rows' must have shape (2, 2)"),
+    "nc_centroids_two_rows": ("evaluate", _derived(_nc(), lambda state: {
+        "centroids": state["centroids"][:2]}), "field 'centroids' must have shape (3, 250)"),
+    "nc_overall_centroid_cut": ("evaluate", _derived(_nc(), lambda state: {
+        "overall_centroid": state["overall_centroid"][:-1]}),
+        "field 'overall_centroid' must have shape (250,)"),
+    "nc_shrinkage_without_arrays": ("evaluate", _nc(shrink_threshold=1.0), "field 's0' must be float"),
+    "nc_arrays_without_shrinkage": ("evaluate", _nc(s0=1.0), "field 's0' must be null without a "),
+    "nc_class_7": ("evaluate", _nc(classes=[0, 1, 7]), "field 'classes': label 7 is outside 0..2"),
+    "nc_class_beyond_int64": ("evaluate", _nc(classes=[0, 1, 2**70]),
+                              f"field 'classes': label {2**70} is outside 0..2"),
+    "nc_classes_descending": ("evaluate", _nc(classes=[2, 1, 0]),
+                              "field 'classes' must hold distinct labels in ascending order"),
     "profile_weight_bool": ("generate_config", _one_profile(weight=True),
                             "profile 'only': field 'weight' must be float"),
     "profile_recidivism_rate_bool": ("generate_config", _one_profile(recidivism_rate=True),
@@ -482,10 +536,11 @@ def test_missing_file_is_oneline_error(generated, tmp_path, capsys, case):
     (["decide", "--curve", "c.csv", "--r0", "0.1", "--jobs", "2"], "2"),
     (["train", "--data", "c.csv", "--schema", "s.json", "--jobs", "2"], "2"),
     (["sensitivity", "--data", "c.csv", "--schema", "s.json", "--jobs", "2"], "2"),
+    (["sweep", "--data", "c.csv", "--schema", "s.json", "--jobs", "2"], "2"),
     (["generate", "--demo"], "2"),
     (["sensitivity", "--data", "c.csv", "--schema", "s.json", "--high-threshold", "4"], "2"),
 ], ids=["generate_n_0", "separation_with_config", "generate_jobs", "evaluate_jobs", "decide_jobs",
-        "train_jobs", "sensitivity_jobs", "generate_demo", "sensitivity_high_threshold"])
+        "train_jobs", "sensitivity_jobs", "sweep_jobs", "generate_demo", "sensitivity_high_threshold"])
 def test_rejected_flags_write_nothing(tmp_path, argv, status):
     config_path = tmp_path / "generator.json"
     write_config(config_path, demo_config(n_cases=50, seed=1))
@@ -513,21 +568,29 @@ def test_colliding_tau_flags_are_refused(generated, tmp_path, capsys, first, sec
     assert not out.exists()
 
 
-def test_sweep_output_does_not_depend_on_jobs(generated, tmp_path):
-    runs = {}
-    for jobs in ("1", "3"):
-        out = tmp_path / f"jobs{jobs}"
-        argv = _sweep_argv(generated, out, "--grid-size", "9", "--n-runs", "25", "--tau", "0.5",
-                           "--tau", "2", "--jobs", jobs)
+@pytest.mark.parametrize("flag, value, message", [
+    ("--grid-size", "1", "must be >= 2"),
+    ("--n-runs", "0", "must be >= 1"),
+    ("--profile-runs", "0", "must be >= 1"),
+    ("--profile-mu", "1.5", "must lie in [0, 1]"),
+])
+def test_out_of_range_sweep_flags_are_refused(generated, tmp_path, capsys, flag, value, message):
+    out = tmp_path / "sweep"
+    assert main(_sweep_argv(generated, out, flag, value)) == 1
+    assert capsys.readouterr().err == f"error: {flag} {message}\n"
+    assert not out.exists()
+
+
+def test_resource_curve_does_not_depend_on_the_other_taus(generated, tmp_path):
+    curves = []
+    for taus in (["2"], ["0.5", "2"]):
+        out = tmp_path / "_".join(taus)
+        argv = _sweep_argv(generated, out, "--grid-size", "9", "--n-runs", "25",
+                           *(arg for tau in taus for arg in ("--tau", tau)))
         assert main(argv) == 0
-        runs[jobs] = {p.name: p.read_bytes() for p in out.iterdir()}
-    manifests = {jobs: json.loads(files.pop("manifest.json")) for jobs, files in runs.items()}
-    assert sorted(runs["1"]) == ["protection_sweep.csv", "resource_profile.csv",
-                                 "resource_sweep_tau0.5.csv", "resource_sweep_tau2.csv"]
-    assert runs["1"] == runs["3"]
-    assert manifests["1"]["config"].pop("jobs") == 1 and manifests["3"]["config"].pop("jobs") == 3
-    assert manifests["1"]["config"]["auto_ml"] is False
-    assert manifests["1"] == manifests["3"]
+        curves.append((out / "resource_sweep_tau2.csv").read_bytes())
+        assert "jobs" not in json.loads((out / "manifest.json").read_text())["config"]
+    assert curves[0] == curves[1]
 
 
 def test_reused_out_dir_holds_only_the_new_runs_files(generated, tmp_path):

@@ -54,6 +54,22 @@ def test_nc_fine_space_counts():
     assert {0.25, 0.75, 5} <= shrinks
 
 
+@pytest.mark.parametrize("config", [
+    ModelConfig("nc", {"metric": "euclidean", "shrink_threshold": 1}),
+    ModelConfig("knn", {"k": 5}),
+    ModelConfig("tree", {"max_depth": 4}),
+    ModelConfig("forest", {"n_estimators": 3, "max_depth": 4}),
+], ids=lambda config: config.family)
+def test_one_predict_input_rule(small_split, config):
+    train, test = small_split
+    model = fit_model(config, train, seed=3)
+    label = model.predict(test.values[0])
+    assert np.ndim(label) == 0 and label == model.predict(test.values)[0]
+    for bad in (test.values[:, :-1], test.values[0, :-1], test.values[0, 0]):
+        with pytest.raises(ValueError, match=f"^expected width {train.width}, "):
+            model.predict(bad)
+
+
 def test_singleton_grid_matches_direct_run(small_split):
     train, test = small_split
     config = ModelConfig("nc", {"metric": "euclidean", "shrink_threshold": 1})

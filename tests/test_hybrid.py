@@ -245,8 +245,8 @@ def test_sweep_grid_and_endpoints():
     f0 = rng.integers(0, 3, 200)
     f1 = rng.integers(0, 3, 200)
     truths = rng.integers(0, 3, 200)
-    sweep = mu_sweep(f0, f1, truths, MetricSpec("police_protection"),
-                     grid_size=21, n_runs=5, master_seed=7)
+    sweep = mu_sweep(f0, f1, truths, [MetricSpec("police_protection")],
+                     grid_size=21, n_runs=5, master_seed=7)[0]
     assert len(sweep) == 21
     assert sweep.grid[0] == 0.0 and sweep.grid[-1] == 1.0
     assert sweep.stds[0] == 0.0 and sweep.stds[-1] == 0.0
@@ -257,8 +257,8 @@ def test_sweep_grid_and_endpoints():
 def test_sweep_grid_size_two_is_endpoints_only():
     f0, f1 = np.array([0, 0]), np.array([2, 2])
     truths = np.array([0, 2])
-    sweep = mu_sweep(f0, f1, truths, MetricSpec("police_protection"),
-                     grid_size=2, n_runs=3, master_seed=8)
+    sweep = mu_sweep(f0, f1, truths, [MetricSpec("police_protection")],
+                     grid_size=2, n_runs=3, master_seed=8)[0]
     assert sweep.grid.tolist() == [0.0, 1.0]
     assert (sweep.stds == 0.0).all()
 
@@ -269,10 +269,32 @@ def test_sweep_reproducible():
     f1 = rng.integers(0, 3, 100)
     truths = rng.integers(0, 3, 100)
     spec = MetricSpec("police_resource", 1.0)
-    a = mu_sweep(f0, f1, truths, spec, grid_size=9, n_runs=4, master_seed=9)
-    b = mu_sweep(f0, f1, truths, spec, grid_size=9, n_runs=4, master_seed=9)
+    a = mu_sweep(f0, f1, truths, [spec], grid_size=9, n_runs=4, master_seed=9)[0]
+    b = mu_sweep(f0, f1, truths, [spec], grid_size=9, n_runs=4, master_seed=9)[0]
     assert np.array_equal(a.means, b.means)
     assert np.array_equal(a.stds, b.stds)
+
+
+METRICS = st.one_of(
+    st.sampled_from(["high_f1", "weighted_f1", "macro_f1", "police_protection"]).map(MetricSpec),
+    st.floats(0.0, 10.0).map(lambda tau: MetricSpec("police_resource", tau)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases=st.lists(st.tuples(LABELS, LABELS, LABELS), min_size=1, max_size=30),
+       metrics=st.lists(METRICS, min_size=1, max_size=4), grid_size=st.integers(2, 6),
+       n_runs=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_every_sweep_curve_scores_the_shared_executions(cases, metrics, grid_size, n_runs, seed):
+    f0, f1, truths = (np.array(column) for column in zip(*cases))
+    curves = mu_sweep(f0, f1, truths, metrics, grid_size=grid_size, n_runs=n_runs, master_seed=seed)
+    assert len(curves) == len(metrics)
+    for metric, curve in zip(metrics, curves):
+        alone = mu_sweep(f0, f1, truths, [metric], grid_size=grid_size, n_runs=n_runs,
+                         master_seed=seed)[0]
+        assert curve.metric == metric and curve.n_runs == n_runs
+        for field in ("grid", "means", "stds", "ci_half_widths"):
+            assert getattr(curve, field).tobytes() == getattr(alone, field).tobytes(), field
 
 
 def test_resource_profile_shapes_and_bounds():
@@ -373,8 +395,8 @@ def test_sweep_file_round_trip(tmp_path, case):
     f0 = rng.integers(0, 3, 50)
     f1 = rng.integers(0, 3, 50)
     truths = rng.integers(0, 3, 50)
-    sweep = mu_sweep(f0, f1, truths, MetricSpec("police_resource", 0.85),
-                     grid_size=7, n_runs=3, master_seed=12)
+    sweep = mu_sweep(f0, f1, truths, [MetricSpec("police_resource", 0.85)],
+                     grid_size=7, n_runs=3, master_seed=12)[0]
     path = tmp_path / "sweep.csv"
     write_sweep(path, sweep, manifest="manifest.json")
     if case in BROKEN_SWEEP_FILES:

@@ -30,7 +30,7 @@ def test_pure_training_set_is_single_leaf():
     model = tree_fit((X, y))
     assert model.n_nodes == 1
     assert model.feature[0] == -1
-    assert model.predict([9.0, 9.0])[0] == 1
+    assert model.predict([9.0, 9.0]) == 1
 
 
 def test_two_point_split_at_midpoint():
@@ -39,8 +39,8 @@ def test_two_point_split_at_midpoint():
     model = tree_fit((X, y), splitter="best")
     assert model.n_nodes == 3
     assert model.threshold[0] == 0.5
-    assert model.predict([0.2])[0] == 0
-    assert model.predict([0.8])[0] == 2
+    assert model.predict([0.2]) == 0
+    assert model.predict([0.8]) == 2
     assert np.array_equal(model.predict(X), y)
 
 
@@ -61,7 +61,7 @@ def test_leaf_tie_breaks_toward_higher_risk():
     y = np.array([0, 2])  # no split possible, tied leaf
     model = tree_fit((X, y))
     assert model.n_nodes == 1
-    assert model.predict([0.0])[0] == 2
+    assert model.predict([0.0]) == 2
 
 
 def test_no_gain_split_is_refused():
@@ -375,7 +375,7 @@ def test_forest_unanimous_vote():
     X = np.array([[0.0], [0.0], [1.0], [1.0]])
     y = np.array([1, 1, 1, 1])
     model = forest_fit((X, y), n_estimators=5, seed=0)
-    assert model.predict([0.3])[0] == 1
+    assert model.predict([0.3]) == 1
 
 
 def test_forest_deterministic_given_seed():
@@ -408,7 +408,7 @@ def test_vote_tie_toward_higher_risk_in_forest():
         y = np.array([label])
         trees.append(tree_fit((X, y)))
     model = ForestModel(trees, n_features=1)
-    assert model.predict([0.0])[0] == 2
+    assert model.predict([0.0]) == 2
 
 
 def test_max_depth_validation():
