@@ -11,6 +11,13 @@ Each command's input files and options are declared once, in `COMMANDS`; the
 flags, the defaults, the check of a `--config` file and the config recorded
 in the manifest all come from those declarations.
 
+A command only reads, checks and computes: `cmd_<name>(args, cfg)` returns
+the manifest's config, its outputs as a dict of file name to writer
+`write(path)`, and its summary line. `main` alone then clears or creates
+`--out-dir`, runs the writers and writes the manifest from the same dict, so
+a run that fails leaves the directory as it was and a manifest lists exactly
+the files written.
+
 `--jobs` (gridsearch, crossval) bounds the worker count and never changes a
 result. `sweep` draws one set of hybrid executions per mu point, from one
 seed, and scores the protection curve and every resource curve on it.
@@ -92,7 +99,7 @@ class Option:
     choices: tuple = ()
     flag: str | None = None  # a bool option's flag sets the opposite of its default
     help: str | None = None
-    check: object = None  # check(what, value) raises ValueError for a value the type admits
+    check: object = None  # check(what, value) raises ValueError for a non-None value the type admits
 
 
 @dataclass(frozen=True)
@@ -147,14 +154,6 @@ def _write_manifest(out_dir: Path, args, config: dict, outputs: list) -> None:
         fh.write("\n")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["manifest"] = MANIFEST_NAME
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
 def _out_dir(args) -> Path:
     """The output directory, without the files an earlier run of this command listed.
 
@@ -204,7 +203,7 @@ def _resolve(args, command: Command) -> dict:
                 value = float(value)
             elif option.type == list[float]:
                 value = [float(v) for v in value]
-            if option.check:
+            if option.check and value is not None:
                 option.check(what(option), value)
             result[name] = value
         return result
@@ -216,36 +215,41 @@ def _resolve(args, command: Command) -> dict:
     return cfg
 
 
+def _text(text: str):
+    return lambda path: path.write_text(text)
+
+
+def _json(payload: dict):
+    return _text(json.dumps({**payload, "manifest": MANIFEST_NAME}, indent=2) + "\n")
+
+
+def _table(columns, rows: list):
+    return lambda path: write_table(path, columns, rows, MANIFEST_NAME)
+
+
 # ---------------------------------------------------------------------------
 # generate
 
-def cmd_generate(args, cfg) -> int:
+def cmd_generate(args, cfg):
     if args.generator_config:
         if any(name in args for name in ("n", "seed", "separation")):
             raise ValueError("--n/--seed/--separation apply to the demo config only, not with --config")
         config = read_config(args.generator_config)
     else:
         config = demo_config(n_cases=cfg["n"], seed=cfg["seed"], separation=cfg["separation"])
-    out = _out_dir(args)
     records = generate(config)
-    viogen_payload = None
+    outputs = {}
     if cfg["with_viogen"]:
         weights = severity_weights(config.schema)
         thresholds = score_thresholds(records, weights)
         records = attach_viogen_scores(records, weights, thresholds)
-        viogen_payload = {
+        outputs["viogen.json"] = _json({
             "weights": {f"{qid}|{opt}": w for (qid, opt), w in sorted(weights.items())},
             "thresholds": list(thresholds),
-        }
-
-    cases_path = out / "cases.csv"
-    write_cases(cases_path, records, config.schema, manifest=MANIFEST_NAME)
-    _write_json(out / "schema.json", config.schema.to_json())
-    _write_json(out / "generator_config.json", config_to_json(config))
-    outputs = ["cases.csv", "schema.json", "generator_config.json"]
-    if viogen_payload is not None:
-        _write_json(out / "viogen.json", viogen_payload)
-        outputs.append("viogen.json")
+        })
+    outputs["cases.csv"] = lambda path: write_cases(path, records, config.schema, manifest=MANIFEST_NAME)
+    outputs["schema.json"] = _json(config.schema.to_json())
+    outputs["generator_config.json"] = _json(config_to_json(config))
     resolved = {
         "n_cases": config.n_cases,
         "seed": config.seed,
@@ -253,27 +257,23 @@ def cmd_generate(args, cfg) -> int:
         "profiles": [p.name for p in config.profiles],
         "with_viogen": cfg["with_viogen"],
     }
-    _write_manifest(out, args, resolved, outputs)
-    print(f"generated {len(records)} cases into {cases_path}")
-    return 0
+    return resolved, outputs, f"generated {len(records)} cases into {Path(args.out_dir, 'cases.csv')}"
 
 
 # ---------------------------------------------------------------------------
 # train / evaluate
 
-def cmd_train(args, cfg) -> int:
+def cmd_train(args, cfg):
     config = ModelConfig(cfg["family"], cfg["params"])
     matrix = _load_matrix(args, cfg)
-    out = _out_dir(args)
     train_part, test_part = split(matrix, SplitSpec(cfg["train_fraction"], cfg["split_seed"]))
     model = fit_model(config, train_part, derive_seed(cfg["seed"], "train"))
-    save_model(out / "model.json", model, extra={"config": cfg, "manifest": MANIFEST_NAME})
     cm = confusion(model.predict(test_part.values), test_part.labels)
-    _write_metric_report(out / "holdout_metrics.csv", "model", cm, _DEFAULT_TAUS)
-    _write_manifest(out, args, cfg, ["model.json", "holdout_metrics.csv"])
-    print(f"trained {config.family} [{config.canonical()}]; "
-          f"holdout police protection {police_protection(cm):.4f}")
-    return 0
+    extra = {"config": cfg, "manifest": MANIFEST_NAME}
+    outputs = {"model.json": lambda path: save_model(path, model, extra=extra),
+               "holdout_metrics.csv": _metric_report("model", cm, _DEFAULT_TAUS)}
+    return cfg, outputs, (f"trained {config.family} [{config.canonical()}]; "
+                          f"holdout police protection {police_protection(cm):.4f}")
 
 
 def _load_matrix(args, cfg) -> FeatureMatrix:
@@ -282,7 +282,7 @@ def _load_matrix(args, cfg) -> FeatureMatrix:
     return encode_cases(records, schema, high_threshold=cfg["high_threshold"])
 
 
-def _write_metric_report(path: Path, model_id: str, cm, taus) -> None:
+def _metric_report(model_id: str, cm, taus):
     scores = class_scores(cm)
     rows = []
     for idx, name in enumerate(("no", "low", "high")):
@@ -294,11 +294,11 @@ def _write_metric_report(path: Path, model_id: str, cm, taus) -> None:
     rows.append(("police_protection", police_protection(cm)))
     for tau in taus:
         rows.append((f"police_resource_tau={tau:g}", police_resource(cm, tau)))
-    write_table(path, ("model", "metric", "value"),
-                ((model_id, name, fmt_float(value)) for name, value in rows), MANIFEST_NAME)
+    return _table(("model", "metric", "value"),
+                  [(model_id, name, fmt_float(value)) for name, value in rows])
 
 
-def cmd_evaluate(args, cfg) -> int:
+def cmd_evaluate(args, cfg):
     model = load_model(args.model)
     matrix = _load_matrix(args, cfg)
     if isinstance(model, RuleSystem):
@@ -307,12 +307,9 @@ def cmd_evaluate(args, cfg) -> int:
         predictions = model.apply_many(matrix.viogen_scores)
     else:
         predictions = model.predict(matrix.values)
-    out = _out_dir(args)
     cm = confusion(predictions, matrix.labels)
-    _write_metric_report(out / "metrics.csv", Path(args.model).stem, cm, cfg["taus"])
-    _write_manifest(out, args, cfg, ["metrics.csv"])
-    print(f"evaluated {model_family(model)}: police protection {police_protection(cm):.4f}")
-    return 0
+    return cfg, {"metrics.csv": _metric_report(Path(args.model).stem, cm, cfg["taus"])}, (
+        f"evaluated {model_family(model)}: police protection {police_protection(cm):.4f}")
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +318,8 @@ def cmd_evaluate(args, cfg) -> int:
 _SPACES = {"default": default_search_space, "nc-fine": nc_fine_space}
 
 
-def cmd_gridsearch(args, cfg) -> int:
+def cmd_gridsearch(args, cfg):
     matrix = _load_matrix(args, cfg)
-    out = _out_dir(args)
     train_part, test_part = split(matrix, SplitSpec(cfg["train_fraction"], cfg["split_seed"]))
     table = grid_search(
         _SPACES[cfg["space"]](),
@@ -335,40 +331,34 @@ def cmd_gridsearch(args, cfg) -> int:
     )
     if cfg["with_baseline"] and test_part.viogen_scores is not None:
         table = compare_with_baseline(list(NAMED_RULE_SYSTEMS.values()), table, test_part)
-    write_result_table(out / "results.csv", table, manifest=MANIFEST_NAME)
-    (out / "results.txt").write_text(comment_lines(MANIFEST_NAME) + format_result_table(table) + "\n")
-    _write_manifest(out, args, cfg, ["results.csv", "results.txt"])
+    outputs = {"results.csv": lambda path: write_result_table(path, table, manifest=MANIFEST_NAME),
+               "results.txt": _text(comment_lines(MANIFEST_NAME) + format_result_table(table) + "\n")}
     top = table.rows[0]
-    print(f"gridsearch: {len(table.rows)} rows; best {top.family} [{top.canonical()}] "
-          f"{table.objective.label()}={top.objective_value:.4f}")
-    return 0
+    return cfg, outputs, (f"gridsearch: {len(table.rows)} rows; best {top.family} [{top.canonical()}] "
+                          f"{table.objective.label()}={top.objective_value:.4f}")
 
 
-def cmd_crossval(args, cfg) -> int:
+def cmd_crossval(args, cfg):
     if cfg["family"]:
         space = SearchSpace((ModelConfig(cfg["family"], cfg["params"] or {}),))
     else:
         space = _SPACES[cfg["space"]]()
     matrix = _load_matrix(args, cfg)
-    out = _out_dir(args)
     train_part, _ = split(matrix, SplitSpec(cfg["train_fraction"], cfg["split_seed"]))
     table = cv_table(space, train_part, k=cfg["k"], objective=cfg["objective"],
                      master_seed=cfg["seed"], jobs=cfg["jobs"])
-    write_cv_table(out / "cv_table.csv", table, manifest=MANIFEST_NAME)
-    _write_manifest(out, args, cfg, ["cv_table.csv"])
     top = table.rows[0]
-    print(f"crossval: best {top.family} [{top.canonical()}] mean={top.mean:.4f} std={top.std:.4f}")
-    return 0
+    return cfg, {"cv_table.csv": lambda path: write_cv_table(path, table, manifest=MANIFEST_NAME)}, (
+        f"crossval: best {top.family} [{top.canonical()}] mean={top.mean:.4f} std={top.std:.4f}")
 
 
 # ---------------------------------------------------------------------------
 # sweep / decide / sensitivity
 
-def cmd_sweep(args, cfg) -> int:
+def cmd_sweep(args, cfg):
     matrix = _load_matrix(args, cfg)
     if matrix.viogen_scores is None:
         raise ValueError(f"{args.data}: sweep needs a viogen_score column for the baseline source")
-    out = _out_dir(args)
     train_part, test_part = split(matrix, SplitSpec(cfg["train_fraction"], cfg["split_seed"]))
 
     if cfg["auto_ml"]:
@@ -386,39 +376,34 @@ def cmd_sweep(args, cfg) -> int:
     truths = test_part.labels
 
     # the protection curve and one resource curve per tau, all scoring the same executions
-    outputs = ["protection_sweep.csv", *(f"resource_sweep_tau{tau:g}.csv" for tau in cfg["taus"])]
     metrics = [MetricSpec("police_protection"),
                *(MetricSpec("police_resource", tau) for tau in cfg["taus"])]
     curves = mu_sweep(f0, f1, truths, metrics, grid_size=cfg["grid_size"], n_runs=cfg["n_runs"],
                       master_seed=derive_seed(cfg["seed"], "sweep"))
-    for name, curve in zip(outputs, curves):
-        write_sweep(out / name, curve, manifest=MANIFEST_NAME)
-    protection = curves[0]
+    outputs = {
+        ("protection_sweep.csv" if c.metric.tau is None else f"resource_sweep_tau{c.metric.tau:g}.csv"):
+            lambda path, c=c: write_sweep(path, c, manifest=MANIFEST_NAME)
+        for c in curves}
 
     profile = resource_profile(
         f0, f1, truths, cfg["profile_mu"], cfg["taus"],
         n_runs=cfg["profile_runs"], master_seed=derive_seed(cfg["seed"], "profile"),
     )
-    write_table(
-        out / "resource_profile.csv",
+    outputs["resource_profile.csv"] = _table(
         ("tau", "mu", "mean", "std", "ci_half_width", "min", "q1", "median", "q3", "max", "n_runs"),
-        (
+        [
             [fmt_float(x) for x in (summary.tau, cfg["profile_mu"], summary.mean, summary.std,
                                      summary.ci_half_width, *summary.quantiles)]
             + [cfg["profile_runs"]]
             for summary in profile
-        ),
-        MANIFEST_NAME,
+        ],
     )
-    outputs.append("resource_profile.csv")
-
-    _write_manifest(out, args, cfg, outputs)
-    print(f"sweep: protection mu=0 {protection.means[0]:.4f} -> mu=1 {protection.means[-1]:.4f} "
-          f"({len(cfg['taus'])} resource curves)")
-    return 0
+    protection = curves[0]
+    return cfg, outputs, (f"sweep: protection mu=0 {protection.means[0]:.4f} -> "
+                          f"mu=1 {protection.means[-1]:.4f} ({len(cfg['taus'])} resource curves)")
 
 
-def cmd_decide(args, cfg) -> int:
+def cmd_decide(args, cfg):
     if cfg["r0"] is None:
         raise ValueError("decide needs --r0")
     curve = read_sweep(args.curve)
@@ -445,14 +430,11 @@ def cmd_decide(args, cfg) -> int:
     if protection is not None:
         report["protection_at_mu0"] = float(protection.means[idx0])
         report["protection_at_zero"] = float(protection.means[0])
-    out = _out_dir(args)
-    _write_json(out / "decision.json", report)
-    _write_manifest(out, args, cfg, ["decision.json"])
-    print(f"decide: mu0 = {mu0:.6g} (tau={curve.metric.tau:g}, r0={cfg['r0']:g})")
-    return 0
+    return cfg, {"decision.json": _json(report)}, (
+        f"decide: mu0 = {mu0:.6g} (tau={curve.metric.tau:g}, r0={cfg['r0']:g})")
 
 
-def cmd_sensitivity(args, cfg) -> int:
+def cmd_sensitivity(args, cfg):
     plan = EvalPlan(
         ModelConfig(cfg["family"], cfg["params"]),
         SplitSpec(cfg["train_fraction"], cfg["split_seed"]),
@@ -460,18 +442,17 @@ def cmd_sensitivity(args, cfg) -> int:
     )
     schema = read_schema(args.schema)
     records = read_cases(args.data)
-    out = _out_dir(args)
     rows = threshold_sensitivity(records, schema, cfg["thresholds"], plan)
-    write_sensitivity(out / "sensitivity.csv", rows, manifest=MANIFEST_NAME)
-    _write_manifest(out, args, cfg, ["sensitivity.csv"])
-    for row in rows:
-        print(f"threshold {row.high_threshold}: protection {row.protection:.4f}")
-    return 0
+    outputs = {"sensitivity.csv": lambda path: write_sensitivity(path, rows, manifest=MANIFEST_NAME)}
+    return cfg, outputs, "\n".join(f"threshold {row.high_threshold}: protection {row.protection:.4f}"
+                                   for row in rows)
 
 
-def _distinct_taus(what: str, taus: list[float]) -> None:
-    """Taus name their outputs by `tau{tau:g}` (sweep curve files, report rows),
-    so two taus with one name would write over each other."""
+def _taus(what: str, taus: list[float]) -> None:
+    """Taus are penalties, so >= 0. They name their outputs by `tau{tau:g}`
+    (sweep curve files, report rows), so two taus with one name would write
+    over each other."""
+    _each_at_least(0)(what, taus)
     names = [f"{tau:g}" for tau in taus]
     for i, name in enumerate(names):
         if name in names[:i]:
@@ -486,9 +467,23 @@ def _at_least(low: int):
     return check
 
 
+def _each_at_least(low: int, nonempty: bool = False):
+    def check(what: str, values: list) -> None:
+        if nonempty and not values:
+            raise ValueError(f"{what} must not be empty")
+        if any(value < low for value in values):
+            raise ValueError(f"{what} values must be >= {low}")
+    return check
+
+
 def _unit_interval(what: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{what} must lie in [0, 1]")
+
+
+def _open_unit_interval(what: str, value: float) -> None:
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{what} must lie in (0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +492,11 @@ def _unit_interval(what: str, value: float) -> None:
 _NC_DEFAULT = {"metric": "euclidean", "shrink_threshold": 0.1}
 _OBJECTIVES = ("high_f1", "weighted_f1", "police_protection")
 _DATA = (Input("data"), Input("schema"))
-_SPLIT = (Option("train_fraction", 0.67, float), Option("split_seed", 0, int), Option("seed", 0, int))
-_HIGH_THRESHOLD = Option("high_threshold", 3, int)
+_SPLIT = (Option("train_fraction", 0.67, float, check=_open_unit_interval),
+          Option("split_seed", 0, int), Option("seed", 0, int))
+_HIGH_THRESHOLD = Option("high_threshold", 3, int, check=_at_least(2))
 _JOBS = Option("jobs", 1, int, help="parallel worker bound (results are jobs-invariant)")
-_TAUS = Option("taus", list(_DEFAULT_TAUS), list[float], flag="--tau", check=_distinct_taus)
+_TAUS = Option("taus", list(_DEFAULT_TAUS), list[float], flag="--tau", check=_taus)
 _PARAMS_HELP = "hyperparameters as a JSON object"
 
 COMMANDS = {
@@ -529,7 +525,7 @@ COMMANDS = {
         Option("space", "nc-fine", str, tuple(_SPACES)),
         Option("family", None, str, FAMILIES),
         Option("params", None, dict, help=_PARAMS_HELP),
-        Option("k", 10, int),
+        Option("k", 10, int, check=_at_least(2)),
         Option("objective", "police_protection", str),
         *_SPLIT, _JOBS, _HIGH_THRESHOLD,
     )),
@@ -538,7 +534,7 @@ COMMANDS = {
         Option("ml_family", "nc", str, FAMILIES),
         Option("ml_params", _NC_DEFAULT, dict, help=_PARAMS_HELP),
         Option("auto_ml", False, bool, help="pick the ML source by k-fold police protection"),
-        Option("k", 10, int),
+        Option("k", 10, int, check=_at_least(2)),
         Option("grid_size", 200, int, check=_at_least(2)),
         Option("n_runs", 10, int, check=_at_least(1)),
         _TAUS,
@@ -550,10 +546,11 @@ COMMANDS = {
         "largest hybrid weight within a resource budget",
         (Input("curve", help="resource sweep CSV"),
          Input("protection_curve", required=False, help="protection sweep CSV on the same mu grid")),
-        (Option("r0", None, float), Option("monotone", False, bool)),
+        (Option("r0", None, float, check=_at_least(0)), Option("monotone", False, bool)),
     ),
     "sensitivity": Command("High-threshold sensitivity table", _DATA, (
-        Option("thresholds", [3, 4, 5], list[int], help="comma-separated, each >= 2"),
+        Option("thresholds", [3, 4, 5], list[int], help="comma-separated, each >= 2",
+               check=_each_at_least(2, nonempty=True)),
         Option("family", "nc", str, FAMILIES),
         Option("params", _NC_DEFAULT, dict, help=_PARAMS_HELP),
         *_SPLIT,
@@ -598,10 +595,16 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args, COMMANDS[args.command])
         # looked up when the command runs, so a wrapper installed on the module attribute sees it
-        return globals()[f"cmd_{args.command}"](args, cfg)
+        config, outputs, summary = globals()[f"cmd_{args.command}"](args, cfg)
+        out = _out_dir(args)
+        for name, write in outputs.items():
+            write(out / name)
+        _write_manifest(out, args, config, list(outputs))
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

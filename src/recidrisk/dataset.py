@@ -167,6 +167,9 @@ def as_xy(train) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64)
 
 
+QUERY_CHUNK = 512  # query rows per predict block; bounds a distance block to a few dozen MB
+
+
 def as_rows(X, width: int) -> tuple[np.ndarray, bool]:
     """The predict input rule: X as 2-D float rows of `width` columns, a single
     1-D row as one row, and whether X was that single row (its prediction is

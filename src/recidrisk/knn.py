@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import N_LABELS, as_rows, as_xy, top_label
-
-_QUERY_CHUNK = 512  # bounds the distance-matrix block to a few dozen MB
+from .dataset import N_LABELS, QUERY_CHUNK, as_rows, as_xy, top_label
 
 
 @dataclass
@@ -59,12 +57,12 @@ def neighbor_labels(
     """
     train_sq = np.einsum("ij,ij->i", train_values, train_values)
     out = np.empty((X.shape[0], k_max), dtype=np.int64)
-    for start in range(0, X.shape[0], _QUERY_CHUNK):
-        chunk = X[start : start + _QUERY_CHUNK]
+    for start in range(0, X.shape[0], QUERY_CHUNK):
+        chunk = X[start : start + QUERY_CHUNK]
         d2 = train_sq[None, :] - 2.0 * (chunk @ train_values.T)
         # query norms omitted: constant per row, order unchanged
         ranked = np.argsort(d2, axis=1, kind="stable")[:, :k_max]
-        out[start : start + _QUERY_CHUNK] = train_labels[ranked]
+        out[start : start + QUERY_CHUNK] = train_labels[ranked]
     return out
 
 

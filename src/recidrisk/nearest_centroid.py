@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import as_rows, as_xy
+from .dataset import QUERY_CHUNK, as_rows, as_xy
 
 METRICS = ("euclidean", "manhattan", "minkowski")
 
@@ -67,9 +67,11 @@ class NearestCentroidModel:
 
     def predict(self, X) -> np.ndarray:
         X, single = as_rows(X, self.width)
-        dist = _distances(X, self.effective_centroids, self.metric, self.p)
-        # last argmin over ascending classes = higher-risk label on exact ties
-        pick = dist.shape[1] - 1 - np.argmin(dist[:, ::-1], axis=1)
+        centroids, pick = self.effective_centroids, np.empty(X.shape[0], dtype=np.intp)
+        for start in range(0, X.shape[0], QUERY_CHUNK):
+            dist = _distances(X[start : start + QUERY_CHUNK], centroids, self.metric, self.p)
+            # last argmin over ascending classes = higher-risk label on exact ties
+            pick[start : start + QUERY_CHUNK] = dist.shape[1] - 1 - np.argmin(dist[:, ::-1], axis=1)
         labels = self.classes[pick]
         return labels[0] if single else labels
 

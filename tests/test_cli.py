@@ -1,6 +1,7 @@
 """CLI pipeline: each subcommand end to end on a small corpus."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -207,12 +208,27 @@ CONFIG_ERRORS = {
     "sweep_profile_runs_0": ("sweep", {"profile_runs": 0}, "field 'profile_runs' must be >= 1\n"),
     "sweep_profile_mu_1.5": ("sweep", {"profile_mu": 1.5}, "field 'profile_mu' must lie in [0, 1]\n"),
     "sweep_jobs": ("sweep", {"jobs": 2}, "unknown field(s) jobs; sweep takes rule_system, "),
+    "train_fraction_1.5": ("train", {"train_fraction": 1.5}, "field 'train_fraction' must lie in (0, 1)\n"),
+    "gridsearch_train_fraction_0": ("gridsearch", {"train_fraction": 0},
+                                    "field 'train_fraction' must lie in (0, 1)\n"),
+    "evaluate_taus_negative": ("evaluate", {"taus": [0.5, -1]}, "field 'taus' values must be >= 0\n"),
+    "sweep_taus_negative": ("sweep", {"taus": [-1]}, "field 'taus' values must be >= 0\n"),
+    "sensitivity_thresholds_empty": ("sensitivity", {"thresholds": []},
+                                     "field 'thresholds' must not be empty\n"),
+    "sensitivity_thresholds_1": ("sensitivity", {"thresholds": [3, 1]},
+                                 "field 'thresholds' values must be >= 2\n"),
+    "train_high_threshold_1": ("train", {"high_threshold": 1}, "field 'high_threshold' must be >= 2\n"),
+    "crossval_k_1": ("crossval", {"k": 1}, "field 'k' must be >= 2\n"),
+    "sweep_k_1": ("sweep", {"auto_ml": True, "k": 1}, "field 'k' must be >= 2\n"),
+    "decide_r0_negative": ("decide", {"r0": -1}, "field 'r0' must be >= 0\n"),
 }
 
 
 def _argv(command, generated, curve, model=None):
     """A runnable command line for `command` on the generated corpus."""
     data = ["--data", str(generated / "cases.csv"), "--schema", str(generated / "schema.json")]
+    if command == "generate":
+        return ["generate"]
     if command == "decide":
         return ["decide", "--curve", str(curve)]
     if command == "evaluate":
@@ -220,20 +236,57 @@ def _argv(command, generated, curve, model=None):
     return [command, *data]
 
 
+# command: flags of a quick run, whose output directory the refused runs below reuse
+QUICK_RUNS = {
+    "generate": ["--n", "50"],
+    "train": [],
+    "evaluate": [],
+    "gridsearch": ["--space", "nc-fine"],
+    "crossval": ["--family", "nc", "--k", "3"],
+    "sweep": ["--grid-size", "3", "--n-runs", "1", "--profile-runs", "2"],
+    "decide": ["--r0", "0.1"],
+    "sensitivity": ["--thresholds", "3"],
+}
+
+
+@pytest.fixture(scope="module")
+def earlier_runs(generated, trained, tmp_path_factory):
+    """command -> the output directory of its quick run."""
+    root = tmp_path_factory.mktemp("earlier")
+    curve = root / "resource.csv"
+    curve.write_text(RESOURCE_CURVE)
+    for command, flags in QUICK_RUNS.items():
+        assert main(_argv(command, generated, curve, trained) + flags
+                    + ["--out-dir", str(root / command)]) == 0
+    return root
+
+
+def _refused(argv, earlier_runs, tmp_path, capsys) -> str:
+    """Run `argv` (no --out-dir) into a new directory and into a copy of an
+    earlier run of its command; both must fail with one line and touch
+    nothing. Returns the error line."""
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+    reused = shutil.copytree(earlier_runs / argv[0], tmp_path / "reused")
+    before = {p.name: p.read_bytes() for p in reused.iterdir()}
+    assert main(argv + ["--out-dir", str(reused)]) == 1
+    assert capsys.readouterr().err == err
+    assert {p.name: p.read_bytes() for p in reused.iterdir()} == before
+    return err
+
+
 @pytest.mark.parametrize("case", CONFIG_ERRORS)
-def test_config_file_errors_are_oneline(generated, trained, tmp_path, capsys, case):
+def test_config_file_errors_are_oneline(generated, trained, earlier_runs, tmp_path, capsys, case):
     command, fields, message = CONFIG_ERRORS[case]
     config = tmp_path / "config.json"
     config.write_text(json.dumps(fields))
     curve = tmp_path / "resource.csv"
     curve.write_text(RESOURCE_CURVE)
-    out = tmp_path / "out"
-    code = main(_argv(command, generated, curve, trained) + ["--config", str(config), "--out-dir", str(out)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1
-    assert err.startswith(f"error: {config}: {message}")
-    assert not out.exists()
+    argv = _argv(command, generated, curve, trained) + ["--config", str(config)]
+    assert _refused(argv, earlier_runs, tmp_path, capsys).startswith(f"error: {config}: {message}")
 
 
 # command: (flags, the same values as --config fields)
@@ -574,11 +627,37 @@ def test_colliding_tau_flags_are_refused(generated, tmp_path, capsys, first, sec
     ("--profile-runs", "0", "must be >= 1"),
     ("--profile-mu", "1.5", "must lie in [0, 1]"),
 ])
-def test_out_of_range_sweep_flags_are_refused(generated, tmp_path, capsys, flag, value, message):
-    out = tmp_path / "sweep"
-    assert main(_sweep_argv(generated, out, flag, value)) == 1
-    assert capsys.readouterr().err == f"error: {flag} {message}\n"
-    assert not out.exists()
+def test_out_of_range_sweep_flags_are_refused(generated, earlier_runs, tmp_path, capsys, flag, value,
+                                              message):
+    argv = _argv("sweep", generated, None) + [flag, value]
+    assert _refused(argv, earlier_runs, tmp_path, capsys) == f"error: {flag} {message}\n"
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("sweep", ["--tau", "-1"], "--tau values must be >= 0\n"),
+    ("sweep", ["--auto-ml", "--k", "1"], "--k must be >= 2\n"),
+    ("evaluate", ["--tau", "0.5", "--tau", "-1"], "--tau values must be >= 0\n"),
+    ("crossval", ["--k", "1"], "--k must be >= 2\n"),
+    # 900 cases, 603 in the train part
+    ("crossval", ["--k", "5000"], "k must satisfy 2 <= k <= 603, got 5000\n"),
+    ("train", ["--family", "knn", "--params", '{"k": 5000}'], "k must satisfy 1 <= k <= 603, got 5000\n"),
+    ("train", ["--train-fraction", "1.5"], "--train-fraction must lie in (0, 1)\n"),
+    ("gridsearch", ["--train-fraction", "0"], "--train-fraction must lie in (0, 1)\n"),
+    ("sensitivity", ["--train-fraction", "1"], "--train-fraction must lie in (0, 1)\n"),
+    ("train", ["--high-threshold", "1"], "--high-threshold must be >= 2\n"),
+    ("sensitivity", ["--thresholds", "1"], "--thresholds values must be >= 2\n"),
+    ("sensitivity", ["--thresholds", "4,1"], "--thresholds values must be >= 2\n"),
+    ("decide", ["--r0", "-1"], "--r0 must be >= 0\n"),
+], ids=["sweep_tau_negative", "sweep_auto_ml_k_1", "evaluate_tau_negative", "crossval_k_1",
+        "crossval_k_above_rows", "train_knn_k_above_rows", "train_fraction_1.5",
+        "gridsearch_train_fraction_0", "sensitivity_train_fraction_1", "train_high_threshold_1",
+        "sensitivity_threshold_1", "sensitivity_thresholds_4_1", "decide_r0_negative"])
+def test_out_of_range_flags_are_refused(generated, trained, earlier_runs, tmp_path, capsys, command,
+                                        flags, message):
+    curve = tmp_path / "resource.csv"
+    curve.write_text(RESOURCE_CURVE)
+    argv = _argv(command, generated, curve, trained) + flags
+    assert _refused(argv, earlier_runs, tmp_path, capsys) == f"error: {message}"
 
 
 def test_resource_curve_does_not_depend_on_the_other_taus(generated, tmp_path):
@@ -593,14 +672,32 @@ def test_resource_curve_does_not_depend_on_the_other_taus(generated, tmp_path):
     assert curves[0] == curves[1]
 
 
-def test_reused_out_dir_holds_only_the_new_runs_files(generated, tmp_path):
-    out = tmp_path / "sweep"
-    assert main(_sweep_argv(generated, out)) == 0
-    assert (out / "resource_sweep_tau5.csv").exists()
-    assert main(_sweep_argv(generated, out, "--tau", "0.5")) == 0
+# command: (flags of a second run into its quick run's directory, a file of the
+# quick run that the second run does not write, or None)
+SECOND_RUNS = {
+    "generate": (["--n", "50", "--no-viogen"], "viogen.json"),
+    "train": (["--family", "knn", "--params", '{"k": 3}'], None),
+    "evaluate": (["--tau", "2"], None),
+    "gridsearch": (["--space", "nc-fine", "--no-baseline"], None),
+    "crossval": (["--family", "nc", "--k", "4"], None),
+    "sweep": (QUICK_RUNS["sweep"] + ["--tau", "0.5"], "resource_sweep_tau5.csv"),
+    "decide": (["--r0", "0.15", "--monotone"], None),
+    "sensitivity": (["--thresholds", "4"], None),
+}
+
+
+@pytest.mark.parametrize("command", SECOND_RUNS)
+def test_reused_out_dir_holds_only_the_new_runs_files(generated, trained, earlier_runs, tmp_path,
+                                                      command):
+    flags, dropped = SECOND_RUNS[command]
+    out = shutil.copytree(earlier_runs / command, tmp_path / command)
+    curve = tmp_path / "resource.csv"
+    curve.write_text(RESOURCE_CURVE)
+    assert main(_argv(command, generated, curve, trained) + flags + ["--out-dir", str(out)]) == 0
     listed = json.loads((out / "manifest.json").read_text())["outputs"]
     assert sorted(p.name for p in out.iterdir()) == sorted(listed + ["manifest.json"])
-    assert "resource_sweep_tau0.5.csv" in listed
+    if dropped is not None:
+        assert (earlier_runs / command / dropped).exists() and dropped not in listed
 
 
 def test_out_dir_of_another_command_is_refused(generated, tmp_path, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from recidrisk.dataset import FeatureMatrix
+from recidrisk.dataset import QUERY_CHUNK, FeatureMatrix
 from recidrisk.nearest_centroid import nc_fit
 
 
@@ -159,3 +159,18 @@ def test_brute_force_equivalence_random_datasets():
         preds = model.predict(queries)
         for q, pred in zip(queries, preds):
             assert pred == brute_nc_predict(X, y, q, classes=model.classes.tolist())
+
+
+@pytest.mark.parametrize("metric, p, shrink", [("euclidean", 2.0, None), ("manhattan", 1.0, 0.2),
+                                               ("minkowski", 3.0, 0.2)])
+def test_chunked_predict_equals_row_by_row(metric, p, shrink):
+    """Queries spanning three predict blocks get the labels they get one at a time."""
+    rng = np.random.default_rng(21)
+    X = rng.random((90, 12))
+    y = rng.integers(0, 3, 90)
+    model = nc_fit((X, y), metric=metric, p=p, shrink_threshold=shrink)
+    queries = rng.random((2 * QUERY_CHUNK + 1, 12))
+    labels = model.predict(queries)
+    assert labels.tolist() == [model.predict(q) for q in queries]
+    if shrink is None and metric == "euclidean":
+        assert labels.tolist() == [brute_nc_predict(X, y, q) for q in queries]
