@@ -30,7 +30,7 @@ import copy
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -448,16 +448,18 @@ def cmd_sensitivity(args, cfg):
                                    for row in rows)
 
 
-def _taus(what: str, taus: list[float]) -> None:
+def _taus(nonempty: bool = False):
     """Taus are penalties, so >= 0. They name their outputs by `tau{tau:g}`
     (sweep curve files, report rows), so two taus with one name would write
     over each other."""
-    _each_at_least(0)(what, taus)
-    names = [f"{tau:g}" for tau in taus]
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ValueError(f"{what} holds {taus[names.index(name)]!r} and {taus[i]!r}, "
-                             f"which share the output name tau{name}")
+    def check(what: str, taus: list[float]) -> None:
+        _each_at_least(0, nonempty)(what, taus)
+        names = [f"{tau:g}" for tau in taus]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(f"{what} holds {taus[names.index(name)]!r} and {taus[i]!r}, "
+                                 f"which share the output name tau{name}")
+    return check
 
 
 def _at_least(low: int):
@@ -496,7 +498,7 @@ _SPLIT = (Option("train_fraction", 0.67, float, check=_open_unit_interval),
           Option("split_seed", 0, int), Option("seed", 0, int))
 _HIGH_THRESHOLD = Option("high_threshold", 3, int, check=_at_least(2))
 _JOBS = Option("jobs", 1, int, help="parallel worker bound (results are jobs-invariant)")
-_TAUS = Option("taus", list(_DEFAULT_TAUS), list[float], flag="--tau", check=_taus)
+_TAUS = Option("taus", list(_DEFAULT_TAUS), list[float], flag="--tau", check=_taus())
 _PARAMS_HELP = "hyperparameters as a JSON object"
 
 COMMANDS = {
@@ -537,7 +539,8 @@ COMMANDS = {
         Option("k", 10, int, check=_at_least(2)),
         Option("grid_size", 200, int, check=_at_least(2)),
         Option("n_runs", 10, int, check=_at_least(1)),
-        _TAUS,
+        # a sweep's resource profile holds one row per tau, and a table without rows is no table
+        replace(_TAUS, check=_taus(nonempty=True)),
         Option("profile_mu", 0.9, float, check=_unit_interval),
         Option("profile_runs", 50, int, check=_at_least(1)),
         *_SPLIT, _HIGH_THRESHOLD,

@@ -1,13 +1,14 @@
 """Model selection: exhaustive grids, k-fold tuning and ranked tables, on one engine.
 
 `evaluate_space` scores every config of a search space on one (train, test)
-pair, in groups that share work: one neighbor ranking serves every k, one
-full-depth tree all of its depth caps, and a forest's member trees every
-smaller ensemble. Grid search calls it once; k-fold tuning draws the folds
-once and calls it per fold. A seed rule gives every config of a group the
-same fit seed, which makes the sharing exact: the grid's rule derives it from
-the hyperparameters that reach the sampler (so any one grid point refitted
-alone reproduces its row), the k-fold rule from the fold.
+pair, in groups that share work: one set of class statistics for every NC
+metric and shrink threshold, one neighbor ranking for every k, one full-depth
+tree for all of its depth caps, and a forest's member trees for every smaller
+ensemble. Grid search calls it once; k-fold tuning draws the folds once and
+calls it per fold. A seed rule gives every config of a group the same fit
+seed, which makes the sharing exact: the grid's rule derives it from the
+hyperparameters that reach the sampler (so any one grid point refitted alone
+reproduces its row), the k-fold rule from the fold.
 
 A config's hyperparameters, with their defaults and types, are its family's
 fit function's parameters; a config naming any other, or giving a value of
@@ -43,7 +44,7 @@ from .dataset import (
 )
 from .knn import knn_fit, neighbor_labels, vote
 from .metrics import MetricSpec, class_scores, confusion, police_protection
-from .nearest_centroid import nc_fit
+from .nearest_centroid import distance_of, nc_fit, nc_shrink, nc_stats
 from .seeding import derive_seed
 from .trees import _forest_members, forest_fit, tree_fit
 
@@ -320,12 +321,29 @@ def _checked(configs, n_rows):
 
 
 def _predict_nc(configs, train, test, seed_of):
-    out = []
-    for config in configs:
-        try:
-            out.append(fit_model(config, train, seed_of(config)).predict(test.values))
-        except ValueError as exc:
-            out.append(str(exc))
+    """Every metric and shrink threshold from one set of class statistics, and one
+    prediction per distinct model: minkowski of order 2 or 1 is euclidean or manhattan."""
+    out, valid = _checked(configs, train.n_rows)
+    if not valid:
+        return out
+    try:
+        stats = nc_stats(train, deviations=any(c.value("shrink_threshold") is not None
+                                               for c in valid.values()))
+    except ValueError as exc:
+        for i in valid:
+            out[i] = str(exc)
+        return out
+    models = {}
+    for i, config in valid.items():
+        metric, shrink, p = (config.value(name) for name in ("metric", "shrink_threshold", "p"))
+        distance = distance_of(metric, p)
+        key = (distance, p if distance == "minkowski" else None, shrink)
+        if key not in models:
+            try:
+                models[key] = nc_shrink(stats, metric, shrink, p).predict(test.values)
+            except ValueError as exc:
+                models[key] = str(exc)
+        out[i] = models[key]
     return out
 
 

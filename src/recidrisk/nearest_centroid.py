@@ -17,6 +17,13 @@ are soft-thresholded at delta,
 and the shrunken centroids are mean_j + m_k * (s_j + s_0) * d'_kj. Features
 whose offsets vanish for every class no longer influence any distance.
 
+A fit is two steps. `nc_stats` makes the one pass over the training rows
+that no hyperparameter changes: classes, per-class counts, class centroids,
+the overall centroid and, when asked for, s_j. `nc_shrink` then builds the
+model of one (metric, shrink threshold, p) from those statistics, so every
+threshold and metric of a search shares one pass. `nc_fit` is the two in a
+row, and skips s_j when it fits without shrinkage.
+
 `_validate` is the family's hyperparameter rule (a known metric, p >= 1 for
 minkowski, a shrink threshold >= 0 or None); `nc_fit` applies it first, and
 model selection and model files check the same values through it.
@@ -76,14 +83,17 @@ class NearestCentroidModel:
         return labels[0] if single else labels
 
 
+def distance_of(metric: str, p: float) -> str:
+    """The distance `predict` computes for (metric, p). Minkowski of order 2 or 1
+    takes the euclidean or manhattan path, so its predictions match those
+    metrics bit for bit, not just in the limit."""
+    if metric == "minkowski" and p in (1.0, 2.0):
+        return "euclidean" if p == 2.0 else "manhattan"
+    return metric
+
+
 def _distances(X: np.ndarray, centroids: np.ndarray, metric: str, p: float) -> np.ndarray:
-    if metric == "minkowski":
-        # route the exact-equivalence orders through the specialized paths so
-        # p=2 predictions match euclidean bit for bit, not just in the limit
-        if p == 2.0:
-            metric = "euclidean"
-        elif p == 1.0:
-            metric = "manhattan"
+    metric = distance_of(metric, p)
     diff = np.abs(X[:, None, :] - centroids[None, :, :])
     if metric == "manhattan":
         return diff.sum(axis=2)
@@ -102,40 +112,53 @@ def _validate(metric: str, shrink_threshold, p) -> None:
         raise ValueError("shrink_threshold must be >= 0 or None")
 
 
-def nc_fit(
-    train,
-    metric: str = "euclidean",
-    shrink_threshold: float | None = None,
-    p: float = 2.0,
-) -> NearestCentroidModel:
-    _validate(metric, shrink_threshold, p)
+@dataclass(frozen=True)
+class ClassStats:
+    """What a fit learns from the training rows before any hyperparameter."""
+
+    classes: np.ndarray  # sorted labels present
+    counts: np.ndarray  # (k,) training rows per class
+    centroids: np.ndarray  # (k, d) class means
+    overall: np.ndarray  # (d,) mean of all rows
+    s: np.ndarray | None  # (d,) pooled within-class deviations, if asked for
+
+
+def nc_stats(train, deviations: bool) -> ClassStats:
+    """The class statistics of `train`; s_j only with `deviations`, as shrinkage alone needs it."""
     X, y = as_xy(train)
     if X.shape[0] == 0:
         raise ValueError("cannot fit on an empty training set")
-
     classes, y_idx = np.unique(y, return_inverse=True)
     k, (n, d) = classes.size, X.shape
-    n_per_class = np.bincount(y_idx, minlength=k)
+    counts = np.bincount(y_idx, minlength=k)
     centroids = np.empty((k, d))
     for i in range(k):
         centroids[i] = X[y_idx == i].mean(axis=0)
-    overall = X.mean(axis=0)
+    s = None
+    if deviations:
+        within = X - centroids[y_idx]
+        s = np.sqrt((within * within).sum(axis=0) / max(n - k, 1))
+    return ClassStats(classes, counts, centroids, X.mean(axis=0), s)
 
+
+def nc_shrink(stats: ClassStats, metric: str, shrink_threshold: float | None,
+              p: float) -> NearestCentroidModel:
+    """The model of one (metric, shrink_threshold, p) on `stats`, which must hold s_j
+    when `shrink_threshold` is not None. The values are not checked: see `_validate`."""
+    classes, centroids, overall = stats.classes, stats.centroids, stats.overall
     if shrink_threshold is None:
         return NearestCentroidModel(
             classes, centroids, overall, None, None, None, None, metric, p, None
         )
 
-    tiny = classes[n_per_class < 2]
+    tiny = classes[stats.counts < 2]
     if tiny.size:
         raise ValueError(
             f"shrinkage needs >= 2 training rows per class; class {int(tiny[0])} has fewer"
         )
-    within = X - centroids[y_idx]
-    pooled_var = (within * within).sum(axis=0) / max(n - k, 1)
-    s = np.sqrt(pooled_var)
+    s, n = stats.s, int(stats.counts.sum())
     s0 = float(max(np.median(s), _S0_REL_FLOOR * s.max(initial=0.0), _S0_ABS_FLOOR))
-    m = np.sqrt(1.0 / n_per_class - 1.0 / n)  # (k,)
+    m = np.sqrt(1.0 / stats.counts - 1.0 / n)  # (k,)
     scale = m[:, None] * (s + s0)[None, :]
     with np.errstate(invalid="ignore", divide="ignore"):
         d_kj = np.where(scale > 0, (centroids - overall) / np.where(scale > 0, scale, 1.0), 0.0)
@@ -144,3 +167,14 @@ def nc_fit(
     return NearestCentroidModel(
         classes, centroids, overall, s, s0, offsets, shrunken, metric, p, shrink_threshold
     )
+
+
+def nc_fit(
+    train,
+    metric: str = "euclidean",
+    shrink_threshold: float | None = None,
+    p: float = 2.0,
+) -> NearestCentroidModel:
+    _validate(metric, shrink_threshold, p)
+    stats = nc_stats(train, deviations=shrink_threshold is not None)
+    return nc_shrink(stats, metric, shrink_threshold, p)

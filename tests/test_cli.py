@@ -213,6 +213,7 @@ CONFIG_ERRORS = {
                                     "field 'train_fraction' must lie in (0, 1)\n"),
     "evaluate_taus_negative": ("evaluate", {"taus": [0.5, -1]}, "field 'taus' values must be >= 0\n"),
     "sweep_taus_negative": ("sweep", {"taus": [-1]}, "field 'taus' values must be >= 0\n"),
+    "sweep_taus_empty": ("sweep", {"taus": []}, "field 'taus' must not be empty\n"),
     "sensitivity_thresholds_empty": ("sensitivity", {"thresholds": []},
                                      "field 'thresholds' must not be empty\n"),
     "sensitivity_thresholds_1": ("sensitivity", {"thresholds": [3, 1]},
@@ -287,6 +288,17 @@ def test_config_file_errors_are_oneline(generated, trained, earlier_runs, tmp_pa
     curve.write_text(RESOURCE_CURVE)
     argv = _argv(command, generated, curve, trained) + ["--config", str(config)]
     assert _refused(argv, earlier_runs, tmp_path, capsys).startswith(f"error: {config}: {message}")
+
+
+def test_evaluate_takes_an_empty_tau_list(generated, trained, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"taus": []}))
+    out = tmp_path / "eval"
+    assert main(_argv("evaluate", generated, None, trained) + ["--config", str(config),
+                                                               "--out-dir", str(out)]) == 0
+    text = (out / "metrics.csv").read_text()
+    assert "police_protection" in text and "police_resource" not in text
+    assert json.loads((out / "manifest.json").read_text())["config"]["taus"] == []
 
 
 # command: (flags, the same values as --config fields)

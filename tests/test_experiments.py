@@ -1,12 +1,14 @@
 """Grid search, cross-validation and the comparison/sensitivity tables."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from recidrisk import experiments
 from recidrisk.baseline import NAMED_RULE_SYSTEMS
 from recidrisk.dataset import FeatureMatrix, SplitSpec, kfold
 from recidrisk.experiments import (
@@ -17,6 +19,7 @@ from recidrisk.experiments import (
     config_seed,
     cv_table,
     default_search_space,
+    evaluate_space,
     fit_model,
     grid_search,
     nc_fine_space,
@@ -25,7 +28,7 @@ from recidrisk.experiments import (
     threshold_sensitivity,
 )
 from recidrisk.metrics import MetricSpec, confusion, police_protection
-from recidrisk.nearest_centroid import nc_fit
+from recidrisk.nearest_centroid import NearestCentroidModel, nc_fit
 from recidrisk.seeding import derive_seed
 
 
@@ -185,6 +188,67 @@ def test_cross_validate_two_folds_by_hand():
         expected.append(police_protection(cm))
     assert list(cv_oracle(config, matrix, 2, MetricSpec("police_protection"), 4)) == expected
     assert (row.mean, row.std) == (np.mean(expected), np.std(expected))
+
+
+NC_CONFIGS = st.tuples(
+    st.sampled_from(["euclidean", "manhattan", "minkowski", "chebyshev"]),  # the last is invalid
+    st.one_of(st.just({}), st.sampled_from([1, 2, 3, 1.0, 2.0, 3.0, 4.5]).map(lambda p: {"p": p})),
+    st.sampled_from([None, 0, 0.0, 0.3, 1, 4.0]),
+).map(lambda t: ModelConfig("nc", {"metric": t[0], **t[1], "shrink_threshold": t[2]}))
+
+
+def _group_outcomes(space, train, test):
+    """evaluate_space's rows with each score replaced by the labels it was computed from."""
+    with mock.patch.object(experiments, "_score_row", lambda family, params, preds, *_: preds):
+        rows = evaluate_space(space, train, test, MetricSpec("high_f1"), lambda config: 0)
+    return [row.error if isinstance(row, experiments.ResultRow) else row for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs=st.lists(NC_CONFIGS, min_size=1, max_size=10), n_classes=st.integers(1, 3),
+       singleton=st.booleans(), width=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+@example(configs=[ModelConfig("nc", {"metric": "minkowski", "p": p, "shrink_threshold": None})
+                  for p in (3, 4.5)]
+         + [ModelConfig("nc", {"shrink_threshold": shrink}) for shrink in (0, 0.3)],
+         n_classes=3, singleton=False, width=6, seed=1)  # both pairs predict differently here
+def test_nc_group_is_each_config_fitted_alone(configs, n_classes, singleton, width, seed):
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(2, 6, n_classes)
+    if singleton:
+        counts[0] = 1
+    labels = np.repeat(np.sort(rng.choice(3, n_classes, replace=False)), counts)
+    train = FeatureMatrix((rng.random((labels.size, width)) < 0.5).astype(float), rng.permutation(labels))
+    test = FeatureMatrix((rng.random((20, width)) < 0.5).astype(float), rng.integers(0, 3, 20))
+    for config, outcome in zip(configs, _group_outcomes(SearchSpace(tuple(configs)), train, test)):
+        try:
+            expected = nc_fit(train, **config.params).predict(test.values)
+        except ValueError as exc:
+            assert outcome == str(exc)
+        else:
+            assert isinstance(outcome, np.ndarray) and outcome.dtype == expected.dtype
+            assert np.array_equal(outcome, expected)
+
+
+@pytest.mark.parametrize("space, predicts", [
+    (nc_fine_space(), 18),
+    (SearchSpace(tuple(c for c in default_search_space().configs if c.family == "nc")), 12),
+], ids=["nc_fine", "default_grid"])
+def test_nc_group_shares_one_pass_and_predicts_once_per_model(small_split, monkeypatch, space,
+                                                              predicts):
+    train, test = small_split
+    calls = {"stats": 0, "predict": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(experiments, "nc_stats", counted("stats", experiments.nc_stats))
+    monkeypatch.setattr(NearestCentroidModel, "predict", counted("predict", NearestCentroidModel.predict))
+    rows = evaluate_space(space, train, test, MetricSpec("high_f1"), lambda config: 0)
+    assert all(row.error is None for row in rows)
+    assert calls == {"stats": 1, "predict": predicts}
 
 
 def test_nc_fine_tune_table_shape(small_split):
