@@ -31,6 +31,7 @@ from .dataset import (
     encode_cases,
     kfold,
     label_from_recidivism,
+    read_case_matrix,
     split,
 )
 from .experiments import (
@@ -68,6 +69,7 @@ from .nearest_centroid import NearestCentroidModel, nc_fit
 from .synthgen import (
     GeneratorConfig,
     ResponseProfile,
+    assess_cases,
     attach_viogen_scores,
     default_schema,
     demo_config,

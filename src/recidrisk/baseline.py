@@ -79,14 +79,19 @@ def score_responses(responses: dict, weights: dict) -> float:
     return total
 
 
-def classify_score(score: float, thresholds) -> ViogenClass:
-    """Five-class value: the number of thresholds strictly below the score."""
+def classify_scores(scores, thresholds) -> np.ndarray:
+    """Five-class value of each score: the number of thresholds strictly below it."""
     thresholds = tuple(thresholds)
     if len(thresholds) != N_VIOGEN_CLASSES - 1 or any(
         a >= b for a, b in zip(thresholds, thresholds[1:])
     ):
         raise ValueError("need 4 strictly ascending thresholds")
-    return ViogenClass(int(sum(1 for t in thresholds if t < score)))
+    return np.searchsorted(np.asarray(thresholds, dtype=np.float64), scores, side="left")
+
+
+def classify_score(score: float, thresholds) -> ViogenClass:
+    """Five-class value of one score, by the `classify_scores` rule."""
+    return ViogenClass(int(classify_scores(score, thresholds)))
 
 
 def viogen_classify(

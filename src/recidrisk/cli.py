@@ -41,8 +41,8 @@ from .dataset import (
     FeatureMatrix,
     SplitSpec,
     comment_lines,
-    encode_cases,
     fmt_float,
+    read_case_matrix,
     read_cases,
     read_json,
     read_schema,
@@ -74,12 +74,11 @@ from .model_io import load_model, model_family, save_model
 from .seeding import derive_seed
 from .synthgen import (
     DEMO_SEED,
-    attach_viogen_scores,
+    assess_cases,
     config_to_json,
     demo_config,
     generate,
     read_config,
-    score_thresholds,
     severity_weights,
 )
 
@@ -241,8 +240,7 @@ def cmd_generate(args, cfg):
     outputs = {}
     if cfg["with_viogen"]:
         weights = severity_weights(config.schema)
-        thresholds = score_thresholds(records, weights)
-        records = attach_viogen_scores(records, weights, thresholds)
+        records, thresholds = assess_cases(records, weights)
         outputs["viogen.json"] = _json({
             "weights": {f"{qid}|{opt}": w for (qid, opt), w in sorted(weights.items())},
             "thresholds": list(thresholds),
@@ -277,9 +275,7 @@ def cmd_train(args, cfg):
 
 
 def _load_matrix(args, cfg) -> FeatureMatrix:
-    schema = read_schema(args.schema)
-    records = read_cases(args.data)
-    return encode_cases(records, schema, high_threshold=cfg["high_threshold"])
+    return read_case_matrix(args.data, read_schema(args.schema), high_threshold=cfg["high_threshold"])
 
 
 def _metric_report(model_id: str, cm, taus):

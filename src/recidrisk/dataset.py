@@ -5,6 +5,14 @@ follow-up aggression reports observed for it. Cases are encoded against an
 immutable schema into fixed-width one-hot rows (one block per question, with
 a dedicated trailing indicator column for unanswered questions), and the
 follow-up count is collapsed into the three-level risk target.
+
+One encoding core serves both ways in: `encode_cases` for records in memory,
+and `read_case_matrix`, the one case-file loader, which streams the file in
+blocks of rows and encodes them column by column without building a record
+per row. Both map each answer to its column through the same option lookup
+and missing rule, label by `risk_labels`, and keep viogen scores by the same
+rule. `read_cases` still returns the file's records, for callers that need
+the raw responses or counts.
 """
 
 from __future__ import annotations
@@ -198,21 +206,82 @@ class SplitSpec:
             raise ValueError("train_fraction must lie strictly inside (0, 1)")
 
 
-def label_from_recidivism(count: int, high_threshold: int = 3) -> RiskLabel:
-    """Collapse a follow-up aggression count into the three-level risk label.
+def risk_labels(counts, high_threshold: int = 3) -> np.ndarray:
+    """Collapse follow-up aggression counts into three-level risk labels.
 
     0 maps to No, counts below `high_threshold` map to Low, and anything at or
     above it maps to High. The map is monotone in the count.
     """
-    if count < 0:
+    counts = np.asarray(counts)
+    if (counts < 0).any():
         raise ValueError("count must be >= 0")
     if high_threshold < 2:
         raise ValueError("high_threshold must be >= 2 so the Low band is non-empty")
-    if count == 0:
-        return RiskLabel.NO
-    if count < high_threshold:
-        return RiskLabel.LOW
-    return RiskLabel.HIGH
+    return (counts > 0).astype(np.int64) + (counts >= high_threshold)
+
+
+def label_from_recidivism(count: int, high_threshold: int = 3) -> RiskLabel:
+    """The risk label of one follow-up count, by the `risk_labels` rule."""
+    return RiskLabel(int(risk_labels(count, high_threshold)))
+
+
+# ---------------------------------------------------------------------------
+# The encoding core. Records (`encode_cases`) and case files
+# (`read_case_matrix`) both come here with one column of answers per
+# question; each cell maps to its active column through one dict.
+
+def _answer_columns(question: Question, offset: int, missing) -> dict:
+    """Each answer's active column: an option's own column, and for `missing`,
+    the cell of an unanswered question, the indicator column where the
+    question allows it."""
+    columns = {option: offset + j for j, option in enumerate(question.options)}
+    if question.allows_missing:
+        columns[missing] = offset + len(question.options)
+    else:
+        columns.pop(missing, None)  # on file an empty option reads as no answer
+    return columns
+
+
+def _encode_answers(schema: QuestionnaireSchema, n: int, answers: list, missing) -> np.ndarray:
+    """(n, Q) active columns of n cases from `answers[q]`, question q's cells
+    in case order. -1 marks a cell that is not one of the question's options,
+    or is missing where the question does not allow it."""
+    dtype = np.int16 if schema.width <= np.iinfo(np.int16).max else np.int64
+    codes = np.empty((n, len(schema.questions)), dtype=dtype)
+    for j, (q, cells) in enumerate(zip(schema.questions, answers)):
+        lookup = _answer_columns(q, schema.offsets[q.question_id], missing)
+        codes[:, j] = np.fromiter(map(lookup.get, cells, itertools.repeat(-1)), dtype, count=n)
+    return codes
+
+
+def _first_bad_answer(schema: QuestionnaireSchema, codes: np.ndarray, answers: list, missing):
+    """None, or (row, message) for the first cell `_encode_answers` rejected,
+    in case order, then question order."""
+    bad = codes < 0
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad.any(axis=1)))
+    j = int(np.argmax(bad[row]))
+    q, cell = schema.questions[j], answers[j][row]
+    if cell == missing:
+        return row, f"question {q.question_id!r} does not allow missing"
+    return row, f"question {q.question_id!r} has no option {cell!r}"
+
+
+def _first_failure(*failures):
+    """The (row, what) failure at the earliest row, or None; a tie goes to the
+    one listed first."""
+    found = [failure for failure in failures if failure is not None]
+    return min(found, key=lambda failure: failure[0]) if found else None
+
+
+def _feature_matrix(schema: QuestionnaireSchema, codes, labels, scores) -> FeatureMatrix:
+    """The one-hot rows of the active columns. Viogen scores (-1 where a case
+    has none) are kept only when every case has one."""
+    values = np.zeros((codes.shape[0], schema.width), dtype=np.float64)
+    np.put_along_axis(values, codes, 1.0, axis=1)
+    has_scores = scores.size > 0 and bool((scores >= 0).all())
+    return FeatureMatrix(values, labels, viogen_scores=scores if has_scores else None)
 
 
 def encode_cases(
@@ -224,42 +293,23 @@ def encode_cases(
 
     Within each question's block exactly one entry is set: the matching option
     column, or the block's trailing missing-indicator column for unanswered
-    questions where the schema allows them.
+    questions where the schema allows them. The first record that does not
+    conform raises EncodingError.
     """
-    n, width = len(records), schema.width
-    values = np.zeros((n, width), dtype=np.float64)
-    labels = np.empty(n, dtype=np.int64)
-    scores = np.full(n, -1, dtype=np.int64)
-    option_index = {
-        q.question_id: {code: j for j, code in enumerate(q.options)} for q in schema.questions
-    }
-    for i, rec in enumerate(records):
-        unknown = set(rec.responses) - schema.by_id.keys()
-        if unknown:
-            raise EncodingError(
-                f"case {rec.case_id!r}: unknown question id(s) {sorted(unknown)!r}"
-            )
-        for q in schema.questions:
-            start = schema.offsets[q.question_id]
-            response = rec.responses.get(q.question_id, MISSING)
-            if response is MISSING:
-                if not q.allows_missing:
-                    raise EncodingError(
-                        f"case {rec.case_id!r}: question {q.question_id!r} does not allow missing"
-                    )
-                values[i, start + len(q.options)] = 1.0
-            else:
-                j = option_index[q.question_id].get(response)
-                if j is None:
-                    raise EncodingError(
-                        f"case {rec.case_id!r}: question {q.question_id!r} has no option {response!r}"
-                    )
-                values[i, start + j] = 1.0
-        labels[i] = label_from_recidivism(rec.recidivism_count, high_threshold)
-        if rec.viogen_score is not None:
-            scores[i] = rec.viogen_score
-    has_scores = bool(np.all(scores >= 0)) and n > 0
-    return FeatureMatrix(values, labels, viogen_scores=scores if has_scores else None)
+    known = schema.by_id.keys()
+    unknown = next(((i, f"unknown question id(s) {sorted(rec.responses.keys() - known)!r}")
+                    for i, rec in enumerate(records) if not rec.responses.keys() <= known), None)
+    answers = [[rec.responses.get(q.question_id, MISSING) for rec in records]
+               for q in schema.questions]
+    codes = _encode_answers(schema, len(records), answers, MISSING)
+    failure = _first_failure(unknown, _first_bad_answer(schema, codes, answers, MISSING))
+    if failure is not None:
+        row, what = failure
+        raise EncodingError(f"case {records[row].case_id!r}: {what}")
+    labels = risk_labels([rec.recidivism_count for rec in records], high_threshold)
+    scores = np.array([-1 if rec.viogen_score is None else rec.viogen_score for rec in records],
+                      dtype=np.int64)
+    return _feature_matrix(schema, codes, labels, scores)
 
 
 def decode_row(row: np.ndarray, schema: QuestionnaireSchema) -> dict:
@@ -330,14 +380,24 @@ def write_table(path: str | Path, columns, rows, manifest: str | None = None, co
         writer.writerows(rows)
 
 
-def read_table(path: str | Path, columns, parse_row, extra_columns: bool = False) -> list:
-    """Parse every row of a table file, streaming; returns the parsed rows.
+# Table rows parsed per block; bounds the cell strings alive at once. On the
+# 58-question demo file (2 cores, Python 3.11) 128 rows load fastest and keep
+# peak RSS lowest: from 512 rows up a block's cells outgrow the cache, and the
+# freed memory of larger blocks stays resident, pinned by later allocations.
+BLOCK_ROWS = 128
+
+
+def stream_table(path: str | Path, columns, start, extra_columns: bool = False) -> None:
+    """Stream the rows of a table file to a parser, in blocks of BLOCK_ROWS.
 
     `#` lines are comments only before the header. The header must equal
     `columns`, or start with them when `extra_columns` is set, and name each
-    column once. Every row must have the header's width and is turned into
-    an item by `parse_row(header, cells)`. Any failure, including a
-    ValueError from `parse_row`, raises ValueError("<path>:<line>: <what>").
+    column once; `start(header)` may reject it with a ValueError, and returns
+    the parser. Every row must have the header's width. `parse(rows)` gets the
+    rows of each block in file order and returns None, or (i, what) for the
+    first bad row of the block. Any failure raises ValueError("<path>:<line>:
+    <what>"), naming the header's line for a header defect and the line that
+    ends the first bad row otherwise.
     """
     with open(path, newline="") as fh:
         n_comments = 0
@@ -347,6 +407,11 @@ def read_table(path: str | Path, columns, parse_row, extra_columns: bool = False
             n_comments += 1
         else:
             raise ValueError(f"{path}:{n_comments + 1}: no header row")
+
+        def error(line: int, what) -> ValueError:
+            # line_num counts the physical lines the reader has consumed
+            return ValueError(f"{path}:{n_comments + max(line, 1)}: {what}")
+
         reader = csv.reader(itertools.chain((first,), fh))
         try:
             header = next(reader)
@@ -356,18 +421,56 @@ def read_table(path: str | Path, columns, parse_row, extra_columns: bool = False
             if len(set(header)) != len(header):
                 duplicates = sorted({name for name in header if header.count(name) > 1})
                 raise ValueError(f"duplicate column(s) {', '.join(duplicates)}")
-            width, items = len(header), []
-            for cells in reader:
-                if len(cells) != width:
-                    raise ValueError(f"expected {width} cells, found {len(cells)}")
-                items.append(parse_row(header, cells))
+            parse = start(header)
         except (ValueError, csv.Error) as exc:
-            # line_num counts the physical lines the reader has consumed
-            raise ValueError(f"{path}:{n_comments + max(reader.line_num, 1)}: {exc}") from None
-    if not items:
-        raise ValueError(f"{path}:{n_comments + reader.line_num + 1}: no rows after the header")
-    return items
+            raise error(reader.line_num, exc) from None
+        width, n_rows, broken = len(header), 0, None
+        while broken is None:
+            rows, lines = [], []
+            try:
+                for cells in reader:
+                    rows.append(cells)
+                    lines.append(reader.line_num)
+                    if len(rows) == BLOCK_ROWS:
+                        break
+            except csv.Error as exc:  # raised once the rows before it are checked
+                broken = error(reader.line_num, exc)
+            if not rows:
+                break
+            cut = next((i for i, cells in enumerate(rows) if len(cells) != width), len(rows))
+            failure = parse(rows[:cut]) if cut else None
+            if failure is None and cut < len(rows):
+                failure = cut, f"expected {width} cells, found {len(rows[cut])}"
+            if failure is not None:
+                raise error(lines[failure[0]], failure[1])
+            n_rows += len(rows)
+        if broken is not None:
+            raise broken
+    if not n_rows:
+        raise error(reader.line_num + 1, "no rows after the header")
 
+
+def read_table(path: str | Path, columns, parse_row, extra_columns: bool = False) -> list:
+    """Parse every row of a table file, streaming; returns the parsed rows.
+
+    The file follows `stream_table`'s rules, and each row is turned into an
+    item by `parse_row(header, cells)`. Any failure, including a ValueError
+    from `parse_row`, raises ValueError("<path>:<line>: <what>").
+    """
+    items = []
+
+    def start(header):
+        def parse(rows):
+            for i, cells in enumerate(rows):
+                try:
+                    items.append(parse_row(header, cells))
+                except ValueError as exc:
+                    return i, exc
+            return None
+        return parse
+
+    stream_table(path, columns, start, extra_columns)
+    return items
 
 
 def read_json(path: str | Path, build):
@@ -437,25 +540,94 @@ def write_cases(
     write_table(path, CASE_FIELDS + tuple(question_ids), map(row, records), manifest)
 
 
+def _case_record(header, cells, seen: set) -> CaseRecord:
+    """One case-file row as a record; its id joins `seen`, which must not hold it."""
+    case_id, count_text, score_text = cells[:3]
+    if case_id in seen:
+        raise ValueError(f"duplicate case id {case_id!r}")
+    seen.add(case_id)
+    responses = {
+        qid: (MISSING if cell == "" else cell) for qid, cell in zip(header[3:], cells[3:])
+    }
+    return CaseRecord(
+        case_id=case_id,
+        responses=responses,
+        recidivism_count=int(count_text),
+        viogen_score=None if score_text == "" else int(score_text),
+    )
+
+
 def read_cases(path: str | Path) -> list[CaseRecord]:
     seen = set()
+    return read_table(path, CASE_FIELDS, lambda header, cells: _case_record(header, cells, seen),
+                      extra_columns=True)
 
-    def parse(header, cells):
-        case_id, count_text, score_text = cells[:3]
-        if case_id in seen:
-            raise ValueError(f"duplicate case id {case_id!r}")
-        seen.add(case_id)
-        responses = {
-            qid: (MISSING if cell == "" else cell) for qid, cell in zip(header[3:], cells[3:])
-        }
-        return CaseRecord(
-            case_id=case_id,
-            responses=responses,
-            recidivism_count=int(count_text),
-            viogen_score=None if score_text == "" else int(score_text),
-        )
 
-    return read_table(path, CASE_FIELDS, parse, extra_columns=True)
+def read_case_matrix(
+    path: str | Path,
+    schema: QuestionnaireSchema,
+    high_threshold: int = 3,
+) -> FeatureMatrix:
+    """Read a case file column by column straight into its encoded matrix.
+
+    The result equals `encode_cases(read_cases(path), schema, high_threshold)`,
+    and every check of that path is kept, but no record is built: each block
+    of rows is transposed into columns, checked column by column, and kept
+    only as its (n, Q) active columns, counts and scores. A header that names
+    an unknown question, or lacks one that does not allow missing answers,
+    fails at the header's line; otherwise the first bad row fails at its line,
+    with `read_cases`' message for a bad id, count or score.
+    """
+    seen, blocks = set(), []
+
+    def start(header):
+        unknown = [name for name in header[3:] if name not in schema.by_id]
+        if unknown:
+            raise ValueError(f"unknown question column(s) {unknown!r}")
+        where = {name: j for j, name in enumerate(header)}
+        absent = [q.question_id for q in schema.questions
+                  if q.question_id not in where and not q.allows_missing]
+        if absent:
+            raise ValueError(f"no column for question(s) {absent!r}, which need an answer")
+        positions = [where.get(q.question_id) for q in schema.questions]
+
+        def parse(rows):
+            columns = list(zip(*rows))
+            ids, count_texts, score_texts = columns[:3]
+            answers = [("",) * len(rows) if j is None else columns[j] for j in positions]
+            codes = _encode_answers(schema, len(rows), answers, "")
+            bad_answer = _first_bad_answer(schema, codes, answers, "")
+            if bad_answer is not None:
+                row, what = bad_answer
+                bad_answer = row, f"case {ids[row]!r}: {what}"
+            bad_record = None
+            try:
+                fresh = set(ids)
+                counts = np.array(list(map(int, count_texts)))
+                blank = np.array([text == "" for text in score_texts])
+                scores = np.array([int(text) if text else -1 for text in score_texts])
+                clean = (len(fresh) == len(ids) and seen.isdisjoint(fresh) and (counts >= 0).all()
+                         and (blank | ((scores >= 0) & (scores <= 4))).all())
+            except ValueError:
+                clean = False
+            if not clean:  # the record path finds the first bad row and says what is wrong
+                for i, cells in enumerate(rows):
+                    try:
+                        _case_record(header, cells, seen)
+                    except ValueError as exc:
+                        bad_record = i, exc
+                        break
+            failure = _first_failure(bad_record, bad_answer)
+            if failure is None:
+                seen.update(fresh)
+                blocks.append((codes, counts, scores))
+            return failure
+
+        return parse
+
+    stream_table(path, CASE_FIELDS, start, extra_columns=True)
+    codes, counts, scores = (np.concatenate(parts) for parts in zip(*blocks))
+    return _feature_matrix(schema, codes, risk_labels(counts, high_threshold), scores)
 
 
 def write_schema(path: str | Path, schema: QuestionnaireSchema) -> None:

@@ -13,14 +13,13 @@ workers.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .baseline import classify_score, score_responses
+from .baseline import classify_scores, score_responses
 from .dataset import MISSING, CaseRecord, Question, QuestionnaireSchema, read_json, require_type
 from .seeding import derive_rng
 
@@ -149,11 +148,27 @@ def attach_viogen_scores(records, weights: dict, thresholds) -> list[CaseRecord]
     is the number of thresholds strictly below the score. Every answered
     (question, option) pair must have a weight.
     """
-    out = []
-    for rec in records:
-        score = score_responses(rec.responses, weights)
-        out.append(dataclasses.replace(rec, viogen_score=int(classify_score(score, thresholds))))
-    return out
+    return _with_classes(records, classify_scores(_scores(records, weights), thresholds))
+
+
+def assess_cases(records, weights: dict) -> tuple[list[CaseRecord], tuple]:
+    """Score every case once, cut the thresholds at the default class
+    proportions, and return the records with their classes attached, and the
+    thresholds: `attach_viogen_scores(records, weights, score_thresholds(records,
+    weights))` without the second scoring pass."""
+    scores = _scores(records, weights)
+    thresholds = thresholds_from_quantiles(scores)
+    return _with_classes(records, classify_scores(scores, thresholds)), thresholds
+
+
+def _scores(records, weights: dict) -> np.ndarray:
+    return np.fromiter((score_responses(rec.responses, weights) for rec in records), np.float64,
+                       len(records))
+
+
+def _with_classes(records, classes: np.ndarray) -> list[CaseRecord]:
+    return [CaseRecord(rec.case_id, rec.responses, rec.recidivism_count, viogen_class)
+            for rec, viogen_class in zip(records, classes.tolist())]
 
 
 def severity_weights(schema: QuestionnaireSchema) -> dict:
@@ -186,7 +201,7 @@ def thresholds_from_quantiles(scores, proportions=(0.49, 0.41, 0.10, 0.007, 0.00
 
 def score_thresholds(records, weights: dict) -> tuple:
     """Thresholds cutting the records' weighted scores at the default class proportions."""
-    return thresholds_from_quantiles([score_responses(rec.responses, weights) for rec in records])
+    return thresholds_from_quantiles(_scores(records, weights))
 
 
 # ---------------------------------------------------------------------------

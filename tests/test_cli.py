@@ -1,5 +1,6 @@
 """CLI pipeline: each subcommand end to end on a small corpus."""
 
+import csv
 import json
 import shutil
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 from recidrisk.cli import main
+from recidrisk.dataset import CaseRecord, Question, QuestionnaireSchema, write_cases, write_schema
 from recidrisk.hybrid import read_sweep
 from recidrisk.synthgen import demo_config, write_config
 
@@ -771,3 +773,96 @@ def test_bad_model_params_are_oneline_errors(generated, tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith(f"error: {message}")
+
+
+# A schema with a question that needs an answer (q1), one whose options the
+# csv layer must quote (q2), and one that may go unanswered (q3).
+TWO_LINES = "two\nlines"
+DEFECT_SCHEMA = QuestionnaireSchema((
+    Question("q1", ("no", "yes"), allows_missing=False),
+    Question("q2", ("a,b", 'say "x"', TWO_LINES)),
+    Question("q3", ("0", "1", "2")),
+))
+
+
+def _set(row: int, column: str, value: str):
+    def defect(header, rows):
+        rows[row][header.index(column)] = value
+        return row
+    return defect
+
+
+def _drop_column(column: str):
+    def defect(header, rows):
+        j = header.index(column)
+        for cells in [header, *rows]:
+            del cells[j]
+        return "header"
+    return defect
+
+
+def _add_column(column: str):
+    def defect(header, rows):
+        header.append(column)
+        for cells in rows:
+            cells.append("1")
+        return "header"
+    return defect
+
+
+def _duplicate_id(header, rows):
+    rows[7][0] = rows[2][0]
+    return 7
+
+
+def _short_row(header, rows):
+    del rows[9][-1]
+    return 9
+
+
+# name: defect(header, rows) -> the data row index it broke, or "header"
+CASE_FILE_DEFECTS = {
+    "bad_option": _set(6, "q3", "maybe"),
+    "bad_option_after_a_two_line_cell": _set(6, "q3", "maybe"),
+    "blank_where_missing_not_allowed": _set(5, "q1", ""),
+    "header_lacks_a_needed_question": _drop_column("q1"),
+    "unknown_question_column": _add_column("qXX"),
+    "non_integer_count": _set(4, "recidivism_count", "two"),
+    "negative_count": _set(8, "recidivism_count", "-1"),
+    "score_of_5": _set(3, "viogen_score", "5"),
+    "duplicate_case_id": _duplicate_id,
+    "short_row": _short_row,
+}
+
+
+@pytest.mark.parametrize("case", CASE_FILE_DEFECTS)
+def test_case_file_defects_name_their_line(tmp_path, capsys, case):
+    records = [CaseRecord(f"case-{i}", {"q1": ("no", "yes")[i % 2], "q2": ("a,b", 'say "x"')[i % 2],
+                                        "q3": (None, "0", "2")[i % 3]}, i % 4, i % 5)
+               for i in range(12)]
+    if case == "bad_option_after_a_two_line_cell":
+        records[4] = CaseRecord("case-4", {**records[4].responses, "q2": TWO_LINES}, 0, 0)
+    schema_path, path = tmp_path / "schema.json", tmp_path / "cases.csv"
+    write_schema(schema_path, DEFECT_SCHEMA)
+    write_cases(path, records, DEFECT_SCHEMA, manifest="manifest.json")
+    with open(path, newline="") as fh:
+        comment, header, *rows = csv.reader(fh)
+    where = CASE_FILE_DEFECTS[case](header, rows)
+    with open(path, "w", newline="") as fh:
+        fh.write(comment[0] + "\n")
+        csv.writer(fh).writerows([header, *rows])
+    # the line that ends the broken row, counted by the csv module itself
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        ends = [reader.line_num for _ in reader]
+    line = ends[1] if where == "header" else ends[2 + where]
+    if case == "bad_option_after_a_two_line_cell":
+        assert line == 2 + where + 2  # the comment, the header, the rows and the cell's line break
+
+    out = tmp_path / "out"
+    assert main(["train", "--data", str(path), "--schema", str(schema_path), "--family", "nc",
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"error: {path}:{line}: ")
+    assert not out.exists()

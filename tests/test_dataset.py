@@ -4,13 +4,16 @@ import dataclasses
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recidrisk import dataset
 from recidrisk.dataset import (
+    BLOCK_ROWS,
     MISSING,
     CaseRecord,
     EncodingError,
@@ -22,6 +25,7 @@ from recidrisk.dataset import (
     encode_cases,
     kfold,
     label_from_recidivism,
+    read_case_matrix,
     read_cases,
     read_schema,
     split,
@@ -275,6 +279,87 @@ def test_case_ids_round_trip(case_ids):
         path = Path(tmp) / "cases.csv"
         write_cases(path, records, schema, manifest="manifest.json")
         assert read_cases(path) == records
+
+
+def assert_same_matrix(got, expected):
+    assert got.values.dtype == expected.values.dtype and got.labels.dtype == expected.labels.dtype
+    assert np.array_equal(got.values, expected.values)
+    assert np.array_equal(got.labels, expected.labels)
+    if expected.viogen_scores is None:
+        assert got.viogen_scores is None
+    else:
+        assert got.viogen_scores.dtype == expected.viogen_scores.dtype
+        assert np.array_equal(got.viogen_scores, expected.viogen_scores)
+
+
+# cells the csv layer must quote: commas, quotes and line breaks
+AWKWARD_TEXT = st.text(st.sampled_from('ab,"\n\r '), min_size=1, max_size=4)
+
+
+@st.composite
+def case_files(draw):
+    """A schema, cases answering it, the questions the file's header lists (a
+    permutation, omitting only questions that allow missing answers), a
+    block size and a row count next to it, and a High threshold."""
+    ids = draw(st.lists(st.sampled_from([f"q{i}" for i in range(6)]), min_size=1, max_size=5,
+                        unique=True))
+    schema = QuestionnaireSchema(tuple(
+        Question(qid, tuple(draw(st.lists(AWKWARD_TEXT, min_size=2, max_size=4, unique=True))),
+                 allows_missing=draw(st.booleans()))
+        for qid in ids
+    ))
+    listed = draw(st.permutations(schema.questions))
+    listed = [q for q in listed if not q.allows_missing or draw(st.booleans())]
+    block_rows = draw(st.integers(2, 5))
+    n = block_rows + draw(st.sampled_from((-1, 0, 1)))
+    records = []
+    for c in range(n):
+        responses = {
+            q.question_id: draw(st.sampled_from(q.options + ((MISSING,) if q.allows_missing else ())))
+            for q in schema.questions
+        }
+        score = draw(st.none() | st.integers(0, 4))
+        records.append(CaseRecord(f"c{c}", responses, draw(st.integers(0, 6)), score))
+    if draw(st.booleans()):  # every case scored, so the matrix keeps its viogen scores
+        records = [dataclasses.replace(r, viogen_score=r.viogen_score or 0) for r in records]
+    return schema, QuestionnaireSchema(tuple(listed)), records, block_rows, draw(st.integers(2, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case_files())
+def test_read_case_matrix_equals_the_record_path(problem):
+    schema, file_schema, records, block_rows, high_threshold = problem
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cases.csv"
+        write_cases(path, records, file_schema, manifest="manifest.json")
+        expected = encode_cases(read_cases(path), schema, high_threshold)
+        with mock.patch.object(dataset, "BLOCK_ROWS", block_rows):
+            got = read_case_matrix(path, schema, high_threshold)
+    assert_same_matrix(got, expected)
+
+
+@pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+def test_read_case_matrix_at_the_block_size(tmp_path, n):
+    config = demo_config(n_cases=n, seed=13)
+    path = tmp_path / "cases.csv"
+    write_cases(path, generate(config), config.schema)
+    assert_same_matrix(read_case_matrix(path, config.schema),
+                       encode_cases(read_cases(path), config.schema))
+
+
+@pytest.mark.parametrize("case", BROKEN_CASE_FILES)
+def test_read_case_matrix_fails_where_read_cases_fails(tmp_path, case):
+    config = demo_config(n_cases=64, seed=12)
+    path = tmp_path / "cases.csv"
+    write_cases(path, generate(config), config.schema, manifest="manifest.json")
+    line, make_cells = BROKEN_CASE_FILES[case]
+    rewrite_line(path, line, make_cells)
+    with pytest.raises(ValueError) as expected:
+        read_cases(path)
+    for block_rows in (3, BLOCK_ROWS):
+        with mock.patch.object(dataset, "BLOCK_ROWS", block_rows), pytest.raises(ValueError) as got:
+            read_case_matrix(path, config.schema)
+        assert str(got.value) == str(expected.value)
 
 
 def test_schema_file_round_trip(tmp_path):
