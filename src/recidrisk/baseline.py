@@ -113,20 +113,25 @@ def viogen_classify(
     return classify_score(score_responses(case.responses, weights), thresholds)
 
 
+def rule_system_to_json(rule_system: RuleSystem) -> dict:
+    return {"name": rule_system.name, "mapping": [int(v) for v in rule_system.mapping]}
+
+
+def rule_system_from_json(payload: dict) -> RuleSystem:
+    """The one check of a rule system's fields, in rule-system and model files."""
+    require_type("field 'name'", payload["name"], str)
+    require_type("field 'mapping'", payload["mapping"], list[int])
+    return RuleSystem(payload["name"], tuple(RiskLabel(v) for v in payload["mapping"]))
+
+
 def write_rule_system(path: str | Path, rule_system: RuleSystem) -> None:
-    payload = {"name": rule_system.name, "mapping": [int(v) for v in rule_system.mapping]}
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(rule_system_to_json(rule_system), fh, indent=2)
         fh.write("\n")
 
 
 def read_rule_system(path: str | Path) -> RuleSystem:
-    def build(payload):
-        require_type("field 'name'", payload["name"], str)
-        require_type("field 'mapping'", payload["mapping"], list[int])
-        return RuleSystem(payload["name"], tuple(RiskLabel(v) for v in payload["mapping"]))
-
-    return read_json(path, build)
+    return read_json(path, rule_system_from_json)
 
 
 def get_rule_system(name_or_path: str) -> RuleSystem:

@@ -43,7 +43,6 @@ from .dataset import (
     comment_lines,
     fmt_float,
     read_case_matrix,
-    read_cases,
     read_json,
     read_schema,
     require_type,
@@ -436,9 +435,8 @@ def cmd_sensitivity(args, cfg):
         SplitSpec(cfg["train_fraction"], cfg["split_seed"]),
         seed=cfg["seed"],
     )
-    schema = read_schema(args.schema)
-    records = read_cases(args.data)
-    rows = threshold_sensitivity(records, schema, cfg["thresholds"], plan)
+    rows = threshold_sensitivity(read_case_matrix(args.data, read_schema(args.schema)),
+                                 cfg["thresholds"], plan)
     outputs = {"sensitivity.csv": lambda path: write_sensitivity(path, rows, manifest=MANIFEST_NAME)}
     return cfg, outputs, "\n".join(f"threshold {row.high_threshold}: protection {row.protection:.4f}"
                                    for row in rows)

@@ -10,9 +10,9 @@ One encoding core serves both ways in: `encode_cases` for records in memory,
 and `read_case_matrix`, the one case-file loader, which streams the file in
 blocks of rows and encodes them column by column without building a record
 per row. Both map each answer to its column through the same option lookup
-and missing rule, label by `risk_labels`, and keep viogen scores by the same
-rule. `read_cases` still returns the file's records, for callers that need
-the raw responses or counts.
+and missing rule, and one builder labels the rows by `risk_labels`, keeping
+the follow-up counts with them, so another High threshold relabels without
+encoding again. `read_cases` still returns the file's records.
 """
 
 from __future__ import annotations
@@ -141,6 +141,7 @@ class FeatureMatrix:
     values: np.ndarray  # (n, width) float64 with entries in {0, 1}
     labels: np.ndarray  # (n,) int in {0, 1, 2}
     viogen_scores: np.ndarray | None = None  # (n,) int in 0..4, when available
+    counts: np.ndarray | None = None  # (n,) follow-up counts as parsed, for encoded cases
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -164,6 +165,7 @@ class FeatureMatrix:
             self.values[indices],
             self.labels[indices],
             None if self.viogen_scores is None else self.viogen_scores[indices],
+            None if self.counts is None else self.counts[indices],
         )
 
 
@@ -275,13 +277,15 @@ def _first_failure(*failures):
     return min(found, key=lambda failure: failure[0]) if found else None
 
 
-def _feature_matrix(schema: QuestionnaireSchema, codes, labels, scores) -> FeatureMatrix:
-    """The one-hot rows of the active columns. Viogen scores (-1 where a case
-    has none) are kept only when every case has one."""
+def _feature_matrix(schema: QuestionnaireSchema, codes, counts, scores, high_threshold) -> FeatureMatrix:
+    """The one-hot rows of the active columns, labelled from the counts they
+    keep. Viogen scores (-1 where a case has none) are kept only when every
+    case has one."""
     values = np.zeros((codes.shape[0], schema.width), dtype=np.float64)
     np.put_along_axis(values, codes, 1.0, axis=1)
     has_scores = scores.size > 0 and bool((scores >= 0).all())
-    return FeatureMatrix(values, labels, viogen_scores=scores if has_scores else None)
+    return FeatureMatrix(values, risk_labels(counts, high_threshold),
+                         viogen_scores=scores if has_scores else None, counts=counts)
 
 
 def encode_cases(
@@ -306,10 +310,10 @@ def encode_cases(
     if failure is not None:
         row, what = failure
         raise EncodingError(f"case {records[row].case_id!r}: {what}")
-    labels = risk_labels([rec.recidivism_count for rec in records], high_threshold)
+    counts = np.array([rec.recidivism_count for rec in records])
     scores = np.array([-1 if rec.viogen_score is None else rec.viogen_score for rec in records],
                       dtype=np.int64)
-    return _feature_matrix(schema, codes, labels, scores)
+    return _feature_matrix(schema, codes, counts, scores, high_threshold)
 
 
 def decode_row(row: np.ndarray, schema: QuestionnaireSchema) -> dict:
@@ -627,7 +631,7 @@ def read_case_matrix(
 
     stream_table(path, CASE_FIELDS, start, extra_columns=True)
     codes, counts, scores = (np.concatenate(parts) for parts in zip(*blocks))
-    return _feature_matrix(schema, codes, risk_labels(counts, high_threshold), scores)
+    return _feature_matrix(schema, codes, counts, scores, high_threshold)
 
 
 def write_schema(path: str | Path, schema: QuestionnaireSchema) -> None:

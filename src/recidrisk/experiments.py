@@ -16,6 +16,10 @@ another type than the parameter's annotation, is rejected, and a value the
 family's rule (the checks its fit function makes first) rejects makes an
 error row. `check_params` is the one check of a dict of hyperparameters: for
 configs, for the grid's groups and for model files.
+
+`threshold_sensitivity` splits an encoded matrix once, since a split depends
+only on the row count and the seed, and for each High threshold relabels both
+parts from the follow-up counts the matrix carries.
 """
 
 from __future__ import annotations
@@ -30,14 +34,12 @@ import numpy as np
 from . import knn, nearest_centroid, trees
 from .baseline import RuleSystem
 from .dataset import (
-    CaseRecord,
     FeatureMatrix,
-    QuestionnaireSchema,
     SplitSpec,
-    encode_cases,
     fmt_float,
     kfold,
     require_type,
+    risk_labels,
     split,
     top_label,
     write_table,
@@ -568,20 +570,17 @@ class SensitivityRow:
     weighted_f1: float
 
 
-def threshold_sensitivity(
-    records: list[CaseRecord],
-    schema: QuestionnaireSchema,
-    thresholds,
-    plan: EvalPlan,
-) -> list[SensitivityRow]:
-    """Relabel, retrain and rescore once per candidate High threshold."""
+def threshold_sensitivity(matrix: FeatureMatrix, thresholds, plan: EvalPlan) -> list[SensitivityRow]:
+    """Relabel both parts of one split, retrain and rescore, once per High threshold."""
     thresholds = list(thresholds)
     if any(t < 2 for t in thresholds):
         raise ValueError("every threshold must be >= 2")
+    if matrix.counts is None:
+        raise ValueError("threshold sensitivity needs the follow-up counts of encoded cases")
+    parts = split(matrix, plan.split)
     rows = []
     for threshold in thresholds:
-        matrix = encode_cases(records, schema, high_threshold=threshold)
-        train, test = split(matrix, plan.split)
+        train, test = (replace(part, labels=risk_labels(part.counts, threshold)) for part in parts)
         model = fit_model(plan.model, train, derive_seed(plan.seed, "sensitivity", threshold))
         cm = confusion(model.predict(test.values), test.labels)
         scores = class_scores(cm)

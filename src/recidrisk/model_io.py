@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .baseline import RuleSystem
-from .dataset import N_LABELS, RiskLabel, read_json, require_type
+from .baseline import RuleSystem, rule_system_from_json, rule_system_to_json
+from .dataset import N_LABELS, read_json, require_type
 from .experiments import check_params
 from .knn import KNNModel
 from .metrics import check_labels
@@ -228,20 +228,12 @@ def _forest_restore(state: dict) -> ForestModel:
     )
 
 
-def _rule_state(model: RuleSystem) -> dict:
-    return {"name": model.name, "mapping": [int(v) for v in model.mapping]}
-
-
-def _rule_restore(state: dict) -> RuleSystem:
-    return RuleSystem(state["name"], tuple(RiskLabel(v) for v in state["mapping"]))
-
-
 _FAMILIES = {
     NearestCentroidModel: ("nc", _nc_state),
     KNNModel: ("knn", _knn_state),
     TreeModel: ("tree", _tree_state),
     ForestModel: ("forest", _forest_state),
-    RuleSystem: ("rule_system", _rule_state),
+    RuleSystem: ("rule_system", rule_system_to_json),
 }
 
 _RESTORERS = {
@@ -249,7 +241,7 @@ _RESTORERS = {
     "knn": _knn_restore,
     "tree": _tree_restore,
     "forest": _forest_restore,
-    "rule_system": _rule_restore,
+    "rule_system": rule_system_from_json,
 }
 
 

@@ -490,6 +490,13 @@ BAD_INPUTS = {
     "forest_member_max_depth_string": (
         "evaluate", _model("forest", _forest(trees=[{**_tree([-1], [-1], [-1]), "max_depth": "1"}])),
         "field 'max_depth' must be int | None"),
+    # a rule-system model file goes through the rule-system file check
+    "rule_system_model_bool_label": ("evaluate", _model("rule_system", {
+        "name": "x", "mapping": [0, 0, 1, True, 2]}), "field 'mapping' must be list[int]"),
+    "rule_system_model_float_label": ("evaluate", _model("rule_system", {
+        "name": "x", "mapping": [0, 0, 1.0, 1, 2]}), "field 'mapping' must be list[int]"),
+    "rule_system_model_name_number": ("evaluate", _model("rule_system", {
+        "name": 7, "mapping": [0, 0, 1, 1, 2]}), "field 'name' must be str"),
     "nc_metric_unknown": ("evaluate", _nc(metric="chebyshev", p=2),
                           "metric must be one of ('euclidean', 'manhattan', 'minkowski')"),
     "nc_p_below_one": ("evaluate", _nc(p=0.5), "minkowski order p must be >= 1"),
@@ -835,8 +842,11 @@ CASE_FILE_DEFECTS = {
 }
 
 
-@pytest.mark.parametrize("case", CASE_FILE_DEFECTS)
-def test_case_file_defects_name_their_line(tmp_path, capsys, case):
+@pytest.mark.parametrize("case, command", [
+    *(pytest.param(case, "train", id=case) for case in CASE_FILE_DEFECTS),
+    *(pytest.param(case, "sensitivity", id=f"{case}-sensitivity") for case in CASE_FILE_DEFECTS),
+])
+def test_case_file_defects_name_their_line(tmp_path, capsys, case, command):
     records = [CaseRecord(f"case-{i}", {"q1": ("no", "yes")[i % 2], "q2": ("a,b", 'say "x"')[i % 2],
                                         "q3": (None, "0", "2")[i % 3]}, i % 4, i % 5)
                for i in range(12)]
@@ -860,7 +870,7 @@ def test_case_file_defects_name_their_line(tmp_path, capsys, case):
         assert line == 2 + where + 2  # the comment, the header, the rows and the cell's line break
 
     out = tmp_path / "out"
-    assert main(["train", "--data", str(path), "--schema", str(schema_path), "--family", "nc",
+    assert main([command, "--data", str(path), "--schema", str(schema_path), "--family", "nc",
                  "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1

@@ -1,5 +1,6 @@
 """Grid search, cross-validation and the comparison/sensitivity tables."""
 
+import dataclasses
 from dataclasses import replace
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from recidrisk import experiments
 from recidrisk.baseline import NAMED_RULE_SYSTEMS
-from recidrisk.dataset import FeatureMatrix, SplitSpec, kfold
+from recidrisk.dataset import FeatureMatrix, SplitSpec, encode_cases, kfold, risk_labels, split
 from recidrisk.experiments import (
     EvalPlan,
     ModelConfig,
@@ -24,10 +25,11 @@ from recidrisk.experiments import (
     grid_search,
     nc_fine_space,
     nc_fine_tune,
+    SensitivityRow,
     rescore_row,
     threshold_sensitivity,
 )
-from recidrisk.metrics import MetricSpec, confusion, police_protection
+from recidrisk.metrics import MetricSpec, class_scores, confusion, police_protection
 from recidrisk.nearest_centroid import NearestCentroidModel, nc_fit
 from recidrisk.seeding import derive_seed
 
@@ -294,7 +296,7 @@ def test_threshold_sensitivity_rows(small_corpus):
         SplitSpec(0.67, 3),
         seed=3,
     )
-    rows = threshold_sensitivity(records, config.schema, (3, 4, 5), plan)
+    rows = threshold_sensitivity(encode_cases(records, config.schema), (3, 4, 5), plan)
     assert [r.high_threshold for r in rows] == [3, 4, 5]
     for row in rows:
         assert 0.0 <= row.protection <= 3.0
@@ -303,9 +305,7 @@ def test_threshold_sensitivity_rows(small_corpus):
 def test_threshold_sensitivity_singleton_matches_direct(small_corpus):
     config, records = small_corpus
     plan = EvalPlan(ModelConfig("nc", {}), SplitSpec(0.67, 9), seed=11)
-    row = threshold_sensitivity(records, config.schema, (3,), plan)[0]
-
-    from recidrisk.dataset import encode_cases, split
+    row = threshold_sensitivity(encode_cases(records, config.schema), (3,), plan)[0]
 
     matrix = encode_cases(records, config.schema, high_threshold=3)
     train, test = split(matrix, plan.split)
@@ -318,24 +318,74 @@ def test_threshold_sensitivity_rejects_low_threshold(small_corpus):
     config, records = small_corpus
     plan = EvalPlan(ModelConfig("nc", {}))
     with pytest.raises(ValueError):
-        threshold_sensitivity(records, config.schema, (1,), plan)
+        threshold_sensitivity(encode_cases(records, config.schema), (1,), plan)
 
 
 def test_threshold_sensitivity_empty_low_band(small_corpus):
     # counts only 0 or 4: at threshold 2 the Low band has no support, and the
     # zero-denominator convention keeps every metric defined
-    import dataclasses
-
     config, records = small_corpus
     doctored = [
         dataclasses.replace(rec, recidivism_count=0 if rec.recidivism_count == 0 else 4)
         for rec in records
     ]
     plan = EvalPlan(ModelConfig("nc", {}), SplitSpec(0.67, 5), seed=5)
-    row = threshold_sensitivity(doctored, config.schema, (2,), plan)[0]
+    row = threshold_sensitivity(encode_cases(doctored, config.schema), (2,), plan)[0]
     assert row.f1_low == 0.0
     assert 0.0 <= row.protection <= 3.0
     assert np.isfinite(row.weighted_f1)
+
+
+def test_threshold_sensitivity_refuses_a_matrix_without_counts(small_matrix):
+    bare = FeatureMatrix(small_matrix.values, small_matrix.labels, small_matrix.viogen_scores)
+    assert bare.counts is None
+    with pytest.raises(ValueError, match="^threshold sensitivity needs the follow-up counts"):
+        threshold_sensitivity(bare, (3,), EvalPlan(ModelConfig("nc", {})))
+
+
+def sensitivity_oracle(records, schema, thresholds, plan):
+    """Per threshold: encode the records labelled at it, split, fit and score."""
+    rows = []
+    for threshold in thresholds:
+        train, test = split(encode_cases(records, schema, high_threshold=threshold), plan.split)
+        model = fit_model(plan.model, train, derive_seed(plan.seed, "sensitivity", threshold))
+        cm = confusion(model.predict(test.values), test.labels)
+        scores = class_scores(cm)
+        rows.append(SensitivityRow(threshold, police_protection(cm), float(scores.f1[0]),
+                                   float(scores.f1[1]), float(scores.f1[2]), scores.weighted_f1))
+    return rows
+
+
+def _outcome(compute):
+    """The rows, or the message of the ValueError that refused them."""
+    try:
+        return compute()
+    except ValueError as exc:
+        return str(exc)
+
+
+SENSITIVITY_CONFIGS = [ModelConfig("nc", {}), ModelConfig("nc", {"shrink_threshold": 0.5}),
+                       ModelConfig("knn", {"k": 1}), ModelConfig("knn", {"k": 3}),
+                       ModelConfig("tree", {"max_depth": 3}), ModelConfig("tree", {"splitter": "random"})]
+
+
+@settings(max_examples=40, deadline=None)
+@given(counts=st.lists(st.integers(0, 8), min_size=12, max_size=60),
+       thresholds=st.lists(st.integers(2, 7), min_size=1, max_size=6),
+       config=st.sampled_from(SENSITIVITY_CONFIGS), seed=st.integers(0, 2**16))
+@example(counts=[10**20] + [i % 6 for i in range(29)], thresholds=[3, 2, 3],
+         config=SENSITIVITY_CONFIGS[0], seed=1)
+def test_sensitivity_relabels_one_split_like_per_threshold_encoding(small_corpus, counts, thresholds,
+                                                                  config, seed):
+    schema, records = small_corpus[0].schema, small_corpus[1][: len(counts)]
+    records = [dataclasses.replace(rec, recidivism_count=c) for rec, c in zip(records, counts)]
+    plan = EvalPlan(config, SplitSpec(0.67, seed), seed=seed + 1)
+    matrix = encode_cases(records, schema, high_threshold=thresholds[0])
+    assert (_outcome(lambda: threshold_sensitivity(matrix, thresholds, plan))
+            == _outcome(lambda: sensitivity_oracle(records, schema, thresholds, plan)))
+    # the counts travel with every part, and label it by the matrix's threshold
+    for part in (*split(matrix, plan.split), *(p for fold in kfold(matrix, 3, seed) for p in fold)):
+        assert np.array_equal(part.labels, risk_labels(part.counts, thresholds[0]))
 
 
 def test_cv_table_orders_by_objective(small_split):
