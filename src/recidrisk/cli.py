@@ -301,7 +301,10 @@ def cmd_evaluate(args, cfg):
             raise ValueError(f"{args.data}: rule-system models need a viogen_score column")
         predictions = model.apply_many(matrix.viogen_scores)
     else:
-        predictions = model.predict(matrix.values)
+        try:
+            predictions = model.predict(matrix.values)
+        except ValueError as exc:  # the model's width does not fit the data
+            raise ValueError(f"{args.model}: {exc}") from None
     cm = confusion(predictions, matrix.labels)
     return cfg, {"metrics.csv": _metric_report(Path(args.model).stem, cm, cfg["taus"])}, (
         f"evaluated {model_family(model)}: police protection {police_protection(cm):.4f}")

@@ -544,27 +544,30 @@ def write_cases(
     write_table(path, CASE_FIELDS + tuple(question_ids), map(row, records), manifest)
 
 
-def _case_record(header, cells, seen: set) -> CaseRecord:
-    """One case-file row as a record; its id joins `seen`, which must not hold it."""
-    case_id, count_text, score_text = cells[:3]
+def _case_cells(case_id: str, count: str, score: str, seen: set) -> tuple:
+    """The one rule for a case-file row's id, count and score cells: an id not
+    in `seen`, which it then joins; a count of one or more ASCII digits; a
+    score that is blank or ASCII digits of value at most 4. Returns the count
+    and the score, None where blank."""
     if case_id in seen:
         raise ValueError(f"duplicate case id {case_id!r}")
+    if not (count.isascii() and count.isdigit()):
+        raise ValueError(f"case {case_id!r}: recidivism_count must be digits 0-9, got {count!r}")
+    if score and not (score.isascii() and score.isdigit() and int(score) <= 4):
+        raise ValueError(f"case {case_id!r}: viogen_score must be blank or 0..4, got {score!r}")
     seen.add(case_id)
-    responses = {
-        qid: (MISSING if cell == "" else cell) for qid, cell in zip(header[3:], cells[3:])
-    }
-    return CaseRecord(
-        case_id=case_id,
-        responses=responses,
-        recidivism_count=int(count_text),
-        viogen_score=None if score_text == "" else int(score_text),
-    )
+    return int(count), int(score) if score else None
 
 
 def read_cases(path: str | Path) -> list[CaseRecord]:
     seen = set()
-    return read_table(path, CASE_FIELDS, lambda header, cells: _case_record(header, cells, seen),
-                      extra_columns=True)
+
+    def parse_row(header, cells):
+        count, score = _case_cells(*cells[:3], seen)
+        responses = {qid: (MISSING if cell == "" else cell) for qid, cell in zip(header[3:], cells[3:])}
+        return CaseRecord(cells[0], responses, count, score)
+
+    return read_table(path, CASE_FIELDS, parse_row, extra_columns=True)
 
 
 def read_case_matrix(
@@ -579,8 +582,8 @@ def read_case_matrix(
     of rows is transposed into columns, checked column by column, and kept
     only as its (n, Q) active columns, counts and scores. A header that names
     an unknown question, or lacks one that does not allow missing answers,
-    fails at the header's line; otherwise the first bad row fails at its line,
-    with `read_cases`' message for a bad id, count or score.
+    fails at the header's line; otherwise the first bad row fails at its line.
+    A row's id, count and score follow `read_cases`' one rule, `_case_cells`.
     """
     seen, blocks = set(), []
 
@@ -597,34 +600,24 @@ def read_case_matrix(
 
         def parse(rows):
             columns = list(zip(*rows))
-            ids, count_texts, score_texts = columns[:3]
             answers = [("",) * len(rows) if j is None else columns[j] for j in positions]
             codes = _encode_answers(schema, len(rows), answers, "")
             bad_answer = _first_bad_answer(schema, codes, answers, "")
             if bad_answer is not None:
                 row, what = bad_answer
-                bad_answer = row, f"case {ids[row]!r}: {what}"
-            bad_record = None
-            try:
-                fresh = set(ids)
-                counts = np.array(list(map(int, count_texts)))
-                blank = np.array([text == "" for text in score_texts])
-                scores = np.array([int(text) if text else -1 for text in score_texts])
-                clean = (len(fresh) == len(ids) and seen.isdisjoint(fresh) and (counts >= 0).all()
-                         and (blank | ((scores >= 0) & (scores <= 4))).all())
-            except ValueError:
-                clean = False
-            if not clean:  # the record path finds the first bad row and says what is wrong
-                for i, cells in enumerate(rows):
-                    try:
-                        _case_record(header, cells, seen)
-                    except ValueError as exc:
-                        bad_record = i, exc
-                        break
+                bad_answer = row, f"case {columns[0][row]!r}: {what}"
+            parsed, bad_record = [], None
+            for i, cells in enumerate(rows):
+                try:
+                    parsed.append(_case_cells(*cells[:3], seen))
+                except ValueError as exc:
+                    bad_record = i, exc
+                    break
             failure = _first_failure(bad_record, bad_answer)
             if failure is None:
-                seen.update(fresh)
-                blocks.append((codes, counts, scores))
+                counts, scores = zip(*parsed)
+                blocks.append((codes, np.array(counts),
+                               np.array([-1 if score is None else score for score in scores])))
             return failure
 
         return parse

@@ -5,17 +5,19 @@ pair, in groups that share work: one set of class statistics for every NC
 metric and shrink threshold, one neighbor ranking for every k, one full-depth
 tree for all of its depth caps, and a forest's member trees for every smaller
 ensemble. Grid search calls it once; k-fold tuning draws the folds once and
-calls it per fold. A seed rule gives every config of a group the same fit
-seed, which makes the sharing exact: the grid's rule derives it from the
-hyperparameters that reach the sampler (so any one grid point refitted alone
-reproduces its row), the k-fold rule from the fold.
+calls it per fold. Every config is checked once, before grouping, so a group
+holds only configs its family's rule accepts. A seed rule gives every config
+of a group the same fit seed, and the group's work gets that one seed, which
+makes the sharing exact: the grid's rule derives it from the hyperparameters
+that reach the sampler (so any one grid point refitted alone reproduces its
+row), the k-fold rule from the fold.
 
 A config's hyperparameters, with their defaults and types, are its family's
 fit function's parameters; a config naming any other, or giving a value of
 another type than the parameter's annotation, is rejected, and a value the
 family's rule (the checks its fit function makes first) rejects makes an
 error row. `check_params` is the one check of a dict of hyperparameters: for
-configs, for the grid's groups and for model files.
+configs, for the configs `evaluate_space` groups and for model files.
 
 `threshold_sensitivity` splits an encoded matrix once, since a split depends
 only on the row count and the seed, and for each High threshold relabels both
@@ -305,38 +307,16 @@ def _score_row(family: str, params: dict, preds: np.ndarray, truths: np.ndarray,
     )
 
 
-def _error_row(config: ModelConfig, message: str) -> ResultRow:
-    return ResultRow(config.family, dict(config.params), None, None, None, None, error=message)
-
-
-def _checked(configs, n_rows):
-    """The message for each config its family's rule rejects on `n_rows` training rows,
-    and {position: config} for the rest."""
-    out, valid = [None] * len(configs), {}
-    for i, config in enumerate(configs):
-        try:
-            check_params(config.family, config.params, "parameter", n_rows)
-            valid[i] = config
-        except ValueError as exc:
-            out[i] = str(exc)
-    return out, valid
-
-
-def _predict_nc(configs, train, test, seed_of):
+def _predict_nc(configs, train, test, seed):
     """Every metric and shrink threshold from one set of class statistics, and one
     prediction per distinct model: minkowski of order 2 or 1 is euclidean or manhattan."""
-    out, valid = _checked(configs, train.n_rows)
-    if not valid:
-        return out
     try:
         stats = nc_stats(train, deviations=any(c.value("shrink_threshold") is not None
-                                               for c in valid.values()))
+                                               for c in configs))
     except ValueError as exc:
-        for i in valid:
-            out[i] = str(exc)
-        return out
-    models = {}
-    for i, config in valid.items():
+        return [str(exc)] * len(configs)
+    models, out = {}, []
+    for config in configs:
         metric, shrink, p = (config.value(name) for name in ("metric", "shrink_threshold", "p"))
         distance = distance_of(metric, p)
         key = (distance, p if distance == "minkowski" else None, shrink)
@@ -345,44 +325,30 @@ def _predict_nc(configs, train, test, seed_of):
                 models[key] = nc_shrink(stats, metric, shrink, p).predict(test.values)
             except ValueError as exc:
                 models[key] = str(exc)
-        out[i] = models[key]
+        out.append(models[key])
     return out
 
 
-def _predict_knn(configs, train, test, seed_of):
+def _predict_knn(configs, train, test, seed):
     """Every k from one ranking of the neighbors."""
-    out, valid = _checked(configs, train.n_rows)
-    if valid:
-        k_max = max(config.params["k"] for config in valid.values())
-        ranked = neighbor_labels(train.values, train.labels, test.values, k_max)
-        for i, config in valid.items():
-            out[i] = vote(ranked, config.params["k"])
-    return out
+    ranked = neighbor_labels(train.values, train.labels, test.values,
+                             max(config.params["k"] for config in configs))
+    return [vote(ranked, config.params["k"]) for config in configs]
 
 
-def _predict_tree_group(configs, train, test, seed_of):
+def _predict_tree_group(configs, train, test, seed):
     """All depth caps of one (criterion, splitter) pair from a single fit."""
-    out, valid = _checked(configs, train.n_rows)
-    if valid:
-        first = next(iter(valid.values()))
-        full = tree_fit(train, criterion=first.value("criterion"), splitter=first.value("splitter"),
-                        max_depth=None, seed=seed_of(first))
-        depths = [config.value("max_depth") for config in valid.values()]
-        for i, pred in zip(valid, full.predict_at_depths(test.values, depths)):
-            out[i] = pred
-    return out
+    full = tree_fit(train, criterion=configs[0].value("criterion"),
+                    splitter=configs[0].value("splitter"), max_depth=None, seed=seed)
+    return full.predict_at_depths(test.values, [config.value("max_depth") for config in configs])
 
 
-def _predict_forest_group(configs, train, test, seed_of):
+def _predict_forest_group(configs, train, test, seed):
     """One (criterion, bootstrap) group: every (n_estimators, max_depth) point
     is a vote prefix over shared full-depth member trees."""
-    out, valid = _checked(configs, train.n_rows)
-    if not valid:
-        return out
-    first = next(iter(valid.values()))
-    criterion, bootstrap, seed = first.value("criterion"), first.value("bootstrap"), seed_of(first)
-    depths = sorted({c.value("max_depth") for c in valid.values()}, key=lambda d: (d is None, d))
-    sizes = sorted({c.value("n_estimators") for c in valid.values()})
+    criterion, bootstrap = configs[0].value("criterion"), configs[0].value("bootstrap")
+    depths = sorted({c.value("max_depth") for c in configs}, key=lambda d: (d is None, d))
+    sizes = sorted({c.value("n_estimators") for c in configs})
     votes = {d: np.zeros((test.n_rows, 3), dtype=np.int64) for d in depths}
     labels_at = {}
     members = _forest_members(train.values, train.labels, criterion, None, seed,
@@ -394,12 +360,11 @@ def _predict_forest_group(configs, train, test, seed_of):
         if i + 1 in sizes:
             for d in depths:
                 labels_at[(i + 1, d)] = top_label(votes[d])
-    for i, c in valid.items():
-        out[i] = labels_at[(c.value("n_estimators"), c.value("max_depth"))]
-    return out
+    return [labels_at[(c.value("n_estimators"), c.value("max_depth"))] for c in configs]
 
 
-# per family: the predicted labels of each config of a group, or why its fit function rejects it
+# per family: `(configs, train, test, seed)` -> one outcome per config of a group,
+# its predicted labels, or why the group's shared work failed for it
 _PREDICTORS = {"nc": _predict_nc, "knn": _predict_knn, "tree": _predict_tree_group,
                "forest": _predict_forest_group}
 
@@ -414,27 +379,36 @@ def evaluate_space(
 ) -> list[ResultRow]:
     """Fit every config of `space` on `train` and score it on `test`.
 
-    Returns one row per config, in space order; a config its fit function
-    rejects gets an error row. `seed_of(config)` is the fit seed, and must be
-    the same for every config of a group. Groups run on up to `jobs` threads.
+    Returns one row per config, in space order. Each config is checked once,
+    before grouping: one its family's rule rejects on `train` gets an error
+    row with the rule's message and joins no group. A group's predictor sees
+    only its accepted configs and one fit seed, `seed_of` of the first of them;
+    `seed_of(config)` must be the same for every config of a group. Groups run
+    on up to `jobs` threads.
     """
     if train.width != test.width:
         raise ValueError("train and test encoded widths differ")
+    outcomes = [None] * len(space)
     groups: dict[tuple, list[int]] = {}
     for i, config in enumerate(space.configs):
-        groups.setdefault(_group_key(config), []).append(i)
+        try:
+            check_params(config.family, config.params, "parameter", train.n_rows)
+        except ValueError as exc:
+            outcomes[i] = str(exc)
+        else:
+            groups.setdefault(_group_key(config), []).append(i)
 
     def run(positions):
         configs = [space.configs[i] for i in positions]
-        return _PREDICTORS[configs[0].family](configs, train, test, seed_of)
+        return _PREDICTORS[configs[0].family](configs, train, test, seed_of(configs[0]))
 
-    rows = [None] * len(space)
-    for positions, outcomes in zip(groups.values(), parallel_map(run, groups.values(), jobs)):
-        for i, outcome in zip(positions, outcomes):
-            config = space.configs[i]
-            rows[i] = (_error_row(config, outcome) if isinstance(outcome, str) else
-                       _score_row(config.family, config.params, outcome, test.labels, objective))
-    return rows
+    for positions, group in zip(groups.values(), parallel_map(run, groups.values(), jobs)):
+        for i, outcome in zip(positions, group):
+            outcomes[i] = outcome
+    return [ResultRow(config.family, dict(config.params), None, None, None, None, error=outcome)
+            if isinstance(outcome, str) else
+            _score_row(config.family, config.params, outcome, test.labels, objective)
+            for config, outcome in zip(space.configs, outcomes)]
 
 
 def grid_search(

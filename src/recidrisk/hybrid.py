@@ -25,6 +25,7 @@ profile scores the same stack: one set of executions serves every curve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -247,7 +248,10 @@ def write_sweep(path: str | Path, sweep: SweepResult, manifest: str | None = Non
 
 
 def read_sweep(path: str | Path) -> SweepResult:
-    curve = {}  # metric and run count, set by the first row and repeated by every other
+    """Read a sweep file. Its mu, mean, std, ci_lo and ci_hi cells are finite
+    floats, each row's mu lies in [0, 1] and exceeds the previous row's, and
+    every row repeats the first row's metric, tau and run count."""
+    curve = {}  # metric and run count, set by the first row and repeated by every other; last mu
 
     def parse(header, cells):
         name, tau, n_runs = identity = cells[5:]
@@ -258,7 +262,15 @@ def read_sweep(path: str | Path) -> SweepResult:
         elif identity != curve["identity"]:
             raise ValueError(f"metric,tau,n_runs {','.join(identity)} differ from the first "
                              f"row's {','.join(curve['identity'])}")
-        mu, mean, std, ci_lo = map(float, cells[:4])
+        values = [float(cell) for cell in cells[:5]]
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"mu,mean,std,ci_lo,ci_hi {','.join(cells[:5])} must be finite")
+        mu, mean, std, ci_lo, _ = values
+        if not 0 <= mu <= 1:
+            raise ValueError(f"mu {mu!r} lies outside [0, 1]")
+        if mu <= curve.get("mu", -1.0):
+            raise ValueError(f"mu {mu!r} does not exceed the previous row's {curve['mu']!r}")
+        curve["mu"] = mu
         return mu, mean, std, mean - ci_lo
 
     grid, means, stds, halves = np.array(read_table(path, SWEEP_COLUMNS, parse)).T

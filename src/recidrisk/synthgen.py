@@ -98,8 +98,9 @@ def _generate_chunk(config: GeneratorConfig, start: int, stop: int) -> list[Case
     weights = np.array([p.weight for p in config.profiles])
     profile_idx = rng.choice(len(config.profiles), size=m, p=weights / weights.sum())
 
-    # Per question: option draw for every row, then the missing overlay.
-    responses_by_q = {}
+    # Per question: option draw for every row, then the missing overlay, which
+    # points a row past the options to the column's MISSING entry.
+    columns = []
     for q in config.schema.questions:
         cdfs = np.cumsum(
             [np.asarray(p.response_dists[q.question_id], dtype=np.float64) for p in config.profiles],
@@ -110,10 +111,8 @@ def _generate_chunk(config: GeneratorConfig, start: int, stop: int) -> list[Case
             (u[:, None] > cdfs[profile_idx]).sum(axis=1), len(q.options) - 1
         )
         if q.allows_missing and config.missing_rate > 0:
-            missing_mask = rng.random(m) < config.missing_rate
-        else:
-            missing_mask = np.zeros(m, dtype=bool)
-        responses_by_q[q.question_id] = (option_idx, missing_mask)
+            option_idx[rng.random(m) < config.missing_rate] = len(q.options)
+        columns.append(np.array([*q.options, MISSING], dtype=object)[option_idx].tolist())
 
     rates = np.array([p.recidivism_rate for p in config.profiles])[profile_idx]
     if config.dispersion is None:
@@ -123,22 +122,9 @@ def _generate_chunk(config: GeneratorConfig, start: int, stop: int) -> list[Case
         p_success = config.dispersion / (config.dispersion + rates)
         counts = rng.negative_binomial(config.dispersion, p_success)
 
-    records = []
-    for i in range(m):
-        responses = {}
-        for q in config.schema.questions:
-            option_idx, missing_mask = responses_by_q[q.question_id]
-            responses[q.question_id] = (
-                MISSING if missing_mask[i] else q.options[int(option_idx[i])]
-            )
-        records.append(
-            CaseRecord(
-                case_id=f"case-{start + i:06d}",
-                responses=responses,
-                recidivism_count=int(counts[i]),
-            )
-        )
-    return records
+    question_ids = [q.question_id for q in config.schema.questions]
+    return [CaseRecord(f"case-{start + i:06d}", dict(zip(question_ids, row)), count)
+            for i, (count, *row) in enumerate(zip(counts.tolist(), *columns))]
 
 
 def attach_viogen_scores(records, weights: dict, thresholds) -> list[CaseRecord]:

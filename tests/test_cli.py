@@ -541,6 +541,11 @@ BAD_INPUTS = {
     "nc_class_7": ("evaluate", _nc(classes=[0, 1, 7]), "field 'classes': label 7 is outside 0..2"),
     "nc_class_beyond_int64": ("evaluate", _nc(classes=[0, 1, 2**70]),
                               f"field 'classes': label {2**70} is outside 0..2"),
+    "model_of_another_width": ("evaluate", _model("nc", {
+        "classes": [0, 1, 2], "centroids": [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]],
+        "overall_centroid": [0.5, 0.5], "s": None, "s0": None, "offsets": None,
+        "shrunken_centroids": None, "metric": "euclidean", "p": 2, "shrink_threshold": None}),
+        "expected width 2"),
     "nc_classes_descending": ("evaluate", _nc(classes=[2, 1, 0]),
                               "field 'classes' must hold distinct labels in ascending order"),
     "profile_weight_bool": ("generate_config", _one_profile(weight=True),
@@ -836,6 +841,8 @@ CASE_FILE_DEFECTS = {
     "unknown_question_column": _add_column("qXX"),
     "non_integer_count": _set(4, "recidivism_count", "two"),
     "negative_count": _set(8, "recidivism_count", "-1"),
+    "count_with_underscore": _set(9, "recidivism_count", "1_0"),
+    "score_with_space": _set(7, "viogen_score", " 2"),
     "score_of_5": _set(3, "viogen_score", "5"),
     "duplicate_case_id": _duplicate_id,
     "short_row": _short_row,

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recidrisk import dataset
@@ -249,6 +249,11 @@ BROKEN_CASE_FILES = {
     "duplicate_case_id": (5, lambda rows: rows[2][:1] + rows[4][1:]),
     "non_integer_count": (6, lambda rows: rows[5][:1] + ["1.5"] + rows[5][2:]),
     "non_integer_score": (7, lambda rows: rows[6][:2] + ["high"] + rows[6][3:]),
+    # cells Python's int() accepts, which a case file does not
+    "count_with_underscore": (8, lambda rows: rows[7][:1] + ["1_0"] + rows[7][2:]),
+    "score_with_space": (9, lambda rows: rows[8][:2] + [" 2"] + rows[8][3:]),
+    "count_with_plus": (10, lambda rows: rows[9][:1] + ["+3"] + rows[9][2:]),
+    "count_in_arabic_indic_digits": (11, lambda rows: rows[10][:1] + ["\u0663"] + rows[10][2:]),
 }
 
 
@@ -272,11 +277,17 @@ def test_case_file_round_trip(tmp_path, case):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.text(st.sampled_from('#,"\r\n ') | st.characters(), max_size=8),
                 min_size=1, max_size=6, unique=True))
+@example(case_ids=["\ud800"])
 def test_case_ids_round_trip(case_ids):
     schema = one_question_schema(allows_missing=True)
     records = [CaseRecord(cid, {"q1": "A"}, 0) for cid in case_ids]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cases.csv"
+        if any(0xD800 <= ord(c) <= 0xDFFF for cid in case_ids for c in cid):
+            # a lone surrogate is no text a UTF-8 file can hold: writing refuses it
+            with pytest.raises(UnicodeEncodeError):
+                write_cases(path, records, schema, manifest="manifest.json")
+            return
         write_cases(path, records, schema, manifest="manifest.json")
         assert read_cases(path) == records
 

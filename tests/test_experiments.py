@@ -415,13 +415,15 @@ def _config(family, *parts):
     return st.tuples(*parts).map(lambda dicts: ModelConfig(family, {k: v for d in dicts for k, v in d.items()}))
 
 
+# each family can draw one value its rule rejects: minkowski p 0.5, k 40 (above the
+# grid's 30 training rows), max_depth 0 and n_estimators 0
 CONFIGS = st.one_of(
     _config("nc", _maybe("metric", ["euclidean", "manhattan", "minkowski"]),
-            _maybe("shrink_threshold", [None, 0.1, 0.5, 2.0]), _maybe("p", [1.0, 2.0, 3.0])),
-    _config("knn", st.integers(1, 12).map(lambda k: {"k": k})),
+            _maybe("shrink_threshold", [None, 0.1, 0.5, 2.0]), _maybe("p", [1.0, 2.0, 3.0, 0.5])),
+    _config("knn", st.one_of(st.integers(1, 12), st.just(40)).map(lambda k: {"k": k})),
     _config("tree", _maybe("criterion", ["gini", "entropy"]), _maybe("splitter", ["best", "random"]),
-            _maybe("max_depth", [None, 1, 2, 3, 5])),
-    _config("forest", _maybe("criterion", ["gini", "entropy"]), _maybe("n_estimators", [1, 2, 3, 6]),
+            _maybe("max_depth", [None, 1, 2, 3, 5, 0])),
+    _config("forest", _maybe("criterion", ["gini", "entropy"]), _maybe("n_estimators", [1, 2, 3, 6, 0]),
             _maybe("max_depth", [None, 1, 2, 4]), _maybe("bootstrap", [True, False])),
 )
 
@@ -480,13 +482,23 @@ def test_invalid_config_is_an_error_row(small_split, family, bad, good):
     with pytest.raises(ValueError) as rejected:
         fit_model(config, train)
     sibling = ModelConfig(family, good)  # same group, must still be scored
-    table = grid_search(SearchSpace((config, sibling)), train, test, "high_f1", master_seed=3)
-    by_params = {row.canonical(): row for row in table.rows}
-    assert by_params[config.canonical()].error == str(rejected.value)
-    assert by_params[config.canonical()].objective_value is None
-    assert by_params[sibling.canonical()].error is None
-    with pytest.raises(ValueError, match=rf"^{family} \[{config.canonical()}\]: "):
-        cv_table(SearchSpace((sibling, config)), train.take(np.arange(300)), k=3)
+    calls, predict = [], experiments._PREDICTORS[family]
+
+    def spy(configs, train, test, seed):
+        calls.append((configs, seed))
+        return predict(configs, train, test, seed)
+
+    with mock.patch.dict(experiments._PREDICTORS, {family: spy}):
+        table = grid_search(SearchSpace((config, sibling)), train, test, "high_f1", master_seed=3)
+        by_params = {row.canonical(): row for row in table.rows}
+        assert by_params[config.canonical()].error == str(rejected.value)
+        assert by_params[config.canonical()].objective_value is None
+        assert by_params[sibling.canonical()].error is None
+        with pytest.raises(ValueError, match=rf"^{family} \[{config.canonical()}\]: "):
+            cv_table(SearchSpace((sibling, config)), train.take(np.arange(300)), k=3)
+    # the rejected config never reaches the group's predictor, which gets one seed
+    assert len(calls) == 1 + 3
+    assert all(configs == [sibling] and type(seed) is int for configs, seed in calls)
 
 
 @pytest.mark.parametrize("family, params", [

@@ -385,6 +385,10 @@ BROKEN_SWEEP_FILES = {
     "tau_differs": (6, lambda rows: rows[5][:6] + ["0.5", "3"]),
     "n_runs_differs": (7, lambda rows: rows[6][:7] + ["4"]),
     "non_float_mean": (8, lambda rows: rows[7][:1] + ["high"] + rows[7][2:]),
+    "mu_not_increasing": (6, lambda rows: rows[3][:1] + rows[5][1:]),  # line 4's mu again
+    "mu_above_one": (9, lambda rows: ["7.5"] + rows[8][1:]),
+    "nan_mean": (5, lambda rows: rows[4][:1] + ["nan"] + rows[4][2:]),
+    "non_float_ci_hi": (7, lambda rows: rows[6][:4] + ["high"] + rows[6][5:]),
     "trailing_blank_line": (10, lambda rows: []),
 }
 

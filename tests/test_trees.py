@@ -283,7 +283,7 @@ def test_batched_members_are_grown_alone(problem, criterion, max_depth, bootstra
                                           "max_depth": depth, "bootstrap": bootstrap})
                    for size in sorted({1, n_estimators}) for depth in (None, max_depth or 1)]
         train, test = FeatureMatrix(X, y), FeatureMatrix(np.vstack((X, 1 - X)), np.zeros(2 * n))
-        grid = _predict_forest_group(configs, train, test, lambda config: seed)
+        grid = _predict_forest_group(configs, train, test, seed)
     max_features = int(np.ceil(np.sqrt(X.shape[1])))
     for i, member in enumerate(forest.trees):
         rng = derive_rng(seed, "forest-tree", i)
