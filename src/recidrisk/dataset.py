@@ -481,13 +481,19 @@ def read_json(path: str | Path, build):
     """Parse the JSON object in a file and return `build(payload)`.
 
     Every failure names the file: a syntax error raises
-    ValueError("<path>:<line>: <msg>"), a field `build` looks up and does not
-    find raises ValueError("<path>: missing field '<name>'"), and a field of
-    the wrong type or a value `build` rejects raises ValueError("<path>: ...").
+    ValueError("<path>:<line>: <msg>"), the non-standard constants NaN,
+    Infinity and -Infinity, which Python's json would read as floats, raise
+    ValueError("<path>: <constant> is not a JSON number"), a field `build`
+    looks up and does not find raises ValueError("<path>: missing field
+    '<name>'"), and a field of the wrong type or a value `build` rejects
+    raises ValueError("<path>: ...").
     """
+    def refuse(constant):
+        raise ValueError(f"{path}: {constant} is not a JSON number")
+
     with open(path) as fh:
         try:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_constant=refuse)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
     if not isinstance(payload, dict):

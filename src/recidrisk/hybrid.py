@@ -250,12 +250,17 @@ def write_sweep(path: str | Path, sweep: SweepResult, manifest: str | None = Non
 def read_sweep(path: str | Path) -> SweepResult:
     """Read a sweep file. Its mu, mean, std, ci_lo and ci_hi cells are finite
     floats, each row's mu lies in [0, 1] and exceeds the previous row's, and
-    every row repeats the first row's metric, tau and run count."""
+    every row repeats the first row's metric, tau and run count: a tau that is
+    blank or a finite float, a run count of ASCII digits with value at least 1."""
     curve = {}  # metric and run count, set by the first row and repeated by every other; last mu
 
     def parse(header, cells):
         name, tau, n_runs = identity = cells[5:]
         if not curve:
+            if tau and not math.isfinite(float(tau)):
+                raise ValueError(f"tau {tau!r} must be finite")
+            if not (n_runs.isascii() and n_runs.isdigit() and int(n_runs) >= 1):
+                raise ValueError(f"n_runs must be digits 0-9 of value >= 1, got {n_runs!r}")
             curve["metric"] = MetricSpec(name, float(tau) if tau else None)
             curve["n_runs"] = int(n_runs)
             curve["identity"] = identity

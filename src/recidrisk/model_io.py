@@ -262,9 +262,9 @@ def save_model(path: str | Path, model, extra: dict | None = None) -> None:
     }
     if extra:
         payload["extra"] = extra
+    text = json.dumps(payload, allow_nan=False)  # read_json refuses NaN and Infinity
     with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _restore(payload: dict):

@@ -422,6 +422,10 @@ BAD_INPUTS = {
     "header_only_curve": ("decide", "# manifest: manifest.json\n" + CURVE_HEADER, 3),
     "short_curve_row": ("decide", CURVE_HEADER + "0.0,0.1,0.0,0.1,0.1,police_resource,0.5,3\n"
                         "1.0,0.2\n", 3),
+    "curve_n_runs_underscore": ("decide", RESOURCE_CURVE.replace(",3\n", ",1_0\n"), 2),
+    "curve_n_runs_negative": ("decide", RESOURCE_CURVE.replace(",3\n", ",-5\n"), 2),
+    "curve_tau_nan": ("decide", RESOURCE_CURVE.replace(",0.5,", ",nan,"), 2),
+    "curve_tau_inf": ("decide", RESOURCE_CURVE.replace(",0.5,", ",inf,"), 2),
     "truncated_model": ("evaluate", '{"format": "recidrisk-model",\n "version": 1,', 2),
     "model_without_state": ("evaluate", '{"format": "recidrisk-model", "version": 1, "family": "nc"}',
                             "missing field 'state'"),

@@ -390,6 +390,12 @@ BROKEN_SWEEP_FILES = {
     "nan_mean": (5, lambda rows: rows[4][:1] + ["nan"] + rows[4][2:]),
     "non_float_ci_hi": (7, lambda rows: rows[6][:4] + ["high"] + rows[6][5:]),
     "trailing_blank_line": (10, lambda rows: []),
+    # the first row (line 3) sets the tau and run count every later row repeats
+    "n_runs_underscore": (3, lambda rows: rows[2][:7] + ["1_0"]),
+    "n_runs_negative": (3, lambda rows: rows[2][:7] + ["-5"]),
+    "n_runs_zero": (3, lambda rows: rows[2][:7] + ["0"]),
+    "tau_nan": (3, lambda rows: rows[2][:6] + ["nan", rows[2][7]]),
+    "tau_inf": (3, lambda rows: rows[2][:6] + ["inf", rows[2][7]]),
 }
 
 

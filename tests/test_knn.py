@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recidrisk.knn import knn_fit, neighbor_labels, vote
 
@@ -72,3 +74,48 @@ def test_brute_force_equivalence():
             counts = np.bincount(y[ranked], minlength=3)
             expected = max((0, 1, 2), key=lambda c: (counts[c], c))
             assert model.predict(q) == expected
+
+
+@st.composite
+def tied_rows(draw):
+    """(train, queries) with many exact distance ties: few columns, training rows
+    repeated from a small pool, cells that are 0/1 or a few dense values."""
+    width = draw(st.integers(1, 4))
+    cells = [0.0, 1.0] if draw(st.booleans()) else [-1.5, 0.0, 0.25, 0.5, 3.0]
+    row = st.lists(st.sampled_from(cells), min_size=width, max_size=width)
+    pool = draw(st.lists(row, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    queries = draw(st.lists(row, min_size=1, max_size=10))
+    return np.array([pool[i] for i in picks]), np.array(queries)
+
+
+@given(tied_rows())
+@settings(max_examples=200, deadline=None)
+def test_ranking_is_the_full_stable_sort_for_every_k(data):
+    train, queries = data
+    n = train.shape[0]
+    index = np.arange(n)  # row indices as labels: the ranking itself is compared
+    d2 = np.einsum("ij,ij->i", train, train)[None, :] - 2.0 * (queries @ train.T)
+    full = np.argsort(d2, axis=1, kind="stable")
+    for k_max in range(1, n + 1):
+        assert np.array_equal(neighbor_labels(train, index, queries, k_max), full[:, :k_max])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_are_refused(bad):
+    X, y = np.zeros((3, 2)), np.array([0, 1, 2])
+    X_bad = X.copy()
+    X_bad[1, 0] = bad
+    with pytest.raises(ValueError, match="^kNN training values must be finite"):
+        knn_fit((X_bad, y), k=1)
+    with pytest.raises(ValueError, match="^kNN queries must be finite"):
+        knn_fit((X, y), k=1).predict([[0.0, bad]])
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^kNN distances must be finite"):
+        neighbor_labels(X, y, np.array([[bad, 0.0]]), k_max=1)
+
+
+@pytest.mark.parametrize("k_max", [0, -1, 4])
+def test_k_max_outside_the_training_rows_is_refused(k_max):
+    X, y = np.zeros((3, 2)), np.array([0, 1, 2])
+    with pytest.raises(ValueError, match=rf"^k_max must satisfy 1 <= k_max <= 3, got {k_max}$"):
+        neighbor_labels(X, y, np.zeros((2, 2)), k_max)

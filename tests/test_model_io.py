@@ -117,3 +117,46 @@ def test_tree_node_arrays_are_checked(tmp_path, state, message):
                                     "state": payload}))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
             load_model(path)
+
+
+def _edit(path, keys, value):
+    """Set one entry of a saved model's state; json.dumps writes NaN and
+    Infinity as the bare constants Python's json reads back."""
+    payload = json.loads(path.read_text())
+    entry = payload["state"]
+    for key in keys[:-1]:
+        entry = entry[key]
+    entry[keys[-1]] = value
+    path.write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("family, keys", [
+    ("tree", ("threshold", 0)),
+    ("knn", ("train_values", "rows", 0, 1)),
+    ("nc", ("centroids", 1, 2)),
+], ids=["tree_root_threshold", "dense_knn_row", "nc_centroid"])
+@pytest.mark.parametrize("constant", [float("nan"), float("inf"), -float("inf")],
+                         ids=["NaN", "Infinity", "-Infinity"])
+def test_non_finite_constants_are_refused(tmp_path, family, keys, constant):
+    X, y = _data(11, binary=family == "tree")
+    model = {"tree": lambda: tree_fit((X, y), max_depth=3, seed=0),
+             "knn": lambda: knn_fit((X, y), k=3),
+             "nc": lambda: nc_fit((X, y))}[family]()
+    path = tmp_path / f"{family}.json"
+    save_model(path, model)
+    load_model(path)
+    _edit(path, keys, constant)
+    text = json.dumps(constant)
+    assert text in path.read_text()
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(text)} is not a "
+                                         "JSON number$"):
+        load_model(path)
+
+
+def test_save_model_refuses_non_finite_values(tmp_path):
+    X, y = _data(12)
+    model = nc_fit((X, y))
+    model.centroids[0, 0] = np.nan
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_model(tmp_path / "nc.json", model)
+    assert not (tmp_path / "nc.json").exists()  # refused before the file is opened
