@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baseline import NAMED_RULE_SYSTEMS, RuleSystem, get_rule_system
+from .baseline import NAMED_RULE_SYSTEMS, RuleSystem, classify_scores, get_rule_system
 from .dataset import (
     FeatureMatrix,
     SplitSpec,
@@ -47,7 +47,6 @@ from .dataset import (
     read_schema,
     require_type,
     split,
-    write_cases,
     write_table,
 )
 from .experiments import (
@@ -73,12 +72,14 @@ from .model_io import load_model, model_family, save_model
 from .seeding import derive_seed
 from .synthgen import (
     DEMO_SEED,
-    assess_cases,
+    code_scores,
     config_to_json,
     demo_config,
-    generate,
+    generate_codes,
     read_config,
     severity_weights,
+    thresholds_from_quantiles,
+    write_case_codes,
 )
 
 MANIFEST_NAME = "manifest.json"
@@ -235,16 +236,19 @@ def cmd_generate(args, cfg):
         config = read_config(args.generator_config)
     else:
         config = demo_config(n_cases=cfg["n"], seed=cfg["seed"], separation=cfg["separation"])
-    records = generate(config)
-    outputs = {}
+    codes, counts = generate_codes(config)
+    outputs, classes = {}, None
     if cfg["with_viogen"]:
         weights = severity_weights(config.schema)
-        records, thresholds = assess_cases(records, weights)
+        scores = code_scores(config.schema, codes, weights)
+        thresholds = thresholds_from_quantiles(scores)
+        classes = classify_scores(scores, thresholds)
         outputs["viogen.json"] = _json({
             "weights": {f"{qid}|{opt}": w for (qid, opt), w in sorted(weights.items())},
             "thresholds": list(thresholds),
         })
-    outputs["cases.csv"] = lambda path: write_cases(path, records, config.schema, manifest=MANIFEST_NAME)
+    outputs["cases.csv"] = lambda path: write_case_codes(path, config.schema, codes, counts, classes,
+                                                         MANIFEST_NAME)
     outputs["schema.json"] = _json(config.schema.to_json())
     outputs["generator_config.json"] = _json(config_to_json(config))
     resolved = {
@@ -254,7 +258,7 @@ def cmd_generate(args, cfg):
         "profiles": [p.name for p in config.profiles],
         "with_viogen": cfg["with_viogen"],
     }
-    return resolved, outputs, f"generated {len(records)} cases into {Path(args.out_dir, 'cases.csv')}"
+    return resolved, outputs, f"generated {len(counts)} cases into {Path(args.out_dir, 'cases.csv')}"
 
 
 # ---------------------------------------------------------------------------

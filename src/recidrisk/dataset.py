@@ -115,7 +115,19 @@ class QuestionnaireSchema:
             if not isinstance(allows_missing, bool):
                 raise ValueError(f"question {qid!r}: field 'allows_missing' must be true or false")
             questions.append(Question(qid, tuple(options), allows_missing))
-        return cls(tuple(questions))
+        schema = cls(tuple(questions))
+        require_file_options(schema)
+        return schema
+
+
+def require_file_options(schema: QuestionnaireSchema) -> None:
+    """Refuse a schema with an empty option wherever it meets a file: in a
+    case file an empty cell means no answer, so that option could not be told
+    from a missing one. In memory, where MISSING is None, it is a plain option."""
+    for q in schema.questions:
+        if "" in q.options:
+            raise ValueError(f"question {q.question_id!r}: an option must not be empty; "
+                             "in a case file an empty cell means no answer")
 
 
 @dataclass(frozen=True)
@@ -239,8 +251,6 @@ def _answer_columns(question: Question, offset: int, missing) -> dict:
     columns = {option: offset + j for j, option in enumerate(question.options)}
     if question.allows_missing:
         columns[missing] = offset + len(question.options)
-    else:
-        columns.pop(missing, None)  # on file an empty option reads as no answer
     return columns
 
 
@@ -537,6 +547,7 @@ def write_cases(
     schema: QuestionnaireSchema,
     manifest: str | None = None,
 ) -> None:
+    require_file_options(schema)
     question_ids = [q.question_id for q in schema.questions]
 
     def row(rec):
@@ -591,6 +602,7 @@ def read_case_matrix(
     fails at the header's line; otherwise the first bad row fails at its line.
     A row's id, count and score follow `read_cases`' one rule, `_case_cells`.
     """
+    require_file_options(schema)
     seen, blocks = set(), []
 
     def start(header):

@@ -6,11 +6,13 @@ are stored as per-row active column indices; anything non-binary falls back
 to dense lists. A learner's hyperparameter fields reload through
 `experiments.check_params`, the check its configs and fits go through, and
 its data fields must agree: labels in 0..2, one per row, active columns
-inside the width, and arrays of the shapes the classes and width give.
+inside the width, and arrays of the shapes the classes and width give,
+their floats finite.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -90,7 +92,15 @@ def _floats(state: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
     rows = value if len(shape) == 2 else []
     if len(value) != shape[0] or any(len(row) != shape[1] for row in rows):
         raise ValueError(f"field '{key}' must have shape {shape}")
-    return np.array(value, dtype=np.float64).reshape(shape)
+    return _finite(np.array(value, dtype=np.float64).reshape(shape), f"field '{key}'")
+
+
+def _finite(array: np.ndarray, what: str) -> np.ndarray:
+    """The array, unless it holds a non-finite value: a number literal beyond
+    the float range, such as 1e999, reads as infinity."""
+    if not np.isfinite(array).all():
+        raise ValueError(f"{what} must hold finite numbers")
+    return array
 
 
 def _matrix_state(values: np.ndarray) -> dict:
@@ -160,11 +170,15 @@ def _require_fields(state: dict, annotations: dict) -> None:
         require_type(f"field '{name}'", state[name], annotation)
 
 
-def _int_array(values, key: str) -> np.ndarray:
+def _node_array(values, key: str, kinds: str = "iu") -> np.ndarray:
+    """A tree field as an array of JSON numbers of the dtype kinds given
+    (integers by default). numpy reads true as 1 among numbers, so a bool is
+    refused item by item."""
     array = np.asarray(values)
-    if array.size and array.dtype.kind not in "iu":
-        raise ValueError(f"tree field '{key}' must hold integers")
-    return array.astype(np.int64)
+    items = itertools.chain.from_iterable(values) if array.ndim == 2 else values
+    if array.size and (array.dtype.kind not in kinds or bool in map(type, items)):
+        raise ValueError(f"tree field '{key}' must hold {'integers' if kinds == 'iu' else 'numbers'}")
+    return array.astype(np.int64 if kinds == "iu" else np.float64)
 
 
 def _check_nodes(bad: np.ndarray, what: str) -> None:
@@ -176,9 +190,9 @@ def _tree_restore(state: dict) -> TreeModel:
     _require_fields(state, {"n_features": int})
     check_params("tree", {key: state[key] for key in ("criterion", "splitter", "max_depth")},
                  "field")
-    feature, left, right, counts = (_int_array(state[key], key)
+    feature, left, right, counts = (_node_array(state[key], key)
                                     for key in ("feature", "left", "right", "counts"))
-    threshold = np.asarray(state["threshold"], dtype=np.float64)
+    threshold = _finite(_node_array(state["threshold"], "threshold", "iuf"), "tree field 'threshold'")
     n, n_features = len(feature), state["n_features"]
     if (n < 1 or any(a.shape != (n,) for a in (feature, threshold, left, right))
             or counts.shape != (n, N_LABELS)):

@@ -9,6 +9,13 @@ or negative binomial when over-dispersion is configured).
 Generation is chunked with per-chunk derived seeds, so the corpus is a pure
 function of the config no matter how the index range is partitioned across
 workers.
+
+The draws land in columns: one option code per (case, question) and one
+count per case (`generate_codes`). The CLI scores those codes
+(`code_scores`) and writes the case file from them (`write_case_codes`)
+without a record per case; `generate` and the record functions
+(`assess_cases`, `attach_viogen_scores`, `score_thresholds`) give the same
+cases as `CaseRecord`s, for library use and as the tests' reference.
 """
 
 from __future__ import annotations
@@ -20,7 +27,17 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import classify_scores, score_responses
-from .dataset import MISSING, CaseRecord, Question, QuestionnaireSchema, read_json, require_type
+from .dataset import (
+    CASE_FIELDS,
+    MISSING,
+    CaseRecord,
+    Question,
+    QuestionnaireSchema,
+    read_json,
+    require_file_options,
+    require_type,
+    write_table,
+)
 from .seeding import derive_rng
 
 CHUNK_SIZE = 1024  # atomic generation unit; fixed so output is worker-independent
@@ -84,7 +101,8 @@ class GeneratorConfig:
 
 
 def generate(config: GeneratorConfig) -> list[CaseRecord]:
-    """Draw the full corpus for the config, deterministically in its seed."""
+    """Draw the full corpus for the config, deterministically in its seed: the
+    records of `generate_codes`' codes and counts."""
     records: list[CaseRecord] = []
     for start in range(0, config.n_cases, CHUNK_SIZE):
         stop = min(start + CHUNK_SIZE, config.n_cases)
@@ -92,27 +110,40 @@ def generate(config: GeneratorConfig) -> list[CaseRecord]:
     return records
 
 
-def _generate_chunk(config: GeneratorConfig, start: int, stop: int) -> list[CaseRecord]:
+def generate_codes(config: GeneratorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The corpus `generate` draws, as columns: the (n, Q) option codes (int16
+    unless a question has 32,767 options or more) and the n follow-up counts.
+
+    A case's code for a question is the index of its answer among the
+    question's options, and `len(options)` marks an unanswered question.
+    Case i is `case-<i>`, zero-padded to six digits.
+    """
+    chunks = [_chunk_codes(config, start, min(start + CHUNK_SIZE, config.n_cases))
+              for start in range(0, config.n_cases, CHUNK_SIZE)]
+    codes, counts = zip(*chunks)
+    return np.concatenate(codes), np.concatenate(counts)
+
+
+def _chunk_codes(config: GeneratorConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     rng = derive_rng(config.seed, "cases", start // CHUNK_SIZE)
     m = stop - start
     weights = np.array([p.weight for p in config.profiles])
     profile_idx = rng.choice(len(config.profiles), size=m, p=weights / weights.sum())
 
     # Per question: option draw for every row, then the missing overlay, which
-    # points a row past the options to the column's MISSING entry.
-    columns = []
-    for q in config.schema.questions:
+    # points a row past the options.
+    widest = max(len(q.options) for q in config.schema.questions)
+    dtype = np.int16 if widest < np.iinfo(np.int16).max else np.int64
+    codes = np.empty((m, len(config.schema.questions)), dtype=dtype)
+    for j, q in enumerate(config.schema.questions):
         cdfs = np.cumsum(
             [np.asarray(p.response_dists[q.question_id], dtype=np.float64) for p in config.profiles],
             axis=1,
         )
         u = rng.random(m)
-        option_idx = np.minimum(
-            (u[:, None] > cdfs[profile_idx]).sum(axis=1), len(q.options) - 1
-        )
+        codes[:, j] = np.minimum((u[:, None] > cdfs[profile_idx]).sum(axis=1), len(q.options) - 1)
         if q.allows_missing and config.missing_rate > 0:
-            option_idx[rng.random(m) < config.missing_rate] = len(q.options)
-        columns.append(np.array([*q.options, MISSING], dtype=object)[option_idx].tolist())
+            codes[rng.random(m) < config.missing_rate, j] = len(q.options)
 
     rates = np.array([p.recidivism_rate for p in config.profiles])[profile_idx]
     if config.dispersion is None:
@@ -121,10 +152,59 @@ def _generate_chunk(config: GeneratorConfig, start: int, stop: int) -> list[Case
         # mean rate with variance rate + rate^2 / dispersion
         p_success = config.dispersion / (config.dispersion + rates)
         counts = rng.negative_binomial(config.dispersion, p_success)
+    return codes, counts
 
+
+def _generate_chunk(config: GeneratorConfig, start: int, stop: int) -> list[CaseRecord]:
+    codes, counts = _chunk_codes(config, start, stop)
     question_ids = [q.question_id for q in config.schema.questions]
-    return [CaseRecord(f"case-{start + i:06d}", dict(zip(question_ids, row)), count)
-            for i, (count, *row) in enumerate(zip(counts.tolist(), *columns))]
+    return [CaseRecord(case_id, dict(zip(question_ids, row)), count)
+            for case_id, count, *row in zip(_case_ids(start, stop), counts.tolist(),
+                                            *_answers(config.schema, codes, MISSING))]
+
+
+def _case_ids(start: int, stop: int) -> list[str]:
+    return [f"case-{i:06d}" for i in range(start, stop)]
+
+
+def _answers(schema: QuestionnaireSchema, codes: np.ndarray, missing) -> list[list]:
+    """Each question's answers in case order: the option each code indexes,
+    and `missing` for the code past the options."""
+    return [np.array([*q.options, missing], dtype=object)[codes[:, j]].tolist()
+            for j, q in enumerate(schema.questions)]
+
+
+def code_scores(schema: QuestionnaireSchema, codes: np.ndarray, weights: dict) -> np.ndarray:
+    """The weighted score of every case, from its option codes.
+
+    `weights` maps (question_id, option) to a weight and must cover every
+    option of the schema. Each question adds its weight vector indexed by
+    the codes, in schema order, and an unanswered question adds 0.0, so each
+    score is bit-equal to `score_responses` of the case's record.
+    """
+    scores = np.zeros(codes.shape[0])
+    for j, q in enumerate(schema.questions):
+        try:
+            table = [weights[(q.question_id, option)] for option in q.options]
+        except KeyError as exc:
+            raise KeyError(f"no scoring weight for question {q.question_id!r} "
+                           f"option {exc.args[0][1]!r}") from None
+        scores += np.array([*table, 0.0], dtype=np.float64)[codes[:, j]]
+    return scores
+
+
+def write_case_codes(path: str | Path, schema: QuestionnaireSchema, codes: np.ndarray,
+                     counts: np.ndarray, classes: np.ndarray | None = None,
+                     manifest: str | None = None) -> None:
+    """Write the cases of `generate_codes` as a case file, with `classes` as
+    their viogen scores: the bytes `write_cases` writes for the same records,
+    built column by column through the one table writer."""
+    require_file_options(schema)
+    n = len(counts)
+    columns = [_case_ids(0, n), counts.tolist(), [""] * n if classes is None else classes.tolist(),
+               *_answers(schema, codes, "")]
+    write_table(path, CASE_FIELDS + tuple(q.question_id for q in schema.questions), zip(*columns),
+                manifest)
 
 
 def attach_viogen_scores(records, weights: dict, thresholds) -> list[CaseRecord]:

@@ -560,6 +560,12 @@ BAD_INPUTS = {
                             "profile 1: field 'name' must be str"),
     "profile_dist_bools": ("generate_config", _one_profile(response_dists={"q1": [True, False]}),
                            "profile 'only', question 'q1': field 'response_dists' must be list[float]"),
+    # an empty cell means no answer, so an empty option could not be told from one
+    "generator_config_empty_option": (
+        "generate_config", _one_profile().replace('["A", "B"]', '["", "B"]'),
+        "question 'q1': an option must not be empty"),
+    "schema_empty_option": ("train_schema", '{"questions": [{"id": "q1", "options": ["", "B"]}]}',
+                            "question 'q1': an option must not be empty"),
     "schema_options_string": ("train_schema", '{"questions": [{"id": "q1", "options": "AB"}]}',
                               "question 'q1': field 'options' must be a list of strings"),
     "schema_allows_missing_string": (

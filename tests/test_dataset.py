@@ -33,7 +33,7 @@ from recidrisk.dataset import (
     write_cases,
     write_schema,
 )
-from recidrisk.synthgen import default_schema, demo_config, generate
+from recidrisk.synthgen import default_schema, demo_config, generate, write_case_codes
 
 
 def one_question_schema(allows_missing=False):
@@ -371,6 +371,28 @@ def test_read_case_matrix_fails_where_read_cases_fails(tmp_path, case):
         with mock.patch.object(dataset, "BLOCK_ROWS", block_rows), pytest.raises(ValueError) as got:
             read_case_matrix(path, config.schema)
         assert str(got.value) == str(expected.value)
+
+
+def test_an_empty_option_is_refused_where_a_schema_meets_a_file(tmp_path):
+    # on file an empty cell means no answer: the option "" would read back as missing
+    schema = QuestionnaireSchema((Question("q1", ("", "yes")),))
+    records = [CaseRecord("c1", {"q1": ""}, 0)]
+    assert encode_cases(records, schema).values.tolist() == [[1.0, 0.0, 0.0]]  # in memory, an option
+    refusal = "^question 'q1': an option must not be empty; in a case file an empty cell means no answer$"
+    path = tmp_path / "cases.csv"
+    with pytest.raises(ValueError, match=refusal):
+        write_cases(path, records, schema)
+    assert not path.exists()
+    with pytest.raises(ValueError, match=refusal):
+        write_case_codes(path, schema, np.zeros((1, 1), dtype=np.int16), np.zeros(1, dtype=np.int64))
+    assert not path.exists()
+    path.write_text("case_id,recidivism_count,viogen_score,q1\nc1,0,,\n")
+    with pytest.raises(ValueError, match=refusal):
+        read_case_matrix(path, schema)
+    schema_path = tmp_path / "schema.json"
+    write_schema(schema_path, schema)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(schema_path))}: {refusal[1:]}"):
+        read_schema(schema_path)
 
 
 def test_schema_file_round_trip(tmp_path):

@@ -160,3 +160,35 @@ def test_save_model_refuses_non_finite_values(tmp_path):
     with pytest.raises(ValueError, match="not JSON compliant"):
         save_model(tmp_path / "nc.json", model)
     assert not (tmp_path / "nc.json").exists()  # refused before the file is opened
+
+
+@pytest.mark.parametrize("family, keys, literal, message", [
+    ("tree", ("threshold", 0), "null", "tree field 'threshold' must hold numbers"),
+    ("tree", ("threshold", 0), '"0.5"', "tree field 'threshold' must hold numbers"),
+    ("tree", ("threshold", 0), "true", "tree field 'threshold' must hold numbers"),
+    ("tree", ("threshold", 0), "1e999", "tree field 'threshold' must hold finite numbers"),
+    ("tree", ("threshold", 0), "-1e999", "tree field 'threshold' must hold finite numbers"),
+    ("tree", ("feature", 0), "true", "tree field 'feature' must hold integers"),
+    ("knn", ("train_values", "rows", 0, 1), "1e999", "field 'rows' must hold finite numbers"),
+    ("nc", ("centroids", 1, 2), "1e999", "field 'centroids' must hold finite numbers"),
+    ("nc_shrunk", ("shrunken_centroids", 0, 0), "-1e999",
+     "field 'shrunken_centroids' must hold finite numbers"),
+    ("nc_shrunk", ("s", 3), "1e999", "field 's' must hold finite numbers"),
+], ids=["threshold_null", "threshold_string", "threshold_true", "threshold_overflow",
+        "threshold_negative_overflow", "feature_true", "dense_knn_row_overflow",
+        "nc_centroid_overflow", "nc_shrunken_centroid_overflow", "nc_s_overflow"])
+def test_wrong_kinds_and_overflowing_numbers_are_refused(tmp_path, family, keys, literal, message):
+    # 1e999 is a valid JSON number that Python reads as infinity; true and
+    # null would read as 1.0 and NaN in a float array
+    X, y = _data(11, binary=family == "tree")
+    model = {"tree": lambda: tree_fit((X, y), max_depth=3, seed=0),
+             "knn": lambda: knn_fit((X, y), k=3),
+             "nc": lambda: nc_fit((X, y)),
+             "nc_shrunk": lambda: nc_fit((X, y), shrink_threshold=0.3)}[family]()
+    path = tmp_path / "model.json"
+    save_model(path, model)
+    load_model(path)
+    _edit(path, keys, "<edited>")
+    path.write_text(path.read_text().replace('"<edited>"', literal))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+        load_model(path)

@@ -1,28 +1,44 @@
 """Synthetic corpus generator: determinism, planted structure, score attachment."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from recidrisk.baseline import ViogenClass
-from recidrisk.dataset import MISSING, Question, QuestionnaireSchema, encode_cases, label_from_recidivism
+from recidrisk.baseline import ViogenClass, classify_scores, score_responses
+from recidrisk.dataset import (
+    MISSING,
+    CaseRecord,
+    Question,
+    QuestionnaireSchema,
+    encode_cases,
+    label_from_recidivism,
+    write_cases,
+)
 from recidrisk.nearest_centroid import nc_fit
 from recidrisk.synthgen import (
     CHUNK_SIZE,
     GeneratorConfig,
     ResponseProfile,
     _generate_chunk,
+    assess_cases,
     attach_viogen_scores,
+    code_scores,
     config_from_json,
     config_to_json,
     demo_config,
     demo_profiles,
     generate,
+    generate_codes,
     read_config,
     score_thresholds,
     severity_weights,
+    thresholds_from_quantiles,
+    write_case_codes,
     write_config,
 )
 
@@ -197,3 +213,86 @@ def test_config_json_round_trip(tmp_path):
     path = tmp_path / "gen.json"
     write_config(path, config)
     assert read_config(path) == config
+
+
+# options the csv layer must quote or keep as written: commas, quotes, spaces
+OPTION_TEXT = st.text(st.sampled_from('ab," '), min_size=1, max_size=3)
+
+
+@st.composite
+def generator_configs(draw):
+    """A small generator config around the chunk boundary, and a scoring weight
+    for every (question, option) pair."""
+    questions = tuple(
+        Question(f"q{j}", tuple(draw(st.lists(OPTION_TEXT, min_size=2, max_size=4, unique=True))),
+                 allows_missing=draw(st.booleans()))
+        for j in range(draw(st.integers(1, 4)))
+    )
+    schema = QuestionnaireSchema(questions)
+
+    def dist(n_options):
+        mass = np.array(draw(st.lists(st.integers(0, 9), min_size=n_options, max_size=n_options)
+                             .filter(any)), dtype=np.float64)
+        return tuple((mass / mass.sum()).tolist())
+
+    n_profiles = draw(st.integers(1, 2))
+    profiles = tuple(
+        ResponseProfile(f"p{k}", 1.0 / n_profiles,
+                        {q.question_id: dist(len(q.options)) for q in questions},
+                        draw(st.sampled_from([0.0, 0.7, 4.0])))
+        for k in range(n_profiles)
+    )
+    config = GeneratorConfig(
+        n_cases=draw(st.sampled_from([1, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1])),
+        schema=schema, profiles=profiles,
+        missing_rate=draw(st.sampled_from([0.0, 0.25])), seed=draw(st.integers(0, 2**32 - 1)),
+        dispersion=draw(st.sampled_from([None, 1.5])),
+    )
+    weights = {(q.question_id, option): draw(st.floats(-4, 4, allow_nan=False))
+               for q in questions for option in q.options}
+    return config, weights
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_configs())
+def test_columnar_core_equals_the_record_path(problem):
+    config, weights = problem
+    schema = config.schema
+    codes, counts = generate_codes(config)
+    records = generate(config)
+    # the records the codes stand for, built here case by case
+    assert records == [
+        CaseRecord(f"case-{i:06d}",
+                   {q.question_id: MISSING if code == len(q.options) else q.options[code]
+                    for q, code in zip(schema.questions, row.tolist())},
+                   count)
+        for i, (row, count) in enumerate(zip(codes, counts.tolist()))
+    ]
+
+    scores = code_scores(schema, codes, weights)
+    oracle = np.array([score_responses(rec.responses, weights) for rec in records])
+    assert scores.tobytes() == oracle.tobytes()  # bit-equal, signed zeros included
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for viogen in (False, True):
+            columnar, by_record = Path(tmp) / "columnar.csv", Path(tmp) / "records.csv"
+            if viogen:
+                thresholds = thresholds_from_quantiles(scores)
+                assessed, expected_thresholds = assess_cases(records, weights)
+                assert thresholds == expected_thresholds
+                write_case_codes(columnar, schema, codes, counts,
+                                 classify_scores(scores, thresholds), manifest="manifest.json")
+                write_cases(by_record, assessed, schema, manifest="manifest.json")
+            else:
+                write_case_codes(columnar, schema, codes, counts, manifest="manifest.json")
+                write_cases(by_record, records, schema, manifest="manifest.json")
+            assert columnar.read_bytes() == by_record.read_bytes()
+
+
+def test_code_scores_need_a_weight_for_every_option():
+    schema = tiny_schema()
+    codes, _ = generate_codes(GeneratorConfig(20, schema, (uniform_profile(schema),), seed=15))
+    weights = {(q.question_id, o): 1.0 for q in schema.questions for o in q.options}
+    del weights[("q2", "z")]
+    with pytest.raises(KeyError, match="no scoring weight for question 'q2' option 'z'"):
+        code_scores(schema, codes, weights)
