@@ -8,14 +8,13 @@ The production scoring weights are external inputs and never hard-coded here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import MISSING, CaseRecord, RiskLabel, read_json, require_type
+from .dataset import MISSING, CaseRecord, RiskLabel, json_text, read_json, require_type
 
 
 class ViogenClass(IntEnum):
@@ -125,9 +124,7 @@ def rule_system_from_json(payload: dict) -> RuleSystem:
 
 
 def write_rule_system(path: str | Path, rule_system: RuleSystem) -> None:
-    with open(path, "w") as fh:
-        json.dump(rule_system_to_json(rule_system), fh, indent=2)
-        fh.write("\n")
+    Path(path).write_text(json_text(rule_system_to_json(rule_system)))
 
 
 def read_rule_system(path: str | Path) -> RuleSystem:

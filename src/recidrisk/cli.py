@@ -42,6 +42,7 @@ from .dataset import (
     SplitSpec,
     comment_lines,
     fmt_float,
+    json_text,
     read_case_matrix,
     read_json,
     read_schema,
@@ -148,9 +149,7 @@ def _write_manifest(out_dir: Path, args, config: dict, outputs: list) -> None:
                    for name, p in inputs.items() if p is not None},
         "outputs": sorted(outputs),
     }
-    with open(out_dir / MANIFEST_NAME, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out_dir / MANIFEST_NAME).write_text(json_text(manifest, sort_keys=True))
 
 
 def _out_dir(args) -> Path:
@@ -182,7 +181,8 @@ def _resolve(args, command: Command) -> dict:
 
     File fields and flags alike are checked against the option's type and
     choices, and an int given for a float becomes a float, so a value reaches
-    the manifest the same way from either.
+    the manifest the same way from either. Every float must be finite: a
+    flag's `inf` or `nan` and a file's `1e999` are refused.
     """
     options = {o.name: o for o in command.options}
 
@@ -200,8 +200,12 @@ def _resolve(args, command: Command) -> dict:
                 raise ValueError(f"{what(option)} must be one of {', '.join(option.choices)}")
             if option.type is float and value is not None:
                 value = float(value)
+                if not np.isfinite(value):
+                    raise ValueError(f"{what(option)} must be finite")
             elif option.type == list[float]:
                 value = [float(v) for v in value]
+                if not np.isfinite(value).all():
+                    raise ValueError(f"{what(option)} values must be finite")
             if option.check and value is not None:
                 option.check(what(option), value)
             result[name] = value
@@ -219,7 +223,7 @@ def _text(text: str):
 
 
 def _json(payload: dict):
-    return _text(json.dumps({**payload, "manifest": MANIFEST_NAME}, indent=2) + "\n")
+    return _text(json_text({**payload, "manifest": MANIFEST_NAME}))
 
 
 def _table(columns, rows: list):
@@ -343,6 +347,8 @@ def cmd_gridsearch(args, cfg):
 def cmd_crossval(args, cfg):
     if cfg["family"]:
         space = SearchSpace((ModelConfig(cfg["family"], cfg["params"] or {}),))
+    elif cfg["params"] is not None:
+        raise ValueError("crossval takes params only with a family, not with a space")
     else:
         space = _SPACES[cfg["space"]]()
     matrix = _load_matrix(args, cfg)

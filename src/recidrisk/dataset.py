@@ -13,6 +13,10 @@ per row. Both map each answer to its column through the same option lookup
 and missing rule, and one builder labels the rows by `risk_labels`, keeping
 the follow-up counts with them, so another High threshold relabels without
 encoding again. `read_cases` still returns the file's records.
+
+Every JSON file is read by `read_json` and written from `json_text`, its one
+writer, which refuses NaN and Infinity as `read_json` does, so no file the
+package writes fails to load as JSON.
 """
 
 from __future__ import annotations
@@ -487,6 +491,12 @@ def read_table(path: str | Path, columns, parse_row, extra_columns: bool = False
     return items
 
 
+def json_text(payload, indent: int | None = 2, sort_keys: bool = False) -> str:
+    """The one JSON writer's text: `payload` and a newline. NaN and Infinity,
+    which `read_json` refuses, raise ValueError here instead."""
+    return json.dumps(payload, indent=indent, sort_keys=sort_keys, allow_nan=False) + "\n"
+
+
 def read_json(path: str | Path, build):
     """Parse the JSON object in a file and return `build(payload)`.
 
@@ -646,9 +656,7 @@ def read_case_matrix(
 
 
 def write_schema(path: str | Path, schema: QuestionnaireSchema) -> None:
-    with open(path, "w") as fh:
-        json.dump(schema.to_json(), fh, indent=2)
-        fh.write("\n")
+    Path(path).write_text(json_text(schema.to_json()))
 
 
 def read_schema(path: str | Path) -> QuestionnaireSchema:

@@ -74,7 +74,8 @@ def check_params(family: str, params: dict, kind: str, n_rows: int | None = None
                  config: bool = False) -> None:
     """Check a dict of `family`'s hyperparameters as its fit function takes them:
     the names, each value's type against the fit annotation (ValueError("<kind>
-    '<name>' must be <type>"), `kind` being "parameter" or "field"), then the
+    '<name>' must be <type>"), `kind` being "parameter" or "field"), that a
+    float is finite (ValueError("<kind> '<name>' must be finite")), then the
     values by the family's rule on `n_rows` training rows, with the fit's own
     message. A config (`config=True`) is checked for names and types only, and
     may not name `seed`, which its caller passes."""
@@ -89,6 +90,8 @@ def check_params(family: str, params: dict, kind: str, n_rows: int | None = None
         raise ValueError(f"{problem}; {family} takes {', '.join(names)}")
     for name, value in params.items():
         require_type(f"{kind} '{name}'", value, fit_params[name].annotation)
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"{kind} '{name}' must be finite")
     if not config:
         values = {name: params.get(name, p.default) for name, p in fit_params.items()}
         values["n_rows"] = n_rows

@@ -1,25 +1,32 @@
 """Trained-model serialization: a versioned JSON document per model.
 
-Floats are emitted through Python's shortest round-trip repr, so centroid and
-tree parameters reload exactly. One-hot training matrices (the k-NN state)
-are stored as per-row active column indices; anything non-binary falls back
-to dense lists. A learner's hyperparameter fields reload through
-`experiments.check_params`, the check its configs and fits go through, and
-its data fields must agree: labels in 0..2, one per row, active columns
-inside the width, and arrays of the shapes the classes and width give,
-their floats finite.
+A model's state is declared once, by its class: the file holds its dataclass
+fields in declaration order, arrays as nested lists and a forest's member
+trees as their own states. The k-NN state is the one exception: it keeps the
+keys `k`, `train_labels`, `train_values`, and stores its training matrix,
+one-hot in practice, as per-row active column indices (anything non-binary
+falls back to dense lists). A rule system's state is its rule-system file.
+Floats are emitted through Python's shortest round-trip repr, so centroid
+and tree parameters reload exactly, and `dataset.json_text` writes the file,
+refusing NaN and Infinity as loading does.
+
+A learner's hyperparameter fields reload through `experiments.check_params`,
+the check its configs and fits go through (a float among them must be
+finite), and its data fields must agree: labels in 0..2, one per row, active
+columns inside the width, and arrays of the shapes the classes and width
+give, their floats finite.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .baseline import RuleSystem, rule_system_from_json, rule_system_to_json
-from .dataset import N_LABELS, read_json, require_type
+from .dataset import N_LABELS, json_text, read_json, require_type
 from .experiments import check_params
 from .knn import KNNModel
 from .metrics import check_labels
@@ -30,23 +37,16 @@ FORMAT_TAG = "recidrisk-model"
 FORMAT_VERSION = 1
 
 
-def _opt(array) -> list | None:
-    return None if array is None else np.asarray(array).tolist()
-
-
-def _nc_state(model: NearestCentroidModel) -> dict:
-    return {
-        "classes": model.classes.tolist(),
-        "centroids": model.centroids.tolist(),
-        "overall_centroid": model.overall_centroid.tolist(),
-        "s": _opt(model.s),
-        "s0": model.s0,
-        "offsets": _opt(model.offsets),
-        "shrunken_centroids": _opt(model.shrunken_centroids),
-        "metric": model.metric,
-        "p": model.p,
-        "shrink_threshold": model.shrink_threshold,
-    }
+def _state(value):
+    """A model's file state: its dataclass fields in declaration order, arrays
+    as nested lists and member models (a forest's trees) as their own states."""
+    if is_dataclass(value):
+        return {f.name: _state(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, list):
+        return [_state(item) for item in value]
+    return value
 
 
 def _nc_restore(state: dict) -> NearestCentroidModel:
@@ -151,20 +151,6 @@ def _knn_restore(state: dict) -> KNNModel:
     return KNNModel(train_values=values, train_labels=labels, k=state["k"])
 
 
-def _tree_state(model: TreeModel) -> dict:
-    return {
-        "feature": model.feature.tolist(),
-        "threshold": model.threshold.tolist(),
-        "left": model.left.tolist(),
-        "right": model.right.tolist(),
-        "counts": model.counts.tolist(),
-        "n_features": model.n_features,
-        "criterion": model.criterion,
-        "splitter": model.splitter,
-        "max_depth": model.max_depth,
-    }
-
-
 def _require_fields(state: dict, annotations: dict) -> None:
     for name, annotation in annotations.items():
         require_type(f"field '{name}'", state[name], annotation)
@@ -217,17 +203,6 @@ def _tree_restore(state: dict) -> TreeModel:
     )
 
 
-def _forest_state(model: ForestModel) -> dict:
-    return {
-        "trees": [_tree_state(tree) for tree in model.trees],
-        "n_features": model.n_features,
-        "criterion": model.criterion,
-        "max_depth": model.max_depth,
-        "seed": model.seed,
-        "bootstrap": model.bootstrap,
-    }
-
-
 def _forest_restore(state: dict) -> ForestModel:
     _require_fields(state, {"trees": list, "n_features": int})
     params = {key: state[key] for key in ("criterion", "max_depth", "seed", "bootstrap")}
@@ -242,43 +217,34 @@ def _forest_restore(state: dict) -> ForestModel:
     )
 
 
+# family name: (model class, its file state, the restore that checks and rebuilds it)
 _FAMILIES = {
-    NearestCentroidModel: ("nc", _nc_state),
-    KNNModel: ("knn", _knn_state),
-    TreeModel: ("tree", _tree_state),
-    ForestModel: ("forest", _forest_state),
-    RuleSystem: ("rule_system", rule_system_to_json),
-}
-
-_RESTORERS = {
-    "nc": _nc_restore,
-    "knn": _knn_restore,
-    "tree": _tree_restore,
-    "forest": _forest_restore,
-    "rule_system": rule_system_from_json,
+    "nc": (NearestCentroidModel, _state, _nc_restore),
+    "knn": (KNNModel, _knn_state, _knn_restore),
+    "tree": (TreeModel, _state, _tree_restore),
+    "forest": (ForestModel, _state, _forest_restore),
+    "rule_system": (RuleSystem, rule_system_to_json, rule_system_from_json),
 }
 
 
 def model_family(model) -> str:
-    for cls, (family, _) in _FAMILIES.items():
+    for family, (cls, _, _) in _FAMILIES.items():
         if isinstance(model, cls):
             return family
     raise TypeError(f"cannot serialize models of type {type(model).__name__}")
 
 
 def save_model(path: str | Path, model, extra: dict | None = None) -> None:
-    family, to_state = _FAMILIES[type(model)]
+    family = model_family(model)
     payload = {
         "format": FORMAT_TAG,
         "version": FORMAT_VERSION,
         "family": family,
-        "state": to_state(model),
+        "state": _FAMILIES[family][1](model),
     }
     if extra:
         payload["extra"] = extra
-    text = json.dumps(payload, allow_nan=False)  # read_json refuses NaN and Infinity
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    Path(path).write_text(json_text(payload, indent=None))
 
 
 def _restore(payload: dict):
@@ -287,9 +253,9 @@ def _restore(payload: dict):
     if payload.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {payload.get('version')}")
     family = payload.get("family")
-    if family not in _RESTORERS:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown model family {family!r}")
-    return _RESTORERS[family](payload["state"])
+    return _FAMILIES[family][2](payload["state"])
 
 
 def load_model(path: str | Path):

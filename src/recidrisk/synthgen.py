@@ -20,7 +20,6 @@ cases as `CaseRecord`s, for library use and as the tests' reference.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +32,7 @@ from .dataset import (
     CaseRecord,
     Question,
     QuestionnaireSchema,
+    json_text,
     read_json,
     require_file_options,
     require_type,
@@ -78,8 +78,8 @@ class GeneratorConfig:
         total = sum(p.weight for p in self.profiles)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"profile weights must sum to 1, got {total}")
-        if self.dispersion is not None and self.dispersion <= 0:
-            raise ValueError("dispersion must be positive when set")
+        if self.dispersion is not None and not 0 < self.dispersion < np.inf:
+            raise ValueError("dispersion must be positive and finite when set")
         for profile in self.profiles:
             for q in self.schema.questions:
                 dist = profile.response_dists.get(q.question_id)
@@ -398,9 +398,7 @@ def _profile_from_json(number: int, item: dict) -> ResponseProfile:
 
 
 def write_config(path: str | Path, config: GeneratorConfig) -> None:
-    with open(path, "w") as fh:
-        json.dump(config_to_json(config), fh, indent=2)
-        fh.write("\n")
+    Path(path).write_text(json_text(config_to_json(config)))
 
 
 def read_config(path: str | Path) -> GeneratorConfig:

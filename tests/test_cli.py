@@ -224,6 +224,11 @@ CONFIG_ERRORS = {
     "crossval_k_1": ("crossval", {"k": 1}, "field 'k' must be >= 2\n"),
     "sweep_k_1": ("sweep", {"auto_ml": True, "k": 1}, "field 'k' must be >= 2\n"),
     "decide_r0_negative": ("decide", {"r0": -1}, "field 'r0' must be >= 0\n"),
+    # written as 1e999, a JSON number that reads as infinity
+    "evaluate_taus_overflow": ("evaluate", {"taus": [0.5, float("inf")]},
+                               "field 'taus' values must be finite\n"),
+    "sweep_taus_overflow": ("sweep", {"taus": [float("inf")]}, "field 'taus' values must be finite\n"),
+    "decide_r0_overflow": ("decide", {"r0": float("inf")}, "field 'r0' must be finite\n"),
 }
 
 
@@ -285,7 +290,8 @@ def _refused(argv, earlier_runs, tmp_path, capsys) -> str:
 def test_config_file_errors_are_oneline(generated, trained, earlier_runs, tmp_path, capsys, case):
     command, fields, message = CONFIG_ERRORS[case]
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(fields))
+    # json.dumps writes infinity as the constant Infinity, which read_json refuses
+    config.write_text(json.dumps(fields).replace("Infinity", "1e999"))
     curve = tmp_path / "resource.csv"
     curve.write_text(RESOURCE_CURVE)
     argv = _argv(command, generated, curve, trained) + ["--config", str(config)]
@@ -398,6 +404,16 @@ def _knn_rows(rows):
         **state["train_values"], "rows": rows + state["train_values"]["rows"][len(rows):]}})
 
 
+def _nc_literal(key, literal):
+    """A shrunken NC model over the 250 demo columns, as file text, with one
+    state field written as the JSON literal given."""
+    zeros = [[0.0] * 250] * 3
+    state = {"classes": [0, 1, 2], "centroids": zeros, "overall_centroid": [0.0] * 250,
+             "s": [1.0] * 250, "s0": 0.5, "offsets": zeros, "shrunken_centroids": zeros,
+             "metric": "minkowski", "p": 2.0, "shrink_threshold": 0.5, key: "<literal>"}
+    return _model("nc", state).replace('"<literal>"', literal)
+
+
 def _one_profile(**fields):
     """A one-profile generator config over one two-option question, with some
     profile fields replaced, as file text."""
@@ -465,6 +481,10 @@ BAD_INPUTS = {
                                              "field 'missing_rate' must be float"),
     "generator_config_dispersion_bool": ("generate_config", _generator_config(dispersion=True),
                                          "field 'dispersion' must be float | None"),
+    "generator_config_dispersion_overflow": (
+        "generate_config",
+        lambda gen: _generator_config(dispersion=2.0)(gen).replace('"dispersion": 2.0', '"dispersion": 1e999'),
+        "dispersion must be positive and finite when set"),
     "tree_child_outside_arrays": ("evaluate", _model("tree", _tree([0], [5], [5])),
                                   "tree node 0: children must lie after the node and before 1"),
     "forest_member_feature_out_of_range": (
@@ -507,6 +527,9 @@ BAD_INPUTS = {
     "nc_shrink_negative": ("evaluate", _nc(shrink_threshold=-1),
                            "shrink_threshold must be >= 0 or None"),
     "nc_p_string": ("evaluate", _nc(p="3"), "field 'p' must be float"),
+    "nc_p_overflow": ("evaluate", _nc_literal("p", "1e999"), "field 'p' must be finite"),
+    "nc_shrink_threshold_overflow": ("evaluate", _nc_literal("shrink_threshold", "1e999"),
+                                     "field 'shrink_threshold' must be finite"),
     "knn_k_zero": ("evaluate", _knn(k=0), "k must satisfy 1 <= k <= "),
     "knn_k_float": ("evaluate", _knn(k=5.5), "field 'k' must be int"),
     "knn_k_bool": ("evaluate", _knn(k=True), "field 'k' must be int"),
@@ -684,10 +707,23 @@ def test_out_of_range_sweep_flags_are_refused(generated, earlier_runs, tmp_path,
     ("sensitivity", ["--thresholds", "1"], "--thresholds values must be >= 2\n"),
     ("sensitivity", ["--thresholds", "4,1"], "--thresholds values must be >= 2\n"),
     ("decide", ["--r0", "-1"], "--r0 must be >= 0\n"),
+    ("evaluate", ["--tau", "inf"], "--tau values must be finite\n"),
+    ("sweep", ["--tau", "0.5", "--tau", "nan"], "--tau values must be finite\n"),
+    ("decide", ["--r0", "nan"], "--r0 must be finite\n"),
+    ("decide", ["--r0", "inf"], "--r0 must be finite\n"),
+    # argparse's json.loads reads Infinity and NaN; the reused directory holds an
+    # earlier train run, which must come through byte for byte
+    ("train", ["--params", '{"metric": "minkowski", "p": Infinity}'],
+     "nc [metric=minkowski, p=inf]: parameter 'p' must be finite\n"),
+    ("sweep", ["--ml-params", '{"metric": "minkowski", "p": NaN}'],
+     "nc [metric=minkowski, p=nan]: parameter 'p' must be finite\n"),
+    ("crossval", ["--params", '{"p": 3}'], "crossval takes params only with a family, not with a space\n"),
 ], ids=["sweep_tau_negative", "sweep_auto_ml_k_1", "evaluate_tau_negative", "crossval_k_1",
         "crossval_k_above_rows", "train_knn_k_above_rows", "train_fraction_1.5",
         "gridsearch_train_fraction_0", "sensitivity_train_fraction_1", "train_high_threshold_1",
-        "sensitivity_threshold_1", "sensitivity_thresholds_4_1", "decide_r0_negative"])
+        "sensitivity_threshold_1", "sensitivity_thresholds_4_1", "decide_r0_negative",
+        "evaluate_tau_inf", "sweep_tau_nan", "decide_r0_nan", "decide_r0_inf", "train_p_infinity",
+        "sweep_ml_p_nan", "crossval_params_without_family"])
 def test_out_of_range_flags_are_refused(generated, trained, earlier_runs, tmp_path, capsys, command,
                                         flags, message):
     curve = tmp_path / "resource.csv"
@@ -784,8 +820,13 @@ def test_console_script_help_runs():
     ("crossval", "knn", {"k": True}, "knn [k=True]: parameter 'k' must be int\n"),
     ("train", "tree", {"max_depth": 2.5}, "tree [max_depth=2.5]: parameter 'max_depth' must be int | None\n"),
     ("train", "forest", {"bootstrap": "no"}, "forest [bootstrap=no]: parameter 'bootstrap' must be bool\n"),
+    ("crossval", "nc", {"metric": "minkowski", "p": float("inf")},
+     "nc [metric=minkowski, p=inf]: parameter 'p' must be finite\n"),
+    ("crossval", "nc", {"shrink_threshold": float("nan")},
+     "nc [shrink_threshold=nan]: parameter 'shrink_threshold' must be finite\n"),
 ], ids=["crossval_misspelt", "crossval_k_0", "crossval_no_trees", "train_misspelt", "train_no_k",
-        "crossval_k_string", "crossval_k_bool", "train_depth_float", "train_bootstrap_string"])
+        "crossval_k_string", "crossval_k_bool", "train_depth_float", "train_bootstrap_string",
+        "crossval_p_inf", "crossval_shrink_threshold_nan"])
 def test_bad_model_params_are_oneline_errors(generated, tmp_path, capsys, command, family, params,
                                              message):
     argv = [command, "--data", str(generated / "cases.csv"), "--schema", str(generated / "schema.json"),

@@ -510,10 +510,13 @@ def test_invalid_config_is_an_error_row(small_split, family, bad, good):
     ("knn", {"k": True}),
     ("tree", {"max_depth": 2.5}),
     ("forest", {"bootstrap": "no"}),
+    ("nc", {"metric": "minkowski", "p": float("inf")}),
+    ("nc", {"shrink_threshold": float("nan")}),
+    ("nc", {"shrink_threshold": -float("inf")}),
 ])
 def test_config_names_only_fit_parameters(family, params):
     with pytest.raises(ValueError, match=rf"^{family} \[.*\]: ((unknown|missing) parameter"
-                                         rf"|parameter '\w+' must be (int|int \| None|bool)$)"):
+                                         rf"|parameter '\w+' must be (int|int \| None|bool|finite)$)"):
         ModelConfig(family, params)
 
 

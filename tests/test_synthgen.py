@@ -170,6 +170,9 @@ def test_invalid_configs_rejected_before_sampling():
     bad_dist = ResponseProfile("bad", 1.0, {"q1": (0.5, 0.5), "q2": (0.9, 0.1)}, 1.0)
     with pytest.raises(ValueError):
         GeneratorConfig(10, schema, (bad_dist,), seed=0)
+    for dispersion in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="^dispersion must be positive and finite when set$"):
+            GeneratorConfig(10, schema, (good,), seed=0, dispersion=dispersion)
 
 
 def test_attach_viogen_zero_weights_class_zero():
