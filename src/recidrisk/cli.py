@@ -504,7 +504,8 @@ _DATA = (Input("data"), Input("schema"))
 _SPLIT = (Option("train_fraction", 0.67, float, check=_open_unit_interval),
           Option("split_seed", 0, int), Option("seed", 0, int))
 _HIGH_THRESHOLD = Option("high_threshold", 3, int, check=_at_least(2))
-_JOBS = Option("jobs", 1, int, help="parallel worker bound (results are jobs-invariant)")
+_JOBS = Option("jobs", 1, int, check=_at_least(1),
+               help="parallel worker bound (results are jobs-invariant)")
 _TAUS = Option("taus", list(_DEFAULT_TAUS), list[float], flag="--tau", check=_taus())
 _PARAMS_HELP = "hyperparameters as a JSON object"
 
@@ -513,7 +514,8 @@ COMMANDS = {
         "emit a synthetic corpus",
         (Input("generator_config", required=False, flag="--config",
                help="generator config JSON (defaults to the demo mixture)"),),
-        (Option("n", 20000, int), Option("seed", DEMO_SEED, int), Option("separation", 0.35, float),
+        (Option("n", 20000, int, check=_at_least(1)), Option("seed", DEMO_SEED, int),
+         Option("separation", 0.35, float, check=_unit_interval),
          Option("with_viogen", True, bool, flag="--no-viogen")),
         config_file=False,
     ),

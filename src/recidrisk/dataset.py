@@ -14,6 +14,10 @@ and missing rule, and one builder labels the rows by `risk_labels`, keeping
 the follow-up counts with them, so another High threshold relabels without
 encoding again. `read_cases` still returns the file's records.
 
+Every delimited file is read by `table_blocks`, the one table reader: a
+generator of the header and then blocks of rows with their lines, which
+`read_table` and `read_case_matrix` check as they come.
+
 Every JSON file is read by `read_json` and written from `json_text`, its one
 writer, which refuses NaN and Infinity as `read_json` does, so no file the
 package writes fails to load as JSON.
@@ -25,6 +29,7 @@ import csv
 import itertools
 import json
 import types
+from contextlib import closing
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -119,6 +124,8 @@ class QuestionnaireSchema:
             if not isinstance(allows_missing, bool):
                 raise ValueError(f"question {qid!r}: field 'allows_missing' must be true or false")
             questions.append(Question(qid, tuple(options), allows_missing))
+        if not questions:  # a case file of no questions encodes to no columns
+            raise ValueError("field 'questions' must not be empty")
         schema = cls(tuple(questions))
         require_file_options(schema)
         return schema
@@ -405,17 +412,18 @@ def write_table(path: str | Path, columns, rows, manifest: str | None = None, co
 BLOCK_ROWS = 128
 
 
-def stream_table(path: str | Path, columns, start, extra_columns: bool = False) -> None:
-    """Stream the rows of a table file to a parser, in blocks of BLOCK_ROWS.
+def table_blocks(path: str | Path, columns, extra_columns: bool = False):
+    """Yield a table file's header as (header, line), then its rows in blocks
+    of at most BLOCK_ROWS as (rows, lines), `lines[i]` the line on which
+    `rows[i]` ends.
 
     `#` lines are comments only before the header. The header must equal
     `columns`, or start with them when `extra_columns` is set, and name each
-    column once; `start(header)` may reject it with a ValueError, and returns
-    the parser. Every row must have the header's width. `parse(rows)` gets the
-    rows of each block in file order and returns None, or (i, what) for the
-    first bad row of the block. Any failure raises ValueError("<path>:<line>:
-    <what>"), naming the header's line for a header defect and the line that
-    ends the first bad row otherwise.
+    column once. Every row must have the header's width. A defect of the table
+    raises ValueError("<path>:<line>: <what>") only after every row before it
+    has been yielded, so a caller that checks each block as it comes names the
+    first bad row. A caller that may stop early closes the generator
+    (`contextlib.closing`), and with it the file.
     """
     with open(path, newline="") as fh:
         n_comments = 0
@@ -425,11 +433,7 @@ def stream_table(path: str | Path, columns, start, extra_columns: bool = False) 
             n_comments += 1
         else:
             raise ValueError(f"{path}:{n_comments + 1}: no header row")
-
-        def error(line: int, what) -> ValueError:
-            # line_num counts the physical lines the reader has consumed
-            return ValueError(f"{path}:{n_comments + max(line, 1)}: {what}")
-
+        # the reader's line_num counts lines from the header on, after the comments
         reader = csv.reader(itertools.chain((first,), fh))
         try:
             header = next(reader)
@@ -439,55 +443,48 @@ def stream_table(path: str | Path, columns, start, extra_columns: bool = False) 
             if len(set(header)) != len(header):
                 duplicates = sorted({name for name in header if header.count(name) > 1})
                 raise ValueError(f"duplicate column(s) {', '.join(duplicates)}")
-            parse = start(header)
         except (ValueError, csv.Error) as exc:
-            raise error(reader.line_num, exc) from None
-        width, n_rows, broken = len(header), 0, None
-        while broken is None:
-            rows, lines = [], []
+            raise ValueError(f"{path}:{n_comments + reader.line_num}: {exc}") from None
+        yield header, n_comments + reader.line_num
+        width, n_rows = len(header), 0
+        while True:
+            rows, lines, broken = [], [], None
             try:
-                for cells in reader:
+                for cells in itertools.islice(reader, BLOCK_ROWS):
                     rows.append(cells)
-                    lines.append(reader.line_num)
-                    if len(rows) == BLOCK_ROWS:
-                        break
-            except csv.Error as exc:  # raised once the rows before it are checked
-                broken = error(reader.line_num, exc)
+                    lines.append(n_comments + reader.line_num)
+            except csv.Error as exc:  # raised once the rows before it are yielded
+                broken = ValueError(f"{path}:{n_comments + reader.line_num}: {exc}")
+            cut = next((i for i, cells in enumerate(rows) if len(cells) != width), len(rows))
+            if cut:
+                yield rows[:cut], lines[:cut]
+            if cut < len(rows):
+                raise ValueError(f"{path}:{lines[cut]}: expected {width} cells, found {len(rows[cut])}")
+            if broken is not None:
+                raise broken
             if not rows:
                 break
-            cut = next((i for i, cells in enumerate(rows) if len(cells) != width), len(rows))
-            failure = parse(rows[:cut]) if cut else None
-            if failure is None and cut < len(rows):
-                failure = cut, f"expected {width} cells, found {len(rows[cut])}"
-            if failure is not None:
-                raise error(lines[failure[0]], failure[1])
             n_rows += len(rows)
-        if broken is not None:
-            raise broken
-    if not n_rows:
-        raise error(reader.line_num + 1, "no rows after the header")
+        if not n_rows:
+            raise ValueError(f"{path}:{n_comments + reader.line_num + 1}: no rows after the header")
 
 
 def read_table(path: str | Path, columns, parse_row, extra_columns: bool = False) -> list:
     """Parse every row of a table file, streaming; returns the parsed rows.
 
-    The file follows `stream_table`'s rules, and each row is turned into an
+    The file follows `table_blocks`' rules, and each row is turned into an
     item by `parse_row(header, cells)`. Any failure, including a ValueError
     from `parse_row`, raises ValueError("<path>:<line>: <what>").
     """
     items = []
-
-    def start(header):
-        def parse(rows):
-            for i, cells in enumerate(rows):
+    with closing(table_blocks(path, columns, extra_columns)) as table:
+        header, _ = next(table)
+        for rows, lines in table:
+            for cells, line in zip(rows, lines):
                 try:
                     items.append(parse_row(header, cells))
                 except ValueError as exc:
-                    return i, exc
-            return None
-        return parse
-
-    stream_table(path, columns, start, extra_columns)
+                    raise ValueError(f"{path}:{line}: {exc}") from None
     return items
 
 
@@ -614,19 +611,19 @@ def read_case_matrix(
     """
     require_file_options(schema)
     seen, blocks = set(), []
-
-    def start(header):
+    with closing(table_blocks(path, CASE_FIELDS, extra_columns=True)) as table:
+        header, line = next(table)
         unknown = [name for name in header[3:] if name not in schema.by_id]
         if unknown:
-            raise ValueError(f"unknown question column(s) {unknown!r}")
+            raise ValueError(f"{path}:{line}: unknown question column(s) {unknown!r}")
         where = {name: j for j, name in enumerate(header)}
         absent = [q.question_id for q in schema.questions
                   if q.question_id not in where and not q.allows_missing]
         if absent:
-            raise ValueError(f"no column for question(s) {absent!r}, which need an answer")
+            raise ValueError(f"{path}:{line}: no column for question(s) {absent!r}, "
+                             "which need an answer")
         positions = [where.get(q.question_id) for q in schema.questions]
-
-        def parse(rows):
+        for rows, lines in table:
             columns = list(zip(*rows))
             answers = [("",) * len(rows) if j is None else columns[j] for j in positions]
             codes = _encode_answers(schema, len(rows), answers, "")
@@ -642,15 +639,12 @@ def read_case_matrix(
                     bad_record = i, exc
                     break
             failure = _first_failure(bad_record, bad_answer)
-            if failure is None:
-                counts, scores = zip(*parsed)
-                blocks.append((codes, np.array(counts),
-                               np.array([-1 if score is None else score for score in scores])))
-            return failure
-
-        return parse
-
-    stream_table(path, CASE_FIELDS, start, extra_columns=True)
+            if failure is not None:
+                row, what = failure
+                raise ValueError(f"{path}:{lines[row]}: {what}")
+            counts, scores = zip(*parsed)
+            blocks.append((codes, np.array(counts),
+                           np.array([-1 if score is None else score for score in scores])))
     codes, counts, scores = (np.concatenate(parts) for parts in zip(*blocks))
     return _feature_matrix(schema, codes, counts, scores, high_threshold)
 

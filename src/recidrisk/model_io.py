@@ -64,6 +64,8 @@ def _nc_restore(state: dict) -> NearestCentroidModel:
                 raise ValueError(f"field '{key}' must be null without a shrink_threshold")
     else:
         require_type("field 's0'", state["s0"], float)
+        if not np.isfinite(state["s0"]):
+            raise ValueError("field 's0' must be finite")
         arrays = {key: _floats(state, key, shape) for key, shape in shrinkage.items()}
     return NearestCentroidModel(
         classes=classes,

@@ -454,6 +454,8 @@ BAD_INPUTS = {
                                  "missing field 'questions'"),
     "schema_question_without_options": ("train_schema", '{"questions": [{"id": "q1"}]}',
                                         "missing field 'options'"),
+    "schema_with_no_questions": ("train_schema", '{"questions": []}',
+                                 "field 'questions' must not be empty"),
     "truncated_command_config": ("train_config", '{"family": "nc",\n', 2),
     "command_config_not_object": ("train_config", "[1, 2]\n", "expected a JSON object"),
     "truncated_generator_config": ("generate_config", '{"n_cases": 50,\n', 2),
@@ -481,6 +483,8 @@ BAD_INPUTS = {
                                              "field 'missing_rate' must be float"),
     "generator_config_dispersion_bool": ("generate_config", _generator_config(dispersion=True),
                                          "field 'dispersion' must be float | None"),
+    "generator_config_with_no_questions": ("generate_config", _generator_config(schema={"questions": []}),
+                                           "field 'questions' must not be empty"),
     "generator_config_dispersion_overflow": (
         "generate_config",
         lambda gen: _generator_config(dispersion=2.0)(gen).replace('"dispersion": 2.0', '"dispersion": 1e999'),
@@ -718,12 +722,17 @@ def test_out_of_range_sweep_flags_are_refused(generated, earlier_runs, tmp_path,
     ("sweep", ["--ml-params", '{"metric": "minkowski", "p": NaN}'],
      "nc [metric=minkowski, p=nan]: parameter 'p' must be finite\n"),
     ("crossval", ["--params", '{"p": 3}'], "crossval takes params only with a family, not with a space\n"),
+    ("gridsearch", ["--jobs", "-3"], "--jobs must be >= 1\n"),
+    ("crossval", ["--jobs", "0"], "--jobs must be >= 1\n"),
+    ("generate", ["--n", "0"], "--n must be >= 1\n"),
+    ("generate", ["--separation", "2"], "--separation must lie in [0, 1]\n"),
 ], ids=["sweep_tau_negative", "sweep_auto_ml_k_1", "evaluate_tau_negative", "crossval_k_1",
         "crossval_k_above_rows", "train_knn_k_above_rows", "train_fraction_1.5",
         "gridsearch_train_fraction_0", "sensitivity_train_fraction_1", "train_high_threshold_1",
         "sensitivity_threshold_1", "sensitivity_thresholds_4_1", "decide_r0_negative",
         "evaluate_tau_inf", "sweep_tau_nan", "decide_r0_nan", "decide_r0_inf", "train_p_infinity",
-        "sweep_ml_p_nan", "crossval_params_without_family"])
+        "sweep_ml_p_nan", "crossval_params_without_family", "gridsearch_jobs_negative",
+        "crossval_jobs_0", "generate_n_0", "generate_separation_2"])
 def test_out_of_range_flags_are_refused(generated, trained, earlier_runs, tmp_path, capsys, command,
                                         flags, message):
     curve = tmp_path / "resource.csv"

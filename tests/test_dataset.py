@@ -1,6 +1,7 @@
 """Schema, encoding, labeling and split behavior."""
 
 import dataclasses
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -33,6 +34,7 @@ from recidrisk.dataset import (
     write_cases,
     write_schema,
 )
+from recidrisk.hybrid import SWEEP_COLUMNS, read_sweep
 from recidrisk.synthgen import default_schema, demo_config, generate, write_case_codes
 
 
@@ -254,6 +256,8 @@ BROKEN_CASE_FILES = {
     "score_with_space": (9, lambda rows: rows[8][:2] + [" 2"] + rows[8][3:]),
     "count_with_plus": (10, lambda rows: rows[9][:1] + ["+3"] + rows[9][2:]),
     "count_in_arabic_indic_digits": (11, lambda rows: rows[10][:1] + ["\u0663"] + rows[10][2:]),
+    # longer than the csv module's field size limit (131,072 characters): a csv.Error
+    "cell_beyond_csv_field_limit": (7, lambda rows: rows[6][:3] + ["x" * 200_000] + rows[6][4:]),
 }
 
 
@@ -371,6 +375,54 @@ def test_read_case_matrix_fails_where_read_cases_fails(tmp_path, case):
         with mock.patch.object(dataset, "BLOCK_ROWS", block_rows), pytest.raises(ValueError) as got:
             read_case_matrix(path, config.schema)
         assert str(got.value) == str(expected.value)
+
+
+def test_a_bad_row_before_a_csv_error_in_its_block_is_named(tmp_path):
+    config = demo_config(n_cases=64, seed=12)
+    path = tmp_path / "cases.csv"
+    write_cases(path, generate(config), config.schema, manifest="manifest.json")
+    # a bad count on line 5, then a csv.Error on line 7 of the same block
+    rewrite_line(path, *BROKEN_CASE_FILES["cell_beyond_csv_field_limit"])
+    rewrite_line(path, 5, lambda rows: rows[4][:1] + ["1.5"] + rows[4][2:])
+    for read in (read_cases, lambda path: read_case_matrix(path, config.schema)):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: .* recidivism_count must be"):
+            read(path)
+
+
+def descriptors_on(path: Path) -> int:
+    """How many of this process's open file descriptors point at `path`."""
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("no /proc/self/fd to list open descriptors")
+    count = 0
+    for fd in fds.iterdir():
+        try:
+            count += Path(os.readlink(fd)) == path
+        except OSError:  # the listing's own descriptor, closed by now
+            pass
+    return count
+
+
+@pytest.mark.parametrize("reader", ["read_cases", "read_case_matrix_row", "read_case_matrix_header",
+                                    "read_sweep"])
+def test_a_failed_read_leaves_no_descriptor_open(tmp_path, reader):
+    # each read fails in the reader's own check of a row or header the table layer yielded
+    path = tmp_path / "table.csv"
+    if reader == "read_sweep":  # the second row's mu does not exceed the first's
+        path.write_text(",".join(SWEEP_COLUMNS) + "\n" + "0.5,0.1,0.0,0.1,0.1,police_resource,0.5,3\n" * 2)
+        read = read_sweep
+    else:
+        config = demo_config(n_cases=64, seed=12)
+        write_cases(path, generate(config), config.schema, manifest="manifest.json")
+        rewrite_line(path, *BROKEN_CASE_FILES["duplicate_case_id"])
+        schema = config.schema
+        if reader == "read_case_matrix_header":  # the header names a question the schema lacks
+            schema = QuestionnaireSchema(schema.questions[1:])
+        read = read_cases if reader == "read_cases" else lambda path: read_case_matrix(path, schema)
+    with pytest.raises(ValueError) as failure:
+        read(path)
+    assert failure.value.__traceback__ is not None  # still held, with the frames it passed through
+    assert descriptors_on(path.resolve()) == 0
 
 
 def test_an_empty_option_is_refused_where_a_schema_meets_a_file(tmp_path):
