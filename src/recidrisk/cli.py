@@ -41,6 +41,7 @@ from .dataset import (
     FeatureMatrix,
     SplitSpec,
     comment_lines,
+    finite_float,
     fmt_float,
     json_text,
     read_case_matrix,
@@ -182,7 +183,8 @@ def _resolve(args, command: Command) -> dict:
     File fields and flags alike are checked against the option's type and
     choices, and an int given for a float becomes a float, so a value reaches
     the manifest the same way from either. Every float must be finite: a
-    flag's `inf` or `nan` and a file's `1e999` are refused.
+    flag's `inf` or `nan`, a file's `1e999` and an integer beyond the float
+    range are refused.
     """
     options = {o.name: o for o in command.options}
 
@@ -199,13 +201,9 @@ def _resolve(args, command: Command) -> dict:
             if option.choices and value is not None and value not in option.choices:
                 raise ValueError(f"{what(option)} must be one of {', '.join(option.choices)}")
             if option.type is float and value is not None:
-                value = float(value)
-                if not np.isfinite(value):
-                    raise ValueError(f"{what(option)} must be finite")
+                value = finite_float(value, f"{what(option)} must be finite")
             elif option.type == list[float]:
-                value = [float(v) for v in value]
-                if not np.isfinite(value).all():
-                    raise ValueError(f"{what(option)} values must be finite")
+                value = finite_float(value, f"{what(option)} values must be finite").tolist()
             if option.check and value is not None:
                 option.check(what(option), value)
             result[name] = value
@@ -270,8 +268,7 @@ def cmd_generate(args, cfg):
 
 def cmd_train(args, cfg):
     config = ModelConfig(cfg["family"], cfg["params"])
-    matrix = _load_matrix(args, cfg)
-    train_part, test_part = split(matrix, SplitSpec(cfg["train_fraction"], cfg["split_seed"]))
+    train_part, test_part = _load_split(args, cfg)
     model = fit_model(config, train_part, derive_seed(cfg["seed"], "train"))
     cm = confusion(model.predict(test_part.values), test_part.labels)
     extra = {"config": cfg, "manifest": MANIFEST_NAME}
@@ -283,6 +280,17 @@ def cmd_train(args, cfg):
 
 def _load_matrix(args, cfg) -> FeatureMatrix:
     return read_case_matrix(args.data, read_schema(args.schema), high_threshold=cfg["high_threshold"])
+
+
+def _load_split(args, cfg, needs_scores: bool = False) -> tuple[FeatureMatrix, FeatureMatrix]:
+    """The train and test parts of the case file. The full matrix is gone once
+    this returns, so a command holds only its parts. With `needs_scores`, a
+    file without a viogen_score column is refused before the split."""
+    matrix = _load_matrix(args, cfg)
+    if needs_scores and matrix.viogen_scores is None:
+        raise ValueError(f"{args.data}: {args.command} needs a viogen_score column for the "
+                         "baseline source")
+    return split(matrix, SplitSpec(cfg["train_fraction"], cfg["split_seed"]))
 
 
 def _metric_report(model_id: str, cm, taus):
@@ -325,8 +333,7 @@ _SPACES = {"default": default_search_space, "nc-fine": nc_fine_space}
 
 
 def cmd_gridsearch(args, cfg):
-    matrix = _load_matrix(args, cfg)
-    train_part, test_part = split(matrix, SplitSpec(cfg["train_fraction"], cfg["split_seed"]))
+    train_part, test_part = _load_split(args, cfg)
     table = grid_search(
         _SPACES[cfg["space"]](),
         train_part,
@@ -351,8 +358,7 @@ def cmd_crossval(args, cfg):
         raise ValueError("crossval takes params only with a family, not with a space")
     else:
         space = _SPACES[cfg["space"]]()
-    matrix = _load_matrix(args, cfg)
-    train_part, _ = split(matrix, SplitSpec(cfg["train_fraction"], cfg["split_seed"]))
+    train_part = _load_split(args, cfg)[0]
     table = cv_table(space, train_part, k=cfg["k"], objective=cfg["objective"],
                      master_seed=cfg["seed"], jobs=cfg["jobs"])
     top = table.rows[0]
@@ -364,10 +370,7 @@ def cmd_crossval(args, cfg):
 # sweep / decide / sensitivity
 
 def cmd_sweep(args, cfg):
-    matrix = _load_matrix(args, cfg)
-    if matrix.viogen_scores is None:
-        raise ValueError(f"{args.data}: sweep needs a viogen_score column for the baseline source")
-    train_part, test_part = split(matrix, SplitSpec(cfg["train_fraction"], cfg["split_seed"]))
+    train_part, test_part = _load_split(args, cfg, needs_scores=True)
 
     if cfg["auto_ml"]:
         tuning = cv_table(nc_fine_space(), train_part, k=cfg["k"],

@@ -360,10 +360,10 @@ def split(matrix: FeatureMatrix, spec: SplitSpec) -> tuple[FeatureMatrix, Featur
     return matrix.take(perm[:n_train]), matrix.take(perm[n_train:])
 
 
-def kfold(matrix: FeatureMatrix, k: int, seed: int) -> list[tuple[FeatureMatrix, FeatureMatrix]]:
-    """Seeded k-fold partition: validation parts are disjoint, cover all rows,
-    and differ in size by at most one row."""
-    n = matrix.n_rows
+def kfold_indices(n: int, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Seeded k-fold partition of n rows as (train, validation) row-index pairs:
+    validation parts are disjoint, cover all rows, and differ in size by at
+    most one row. Each train part lists the other rows in permutation order."""
     if k < 2 or k > n:
         raise ValueError(f"k must satisfy 2 <= k <= {n}, got {k}")
     perm = derive_rng(seed, "kfold").permutation(n)
@@ -371,11 +371,16 @@ def kfold(matrix: FeatureMatrix, k: int, seed: int) -> list[tuple[FeatureMatrix,
     folds, pos = [], 0
     for fold_idx in range(k):
         size = base + (1 if fold_idx < extra else 0)
-        val_idx = perm[pos : pos + size]
-        train_idx = np.concatenate([perm[:pos], perm[pos + size :]])
-        folds.append((matrix.take(train_idx), matrix.take(val_idx)))
+        folds.append((np.concatenate([perm[:pos], perm[pos + size :]]), perm[pos : pos + size]))
         pos += size
     return folds
+
+
+def kfold(matrix: FeatureMatrix, k: int, seed: int) -> list[tuple[FeatureMatrix, FeatureMatrix]]:
+    """The parts of `kfold_indices` as matrices, every fold's copies at once;
+    a caller that runs one fold at a time takes each fold's parts from the
+    indices instead."""
+    return [(matrix.take(t), matrix.take(v)) for t, v in kfold_indices(matrix.n_rows, k, seed)]
 
 
 # ---------------------------------------------------------------------------
@@ -500,19 +505,23 @@ def read_json(path: str | Path, build):
     Every failure names the file: a syntax error raises
     ValueError("<path>:<line>: <msg>"), the non-standard constants NaN,
     Infinity and -Infinity, which Python's json would read as floats, raise
-    ValueError("<path>: <constant> is not a JSON number"), a field `build`
+    ValueError("<path>: <constant> is not a JSON number"), any other value
+    `json` refuses (an integer literal longer than Python's int digit limit)
+    raises ValueError("<path>: <reason>"), a field `build`
     looks up and does not find raises ValueError("<path>: missing field
     '<name>'"), and a field of the wrong type or a value `build` rejects
     raises ValueError("<path>: ...").
     """
     def refuse(constant):
-        raise ValueError(f"{path}: {constant} is not a JSON number")
+        raise ValueError(f"{constant} is not a JSON number")
 
     with open(path) as fh:
         try:
             payload = json.load(fh, parse_constant=refuse)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
+        except ValueError as exc:  # a refused constant, or an integer past int's digit limit
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object, found {type(payload).__name__}")
     try:
@@ -543,6 +552,20 @@ def require_type(what: str, value, annotation) -> None:
         plain = isinstance(annotation, type) and not isinstance(annotation, types.GenericAlias)
         name = annotation.__name__ if plain else str(annotation)  # a list[int] is a type before 3.11
         raise ValueError(f"{what} must be {name}")
+
+
+def finite_float(value, message: str):
+    """A number, or nested lists of numbers, that `require_type` accepted as
+    floats, converted: a float, or a float64 array for lists. Raises
+    ValueError(message) unless every value is finite; an int beyond the float
+    range is not, and fails here, not with an OverflowError."""
+    try:
+        array = np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(message) from None
+    if not np.isfinite(array).all():
+        raise ValueError(message)
+    return array if array.ndim else float(array)
 
 
 CASE_FIELDS = ("case_id", "recidivism_count", "viogen_score")

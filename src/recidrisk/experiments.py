@@ -4,13 +4,14 @@
 pair, in groups that share work: one set of class statistics for every NC
 metric and shrink threshold, one neighbor ranking for every k, one full-depth
 tree for all of its depth caps, and a forest's member trees for every smaller
-ensemble. Grid search calls it once; k-fold tuning draws the folds once and
-calls it per fold. Every config is checked once, before grouping, so a group
-holds only configs its family's rule accepts. A seed rule gives every config
-of a group the same fit seed, and the group's work gets that one seed, which
-makes the sharing exact: the grid's rule derives it from the hyperparameters
-that reach the sampler (so any one grid point refitted alone reproduces its
-row), the k-fold rule from the fold.
+ensemble. Grid search calls it once; k-fold tuning draws the folds once, as
+row indices, and calls it per fold on that fold's parts. Every config is
+checked once, before grouping, so a group holds only configs its family's
+rule accepts. A seed rule gives every config of a group the same fit seed,
+and the group's work gets that one seed, which makes the sharing exact: the
+grid's rule derives it from the hyperparameters that reach the sampler (so
+any one grid point refitted alone reproduces its row), the k-fold rule from
+the fold.
 
 A config's hyperparameters, with their defaults and types, are its family's
 fit function's parameters; a config naming any other, or giving a value of
@@ -38,8 +39,9 @@ from .baseline import RuleSystem
 from .dataset import (
     FeatureMatrix,
     SplitSpec,
+    finite_float,
     fmt_float,
-    kfold,
+    kfold_indices,
     require_type,
     risk_labels,
     split,
@@ -75,7 +77,8 @@ def check_params(family: str, params: dict, kind: str, n_rows: int | None = None
     """Check a dict of `family`'s hyperparameters as its fit function takes them:
     the names, each value's type against the fit annotation (ValueError("<kind>
     '<name>' must be <type>"), `kind` being "parameter" or "field"), that a
-    float is finite (ValueError("<kind> '<name>' must be finite")), then the
+    value of a float parameter is a finite float (ValueError("<kind> '<name>'
+    must be finite"), also for an int beyond the float range), then the
     values by the family's rule on `n_rows` training rows, with the fit's own
     message. A config (`config=True`) is checked for names and types only, and
     may not name `seed`, which its caller passes."""
@@ -89,9 +92,10 @@ def check_params(family: str, params: dict, kind: str, n_rows: int | None = None
                    else f"missing {kind}(s) {', '.join(missing)}")
         raise ValueError(f"{problem}; {family} takes {', '.join(names)}")
     for name, value in params.items():
-        require_type(f"{kind} '{name}'", value, fit_params[name].annotation)
-        if isinstance(value, float) and not np.isfinite(value):
-            raise ValueError(f"{kind} '{name}' must be finite")
+        annotation = fit_params[name].annotation
+        require_type(f"{kind} '{name}'", value, annotation)
+        if value is not None and float in getattr(annotation, "__args__", (annotation,)):
+            finite_float(value, f"{kind} '{name}' must be finite")
     if not config:
         values = {name: params.get(name, p.default) for name, p in fit_params.items()}
         values["n_rows"] = n_rows
@@ -472,19 +476,22 @@ def cv_table(
 ) -> CVTable:
     """Tuning table: k-fold mean/std per config, ranked by mean.
 
-    The folds are drawn once and each is evaluated like a grid, every config
-    of a fold fitted with that fold's seed. A config rejected on any fold
-    raises ValueError("<family> [<params>]: <error>"). Folds run on up to
-    `jobs` threads.
+    The folds are drawn once, as row indices, and each is evaluated like a
+    grid, every config of a fold fitted with that fold's seed. A fold's train
+    and validation parts are copied out of `data` when the fold runs and
+    dropped when it ends, so at most `jobs` folds' parts are in memory at
+    once. A config rejected on any fold raises ValueError("<family>
+    [<params>]: <error>"). Folds run on up to `jobs` threads.
     """
     if isinstance(objective, str):
         objective = MetricSpec(objective)
-    folds = kfold(data, k, derive_seed(master_seed, "cv-folds"))
+    folds = kfold_indices(data.n_rows, k, derive_seed(master_seed, "cv-folds"))
 
     def run(fold_idx):
-        fit_part, val_part = folds[fold_idx]
+        train_idx, val_idx = folds[fold_idx]
         seed = derive_seed(master_seed, "cv-fit", fold_idx)
-        return evaluate_space(space, fit_part, val_part, objective, lambda config: seed)
+        return evaluate_space(space, data.take(train_idx), data.take(val_idx), objective,
+                              lambda config: seed)
 
     rows = []
     for config, fold_rows in zip(space.configs, zip(*parallel_map(run, range(k), jobs))):

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import RuleSystem, rule_system_from_json, rule_system_to_json
-from .dataset import N_LABELS, json_text, read_json, require_type
+from .dataset import N_LABELS, finite_float, json_text, read_json, require_type
 from .experiments import check_params
 from .knn import KNNModel
 from .metrics import check_labels
@@ -64,8 +64,7 @@ def _nc_restore(state: dict) -> NearestCentroidModel:
                 raise ValueError(f"field '{key}' must be null without a shrink_threshold")
     else:
         require_type("field 's0'", state["s0"], float)
-        if not np.isfinite(state["s0"]):
-            raise ValueError("field 's0' must be finite")
+        finite_float(state["s0"], "field 's0' must be finite")
         arrays = {key: _floats(state, key, shape) for key, shape in shrinkage.items()}
     return NearestCentroidModel(
         classes=classes,
@@ -94,15 +93,7 @@ def _floats(state: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
     rows = value if len(shape) == 2 else []
     if len(value) != shape[0] or any(len(row) != shape[1] for row in rows):
         raise ValueError(f"field '{key}' must have shape {shape}")
-    return _finite(np.array(value, dtype=np.float64).reshape(shape), f"field '{key}'")
-
-
-def _finite(array: np.ndarray, what: str) -> np.ndarray:
-    """The array, unless it holds a non-finite value: a number literal beyond
-    the float range, such as 1e999, reads as infinity."""
-    if not np.isfinite(array).all():
-        raise ValueError(f"{what} must hold finite numbers")
-    return array
+    return finite_float(value, f"field '{key}' must hold finite numbers").reshape(shape)
 
 
 def _matrix_state(values: np.ndarray) -> dict:
@@ -180,7 +171,8 @@ def _tree_restore(state: dict) -> TreeModel:
                  "field")
     feature, left, right, counts = (_node_array(state[key], key)
                                     for key in ("feature", "left", "right", "counts"))
-    threshold = _finite(_node_array(state["threshold"], "threshold", "iuf"), "tree field 'threshold'")
+    threshold = finite_float(_node_array(state["threshold"], "threshold", "iuf"),
+                             "tree field 'threshold' must hold finite numbers")
     n, n_features = len(feature), state["n_features"]
     if (n < 1 or any(a.shape != (n,) for a in (feature, threshold, left, right))
             or counts.shape != (n, N_LABELS)):

@@ -124,21 +124,45 @@ class ClassStats:
 
 
 def nc_stats(train, deviations: bool) -> ClassStats:
-    """The class statistics of `train`; s_j only with `deviations`, as shrinkage alone needs it."""
+    """The class statistics of `train`; s_j only with `deviations`, as shrinkage alone needs it.
+
+    Every sum runs over blocks of QUERY_CHUNK rows, in row order: each block is
+    added to the running sum as one reduction over the running sum stacked on
+    the block, which adds the rows in the order one reduction over all rows
+    would. So the centroids, the overall centroid and s_j equal the
+    whole-array means and sums bit for bit, and no temporary is larger than a
+    block.
+    """
     X, y = as_xy(train)
     if X.shape[0] == 0:
         raise ValueError("cannot fit on an empty training set")
     classes, y_idx = np.unique(y, return_inverse=True)
-    k, (n, d) = classes.size, X.shape
+    k, n = classes.size, X.shape[0]
     counts = np.bincount(y_idx, minlength=k)
-    centroids = np.empty((k, d))
-    for i in range(k):
-        centroids[i] = X[y_idx == i].mean(axis=0)
+    blocks = [slice(start, start + QUERY_CHUNK) for start in range(0, n, QUERY_CHUNK)]
+    sums, total = [None] * k, None
+    for rows in blocks:
+        block, block_idx = X[rows], y_idx[rows]
+        total = _add_rows(total, block)
+        for i in range(k):
+            sums[i] = _add_rows(sums[i], block[block_idx == i])
+    centroids = np.array(sums) / counts[:, None]
     s = None
     if deviations:
-        within = X - centroids[y_idx]
-        s = np.sqrt((within * within).sum(axis=0) / max(n - k, 1))
-    return ClassStats(classes, counts, centroids, X.mean(axis=0), s)
+        squares = None
+        for rows in blocks:
+            within = X[rows] - centroids[y_idx[rows]]
+            squares = _add_rows(squares, within * within)
+        s = np.sqrt(squares / max(n - k, 1))
+    return ClassStats(classes, counts, centroids, total / n, s)
+
+
+def _add_rows(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray | None:
+    """`total` (None before the first row) plus the column sums of `rows`, added
+    in row order after it."""
+    if rows.shape[0] == 0:
+        return total
+    return np.add.reduce(rows if total is None else np.vstack((total, rows)), axis=0)
 
 
 def nc_shrink(stats: ClassStats, metric: str, shrink_threshold: float | None,

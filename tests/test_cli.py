@@ -188,6 +188,8 @@ def trained(generated, tmp_path_factory):
     return out / "model.json"
 
 
+BEYOND_FLOAT = 10**400  # a JSON integer that no float holds
+
 # name: (command, --config fields, the message that follows `error: <config path>: `)
 CONFIG_ERRORS = {
     "train_params_list": ("train", {"params": [1]}, "field 'params' must be dict\n"),
@@ -229,6 +231,9 @@ CONFIG_ERRORS = {
                                "field 'taus' values must be finite\n"),
     "sweep_taus_overflow": ("sweep", {"taus": [float("inf")]}, "field 'taus' values must be finite\n"),
     "decide_r0_overflow": ("decide", {"r0": float("inf")}, "field 'r0' must be finite\n"),
+    # an integer literal beyond the float range, which float() cannot convert
+    "evaluate_taus_beyond_float": ("evaluate", {"taus": [BEYOND_FLOAT]},
+                                   "field 'taus' values must be finite\n"),
 }
 
 
@@ -534,6 +539,13 @@ BAD_INPUTS = {
     "nc_p_overflow": ("evaluate", _nc_literal("p", "1e999"), "field 'p' must be finite"),
     "nc_shrink_threshold_overflow": ("evaluate", _nc_literal("shrink_threshold", "1e999"),
                                      "field 'shrink_threshold' must be finite"),
+    "nc_centroid_beyond_float": ("evaluate", _derived(_nc(), lambda state: {
+        "centroids": [[BEYOND_FLOAT, *state["centroids"][0][1:]], *state["centroids"][1:]]}),
+        "field 'centroids' must hold finite numbers"),
+    "nc_s0_beyond_float": ("evaluate", _nc_literal("s0", str(BEYOND_FLOAT)), "field 's0' must be finite"),
+    # past Python's int digit limit json.load raises a plain ValueError; without
+    # the limit (Pythons before it) the value fails as beyond the float range
+    "nc_p_of_5001_digits": ("evaluate", _nc_literal("p", "1" + "0" * 5000), ""),
     "knn_k_zero": ("evaluate", _knn(k=0), "k must satisfy 1 <= k <= "),
     "knn_k_float": ("evaluate", _knn(k=5.5), "field 'k' must be int"),
     "knn_k_bool": ("evaluate", _knn(k=True), "field 'k' must be int"),
@@ -833,9 +845,11 @@ def test_console_script_help_runs():
      "nc [metric=minkowski, p=inf]: parameter 'p' must be finite\n"),
     ("crossval", "nc", {"shrink_threshold": float("nan")},
      "nc [shrink_threshold=nan]: parameter 'shrink_threshold' must be finite\n"),
+    ("train", "nc", {"metric": "minkowski", "p": BEYOND_FLOAT},
+     f"nc [metric=minkowski, p={BEYOND_FLOAT}]: parameter 'p' must be finite\n"),
 ], ids=["crossval_misspelt", "crossval_k_0", "crossval_no_trees", "train_misspelt", "train_no_k",
         "crossval_k_string", "crossval_k_bool", "train_depth_float", "train_bootstrap_string",
-        "crossval_p_inf", "crossval_shrink_threshold_nan"])
+        "crossval_p_inf", "crossval_shrink_threshold_nan", "train_p_beyond_float"])
 def test_bad_model_params_are_oneline_errors(generated, tmp_path, capsys, command, family, params,
                                              message):
     argv = [command, "--data", str(generated / "cases.csv"), "--schema", str(generated / "schema.json"),

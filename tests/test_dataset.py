@@ -25,6 +25,7 @@ from recidrisk.dataset import (
     decode_row,
     encode_cases,
     kfold,
+    kfold_indices,
     label_from_recidivism,
     read_case_matrix,
     read_cases,
@@ -220,6 +221,20 @@ def test_kfold_partition_property():
             assert train.n_rows + val.n_rows == n
             seen.extend(np.argmax(val.values, axis=1).tolist())
         assert sorted(seen) == list(range(n))
+
+
+def test_parts_taken_from_kfold_indices_are_kfolds_parts():
+    for n, k, seed in ((10, 10, 0), (103, 10, 1), (17, 5, 3)):
+        rng = np.random.default_rng(n)
+        matrix = dataclasses.replace(_random_matrix(n, seed=seed),
+                                     viogen_scores=rng.integers(0, 5, n), counts=rng.integers(0, 9, n))
+        indices = kfold_indices(n, k, seed)
+        assert len(indices) == k
+        for (train_idx, val_idx), parts in zip(indices, kfold(matrix, k, seed)):
+            for part, idx in zip(parts, (train_idx, val_idx)):
+                taken = matrix.take(idx)
+                for field in ("values", "labels", "viogen_scores", "counts"):
+                    assert np.array_equal(getattr(taken, field), getattr(part, field))
 
 
 def test_kfold_rejects_bad_k():

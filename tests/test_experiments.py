@@ -1,6 +1,7 @@
 """Grid search, cross-validation and the comparison/sensitivity tables."""
 
 import dataclasses
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -530,3 +531,18 @@ def test_config_types_follow_the_fit_annotations():
         ModelConfig("nc", {"p": None})
     with pytest.raises(ValueError, match=r"^tree \[criterion=1\]: parameter 'criterion' must be str$"):
         ModelConfig("tree", {"criterion": 1})
+
+
+def test_cv_table_holds_one_fold_at_a_time():
+    """k = 10 folds of NC tuning peak below 3x the input matrix's bytes: each
+    fold's parts are copied when it runs, not all ten folds' up front."""
+    rng = np.random.default_rng(8)
+    data = FeatureMatrix(rng.random((12000, 40)), rng.integers(0, 3, 12000))
+    space = SearchSpace(tuple(ModelConfig("nc", {"shrink_threshold": shrink}) for shrink in (None, 0.5)))
+    tracemalloc.start()
+    try:
+        cv_table(space, data, k=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * data.values.nbytes

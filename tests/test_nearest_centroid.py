@@ -1,10 +1,12 @@
 """Nearest centroid: fit formulas, shrinkage behavior, brute-force agreement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from recidrisk.dataset import QUERY_CHUNK, FeatureMatrix
-from recidrisk.nearest_centroid import nc_fit
+from recidrisk.nearest_centroid import nc_fit, nc_stats
 
 
 def brute_nc_predict(X_train, y_train, x, classes=None):
@@ -174,3 +176,41 @@ def test_chunked_predict_equals_row_by_row(metric, p, shrink):
     assert labels.tolist() == [model.predict(q) for q in queries]
     if shrink is None and metric == "euclidean":
         assert labels.tolist() == [brute_nc_predict(X, y, q) for q in queries]
+
+
+@pytest.mark.parametrize("deviations", [False, True])
+def test_nc_stats_equal_the_whole_array_formulas(deviations):
+    """Sums over row blocks equal one reduction over all rows, bit for bit. Class
+    2 appears only in the last block, which holds the one row past two blocks."""
+    rng = np.random.default_rng(5)
+    n = 2 * QUERY_CHUNK + 1
+    X = rng.normal(size=(n, 9)) * rng.uniform(0.1, 100.0, size=9)
+    y = rng.integers(0, 2, n)
+    y[-1] = 2
+    stats = nc_stats((X, y), deviations=deviations)
+    classes, y_idx = np.unique(y, return_inverse=True)
+    centroids = np.array([X[y_idx == i].mean(axis=0) for i in range(classes.size)])
+    assert np.array_equal(stats.classes, classes)
+    assert np.array_equal(stats.counts, np.bincount(y_idx))
+    assert np.array_equal(stats.centroids, centroids)
+    assert np.array_equal(stats.overall, X.mean(axis=0))
+    if deviations:
+        within = X - centroids[y_idx]
+        assert np.array_equal(stats.s, np.sqrt((within * within).sum(axis=0) / (n - classes.size)))
+    else:
+        assert stats.s is None
+
+
+def test_nc_stats_allocate_less_than_the_training_matrix():
+    """No temporary the size of the training rows: the peak of a fit with
+    deviations stays below the matrix's own bytes."""
+    rng = np.random.default_rng(6)
+    X = rng.random((20 * QUERY_CHUNK, 64))
+    y = rng.integers(0, 3, X.shape[0])
+    tracemalloc.start()
+    try:
+        nc_stats((X, y), deviations=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes
