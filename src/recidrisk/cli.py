@@ -47,6 +47,7 @@ from .dataset import (
     read_case_matrix,
     read_json,
     read_schema,
+    require_known_fields,
     require_type,
     split,
     write_table,
@@ -63,6 +64,7 @@ from .experiments import (
     format_result_table,
     grid_search,
     nc_fine_space,
+    nc_fine_tune,
     threshold_sensitivity,
     write_cv_table,
     write_result_table,
@@ -189,10 +191,7 @@ def _resolve(args, command: Command) -> dict:
     options = {o.name: o for o in command.options}
 
     def checked(values: dict, what) -> dict:
-        unknown = sorted(set(values) - set(options))
-        if unknown:
-            raise ValueError(f"unknown field(s) {', '.join(unknown)}; "
-                             f"{args.command} takes {', '.join(options)}")
+        require_known_fields(values, options, args.command)
         result = {}
         for name, value in values.items():
             option = options[name]
@@ -282,15 +281,10 @@ def _load_matrix(args, cfg) -> FeatureMatrix:
     return read_case_matrix(args.data, read_schema(args.schema), high_threshold=cfg["high_threshold"])
 
 
-def _load_split(args, cfg, needs_scores: bool = False) -> tuple[FeatureMatrix, FeatureMatrix]:
+def _load_split(args, cfg) -> tuple[FeatureMatrix, FeatureMatrix]:
     """The train and test parts of the case file. The full matrix is gone once
-    this returns, so a command holds only its parts. With `needs_scores`, a
-    file without a viogen_score column is refused before the split."""
-    matrix = _load_matrix(args, cfg)
-    if needs_scores and matrix.viogen_scores is None:
-        raise ValueError(f"{args.data}: {args.command} needs a viogen_score column for the "
-                         "baseline source")
-    return split(matrix, SplitSpec(cfg["train_fraction"], cfg["split_seed"]))
+    this returns, so a command holds only its parts."""
+    return split(_load_matrix(args, cfg), SplitSpec(cfg["train_fraction"], cfg["split_seed"]))
 
 
 def _metric_report(model_id: str, cm, taus):
@@ -370,12 +364,13 @@ def cmd_crossval(args, cfg):
 # sweep / decide / sensitivity
 
 def cmd_sweep(args, cfg):
-    train_part, test_part = _load_split(args, cfg, needs_scores=True)
+    train_part, test_part = _load_split(args, cfg)
+    if test_part.viogen_scores is None:
+        raise ValueError(f"{args.data}: {args.command} needs a viogen_score column for the "
+                         "baseline source")
 
     if cfg["auto_ml"]:
-        tuning = cv_table(nc_fine_space(), train_part, k=cfg["k"],
-                          objective="police_protection", master_seed=cfg["seed"])
-        ml_config = tuning.best_config()
+        ml_config = nc_fine_tune(train_part, cfg["k"], cfg["seed"]).best_config()
         cfg["ml_family"], cfg["ml_params"] = ml_config.family, dict(ml_config.params)
     else:
         ml_config = ModelConfig(cfg["ml_family"], cfg["ml_params"])

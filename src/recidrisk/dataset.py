@@ -9,10 +9,11 @@ follow-up count is collapsed into the three-level risk target.
 One encoding core serves both ways in: `encode_cases` for records in memory,
 and `read_case_matrix`, the one case-file loader, which streams the file in
 blocks of rows and encodes them column by column without building a record
-per row. Both map each answer to its column through the same option lookup
-and missing rule, and one builder labels the rows by `risk_labels`, keeping
-the follow-up counts with them, so another High threshold relabels without
-encoding again. `read_cases` still returns the file's records.
+per row. Both turn answers into option codes by one convention, and one
+builder shifts the codes into columns and labels the rows by `risk_labels`,
+keeping the follow-up counts with them, so another High threshold relabels
+without encoding again. `answer_cells` turns codes back into answers, for
+`decode_row` and the generator. `read_cases` still returns the file's records.
 
 Every delimited file is read by `table_blocks`, the one table reader: a
 generator of the header and then blocks of rows with their lines, which
@@ -113,11 +114,13 @@ class QuestionnaireSchema:
 
     @classmethod
     def from_json(cls, payload: dict) -> "QuestionnaireSchema":
+        require_known_fields(payload, ("questions", "manifest"), "a schema")
         questions = []
         for number, item in enumerate(payload["questions"], 1):
             qid = item["id"]
             if not isinstance(qid, str):
                 raise ValueError(f"question {number}: field 'id' must be a string")
+            require_known_fields(item, ("id", "options", "allows_missing"), f"question {qid!r}")
             options, allows_missing = item["options"], item.get("allows_missing", True)
             if not (isinstance(options, list) and all(isinstance(o, str) for o in options)):
                 raise ValueError(f"question {qid!r}: field 'options' must be a list of strings")
@@ -251,30 +254,37 @@ def label_from_recidivism(count: int, high_threshold: int = 3) -> RiskLabel:
 
 
 # ---------------------------------------------------------------------------
-# The encoding core. Records (`encode_cases`) and case files
-# (`read_case_matrix`) both come here with one column of answers per
-# question; each cell maps to its active column through one dict.
+# The encoding core and the one option-code convention: a case's code for a
+# question is the index of its answer among the options, and `len(options)`
+# marks an unanswered question. Records (`encode_cases`) and case files
+# (`read_case_matrix`) both come here with one column of cells per question.
 
-def _answer_columns(question: Question, offset: int, missing) -> dict:
-    """Each answer's active column: an option's own column, and for `missing`,
-    the cell of an unanswered question, the indicator column where the
-    question allows it."""
-    columns = {option: offset + j for j, option in enumerate(question.options)}
-    if question.allows_missing:
-        columns[missing] = offset + len(question.options)
-    return columns
+def code_dtype(schema: QuestionnaireSchema) -> type:
+    """The dtype of a schema's option codes, which also holds their columns:
+    int16 while the schema's width fits, else int64."""
+    return np.int16 if schema.width <= np.iinfo(np.int16).max else np.int64
 
 
 def _encode_answers(schema: QuestionnaireSchema, n: int, answers: list, missing) -> np.ndarray:
-    """(n, Q) active columns of n cases from `answers[q]`, question q's cells
+    """(n, Q) option codes of n cases from `answers[q]`, question q's cells
     in case order. -1 marks a cell that is not one of the question's options,
-    or is missing where the question does not allow it."""
-    dtype = np.int16 if schema.width <= np.iinfo(np.int16).max else np.int64
+    or is `missing` where the question does not allow it."""
+    dtype = code_dtype(schema)
     codes = np.empty((n, len(schema.questions)), dtype=dtype)
     for j, (q, cells) in enumerate(zip(schema.questions, answers)):
-        lookup = _answer_columns(q, schema.offsets[q.question_id], missing)
+        lookup = {option: code for code, option in enumerate(q.options)}
+        if q.allows_missing:
+            lookup[missing] = len(q.options)
         codes[:, j] = np.fromiter(map(lookup.get, cells, itertools.repeat(-1)), dtype, count=n)
     return codes
+
+
+def answer_cells(schema: QuestionnaireSchema, codes: np.ndarray, missing) -> list[list]:
+    """Each question's cells in case order from (n, Q) option codes, the
+    inverse of `_encode_answers`: the option each code indexes, and `missing`
+    for the code past the options."""
+    return [np.array([*q.options, missing], dtype=object)[codes[:, j]].tolist()
+            for j, q in enumerate(schema.questions)]
 
 
 def _first_bad_answer(schema: QuestionnaireSchema, codes: np.ndarray, answers: list, missing):
@@ -299,9 +309,10 @@ def _first_failure(*failures):
 
 
 def _feature_matrix(schema: QuestionnaireSchema, codes, counts, scores, high_threshold) -> FeatureMatrix:
-    """The one-hot rows of the active columns, labelled from the counts they
-    keep. Viogen scores (-1 where a case has none) are kept only when every
-    case has one."""
+    """The one-hot rows of the option codes, which become their active columns
+    in place, labelled from the counts they keep. Viogen scores (-1 where a
+    case has none) are kept only when every case has one."""
+    codes += np.array([schema.offsets[q.question_id] for q in schema.questions], dtype=codes.dtype)
     values = np.zeros((codes.shape[0], schema.width), dtype=np.float64)
     np.put_along_axis(values, codes, 1.0, axis=1)
     has_scores = scores.size > 0 and bool((scores >= 0).all())
@@ -338,14 +349,12 @@ def encode_cases(
 
 
 def decode_row(row: np.ndarray, schema: QuestionnaireSchema) -> dict:
-    """Invert one encoded row back to a responses dict (argmax per block)."""
-    responses = {}
-    for q in schema.questions:
-        start = schema.offsets[q.question_id]
-        block = row[start : start + q.width]
-        j = int(np.argmax(block))
-        responses[q.question_id] = MISSING if j == len(q.options) else q.options[j]
-    return responses
+    """Invert one encoded row back to a responses dict: each block's argmax is
+    the question's option code, which `answer_cells` turns back into its answer."""
+    codes = np.array([[np.argmax(row[start : start + q.width])
+                       for q, start in zip(schema.questions, schema.offsets.values())]])
+    cells = answer_cells(schema, codes, MISSING)
+    return {q.question_id: column[0] for q, column in zip(schema.questions, cells)}
 
 
 def split(matrix: FeatureMatrix, spec: SplitSpec) -> tuple[FeatureMatrix, FeatureMatrix]:
@@ -534,6 +543,14 @@ def read_json(path: str | Path, build):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def require_known_fields(payload: dict, known, owner: str) -> None:
+    """Raise ValueError("unknown field(s) <names>; <owner> takes <known>")
+    unless every key of a JSON object is one of `known`."""
+    unknown = sorted(set(payload) - set(known))
+    if unknown:
+        raise ValueError(f"unknown field(s) {', '.join(unknown)}; {owner} takes {', '.join(known)}")
+
+
 def require_type(what: str, value, annotation) -> None:
     """Raise ValueError("<what> must be <annotation>") unless a JSON value has
     the annotated type. An int counts as a float, a bool as neither, and None
@@ -627,7 +644,7 @@ def read_case_matrix(
     The result equals `encode_cases(read_cases(path), schema, high_threshold)`,
     and every check of that path is kept, but no record is built: each block
     of rows is transposed into columns, checked column by column, and kept
-    only as its (n, Q) active columns, counts and scores. A header that names
+    only as its (n, Q) option codes, counts and scores. A header that names
     an unknown question, or lacks one that does not allow missing answers,
     fails at the header's line; otherwise the first bad row fails at its line.
     A row's id, count and score follow `read_cases`' one rule, `_case_cells`.

@@ -13,8 +13,8 @@ refusing NaN and Infinity as loading does.
 A learner's hyperparameter fields reload through `experiments.check_params`,
 the check its configs and fits go through (a float among them must be
 finite), and its data fields must agree: labels in 0..2, one per row, active
-columns inside the width, and arrays of the shapes the classes and width
-give, their floats finite.
+columns inside the width, arrays of the shapes the classes and width give,
+their floats finite, and a tree node's counts neither negative nor all 0.
 """
 
 from __future__ import annotations
@@ -179,6 +179,9 @@ def _tree_restore(state: dict) -> TreeModel:
         raise ValueError(f"tree arrays must have one entry per node, counts {N_LABELS} per node")
     _check_nodes((feature < -1) | (feature >= n_features),
                  f"feature must lie in [-1, {n_features})")
+    # every grown node holds at least one training row, and no label a negative count
+    _check_nodes((counts < 0).any(axis=1), "counts must not be negative")
+    _check_nodes(counts.sum(axis=1) == 0, "counts must not all be 0")
     leaf, nodes = feature == -1, np.arange(n)
     _check_nodes(leaf & ((left != -1) | (right != -1)), "a leaf's children must be -1")
     # children after their parent: every descent ends, at a leaf

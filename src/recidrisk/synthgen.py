@@ -32,9 +32,12 @@ from .dataset import (
     CaseRecord,
     Question,
     QuestionnaireSchema,
+    answer_cells,
+    code_dtype,
     json_text,
     read_json,
     require_file_options,
+    require_known_fields,
     require_type,
     write_table,
 )
@@ -81,6 +84,10 @@ class GeneratorConfig:
         if self.dispersion is not None and not 0 < self.dispersion < np.inf:
             raise ValueError("dispersion must be positive and finite when set")
         for profile in self.profiles:
+            strays = sorted(profile.response_dists.keys() - self.schema.by_id.keys())
+            if strays:
+                raise ValueError(f"profile {profile.name!r}: response_dists names no question "
+                                 f"of the schema: {', '.join(map(str, strays))}")
             for q in self.schema.questions:
                 dist = profile.response_dists.get(q.question_id)
                 if dist is None:
@@ -103,16 +110,16 @@ class GeneratorConfig:
 def generate(config: GeneratorConfig) -> list[CaseRecord]:
     """Draw the full corpus for the config, deterministically in its seed: the
     records of `generate_codes`' codes and counts."""
-    records: list[CaseRecord] = []
-    for start in range(0, config.n_cases, CHUNK_SIZE):
-        stop = min(start + CHUNK_SIZE, config.n_cases)
-        records.extend(_generate_chunk(config, start, stop))
-    return records
+    codes, counts = generate_codes(config)
+    question_ids = [q.question_id for q in config.schema.questions]
+    return [CaseRecord(case_id, dict(zip(question_ids, row)), count)
+            for case_id, count, *row in zip(_case_ids(len(counts)), counts.tolist(),
+                                            *answer_cells(config.schema, codes, MISSING))]
 
 
 def generate_codes(config: GeneratorConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The corpus `generate` draws, as columns: the (n, Q) option codes (int16
-    unless a question has 32,767 options or more) and the n follow-up counts.
+    """The corpus of the config, as columns: the (n, Q) option codes of
+    `dataset`'s convention, in its `code_dtype`, and the n follow-up counts.
 
     A case's code for a question is the index of its answer among the
     question's options, and `len(options)` marks an unanswered question.
@@ -132,9 +139,7 @@ def _chunk_codes(config: GeneratorConfig, start: int, stop: int) -> tuple[np.nda
 
     # Per question: option draw for every row, then the missing overlay, which
     # points a row past the options.
-    widest = max(len(q.options) for q in config.schema.questions)
-    dtype = np.int16 if widest < np.iinfo(np.int16).max else np.int64
-    codes = np.empty((m, len(config.schema.questions)), dtype=dtype)
+    codes = np.empty((m, len(config.schema.questions)), dtype=code_dtype(config.schema))
     for j, q in enumerate(config.schema.questions):
         cdfs = np.cumsum(
             [np.asarray(p.response_dists[q.question_id], dtype=np.float64) for p in config.profiles],
@@ -155,23 +160,8 @@ def _chunk_codes(config: GeneratorConfig, start: int, stop: int) -> tuple[np.nda
     return codes, counts
 
 
-def _generate_chunk(config: GeneratorConfig, start: int, stop: int) -> list[CaseRecord]:
-    codes, counts = _chunk_codes(config, start, stop)
-    question_ids = [q.question_id for q in config.schema.questions]
-    return [CaseRecord(case_id, dict(zip(question_ids, row)), count)
-            for case_id, count, *row in zip(_case_ids(start, stop), counts.tolist(),
-                                            *_answers(config.schema, codes, MISSING))]
-
-
-def _case_ids(start: int, stop: int) -> list[str]:
-    return [f"case-{i:06d}" for i in range(start, stop)]
-
-
-def _answers(schema: QuestionnaireSchema, codes: np.ndarray, missing) -> list[list]:
-    """Each question's answers in case order: the option each code indexes,
-    and `missing` for the code past the options."""
-    return [np.array([*q.options, missing], dtype=object)[codes[:, j]].tolist()
-            for j, q in enumerate(schema.questions)]
+def _case_ids(n: int) -> list[str]:
+    return [f"case-{i:06d}" for i in range(n)]
 
 
 def code_scores(schema: QuestionnaireSchema, codes: np.ndarray, weights: dict) -> np.ndarray:
@@ -201,8 +191,8 @@ def write_case_codes(path: str | Path, schema: QuestionnaireSchema, codes: np.nd
     built column by column through the one table writer."""
     require_file_options(schema)
     n = len(counts)
-    columns = [_case_ids(0, n), counts.tolist(), [""] * n if classes is None else classes.tolist(),
-               *_answers(schema, codes, "")]
+    columns = [_case_ids(n), counts.tolist(), [""] * n if classes is None else classes.tolist(),
+               *answer_cells(schema, codes, "")]
     write_table(path, CASE_FIELDS + tuple(q.question_id for q in schema.questions), zip(*columns),
                 manifest)
 
@@ -371,6 +361,8 @@ def config_to_json(config: GeneratorConfig) -> dict:
 
 
 def config_from_json(payload: dict) -> GeneratorConfig:
+    require_known_fields(payload, ("n_cases", "schema", "profiles", "missing_rate", "seed",
+                                   "dispersion", "manifest"), "a generator config")
     schema = QuestionnaireSchema.from_json(payload["schema"])
     profiles = tuple(_profile_from_json(number, item)
                      for number, item in enumerate(payload["profiles"], 1))
@@ -385,6 +377,7 @@ def config_from_json(payload: dict) -> GeneratorConfig:
 def _profile_from_json(number: int, item: dict) -> ResponseProfile:
     require_type(f"profile {number}: field 'name'", item["name"], str)
     what = f"profile {item['name']!r}"
+    require_known_fields(item, ("name", "weight", "recidivism_rate", "response_dists"), what)
     for name, annotation in (("weight", float), ("recidivism_rate", float), ("response_dists", dict)):
         require_type(f"{what}: field '{name}'", item[name], annotation)
     for qid, dist in item["response_dists"].items():

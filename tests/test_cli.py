@@ -434,6 +434,15 @@ def _generator_config(**fields):
                                    **fields})
 
 
+def _schema(edit):
+    """The generated corpus's schema file after `edit(payload)`, as file text."""
+    def text(gen):
+        payload = json.loads((gen / "schema.json").read_text())
+        edit(payload)
+        return json.dumps(payload)
+    return text
+
+
 # name: (command, input file text, or a function of the generated corpus
 # directory, or None for a missing file; the line the error must name, or the
 # message that must follow the path)
@@ -612,6 +621,29 @@ BAD_INPUTS = {
         "question 'q1': field 'allows_missing' must be true or false"),
     "schema_id_number": ("train_schema", '{"questions": [{"id": 7, "options": ["A", "B"]}]}',
                          "question 1: field 'id' must be a string"),
+    # a misspelt field would otherwise read as absent and take its default
+    "schema_unknown_field": ("train_schema", _schema(lambda payload: payload.update(question=[])),
+                             "unknown field(s) question; a schema takes questions, manifest"),
+    "schema_question_unknown_field": (
+        "train_schema", _schema(lambda payload: payload["questions"][0].update(allows_mising=False)),
+        "unknown field(s) allows_mising; question 'q01' takes id, options, allows_missing"),
+    "generator_config_unknown_field": ("generate_config", _generator_config(missing_rat=0.5),
+                                       "unknown field(s) missing_rat; a generator config takes "),
+    "generator_config_question_unknown_field": (
+        "generate_config", _one_profile().replace('"id": "q1"', '"id": "q1", "allow_missing": true'),
+        "unknown field(s) allow_missing; question 'q1' takes "),
+    "profile_unknown_field": ("generate_config", _one_profile(rate=0.5),
+                              "unknown field(s) rate; profile 'only' takes name, weight, "),
+    "profile_dist_of_unknown_question": (
+        "generate_config", _one_profile(response_dists={"q1": [0.5, 0.5], "q99": [1.0]}),
+        "profile 'only': response_dists names no question of the schema: q99"),
+    "tree_count_negative": ("evaluate", _model("tree", {**_tree([-1], [-1], [-1]),
+                                                        "counts": [[-5, 0, 0]]}),
+                            "tree node 0: counts must not be negative"),
+    "forest_member_counts_all_zero": (
+        "evaluate", _model("forest", _forest(trees=[{**_tree([-1], [-1], [-1]),
+                                                    "counts": [[0, 0, 0]]}])),
+        "tree node 0: counts must not all be 0"),
     "protection_curve_of_resource": ("decide_protection", RESOURCE_CURVE,
                                      "holds a police_resource curve, --protection-curve needs a "
                                      "police_protection curve"),

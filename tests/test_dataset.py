@@ -22,6 +22,7 @@ from recidrisk.dataset import (
     QuestionnaireSchema,
     RiskLabel,
     SplitSpec,
+    answer_cells,
     decode_row,
     encode_cases,
     kfold,
@@ -126,6 +127,24 @@ def test_encode_decode_round_trip_property(problem):
         expected = {q.question_id: rec.responses.get(q.question_id, MISSING)
                     for q in schema.questions}
         assert decode_row(row, schema) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([MISSING, ""]))
+def test_answer_cells_inverts_encode_answers(data, missing):
+    # "" is a plain option only where None, not "", marks an unanswered question
+    option = st.text(min_size=0 if missing is MISSING else 1, max_size=3)
+    schema = QuestionnaireSchema(tuple(
+        Question(f"q{j}", tuple(data.draw(st.lists(option, min_size=2, max_size=5, unique=True))),
+                 allows_missing=data.draw(st.booleans()))
+        for j in range(data.draw(st.integers(1, 5)))))
+    n = data.draw(st.integers(0, 6))
+    answers = [data.draw(st.lists(st.sampled_from(q.options + ((missing,) if q.allows_missing else ())),
+                                  min_size=n, max_size=n))
+               for q in schema.questions]
+    codes = dataset._encode_answers(schema, n, answers, missing)
+    assert codes.dtype == dataset.code_dtype(schema) and (codes >= 0).all()
+    assert answer_cells(schema, codes, missing) == answers
 
 
 @settings(max_examples=200, deadline=None)

@@ -175,9 +175,12 @@ def test_save_model_refuses_non_finite_values(tmp_path):
      "field 'shrunken_centroids' must hold finite numbers"),
     ("nc_shrunk", ("s", 3), "1e999", "field 's' must hold finite numbers"),
     ("nc_shrunk", ("s0",), "1e999", "field 's0' must be finite"),
+    ("tree", ("counts", 0, 0), "-5", "tree node 0: counts must not be negative"),
+    ("tree", ("counts", 1), "[0, 0, 0]", "tree node 1: counts must not all be 0"),
 ], ids=["threshold_null", "threshold_string", "threshold_true", "threshold_overflow",
         "threshold_negative_overflow", "feature_true", "dense_knn_row_overflow",
-        "nc_centroid_overflow", "nc_shrunken_centroid_overflow", "nc_s_overflow", "nc_s0_overflow"])
+        "nc_centroid_overflow", "nc_shrunken_centroid_overflow", "nc_s_overflow", "nc_s0_overflow",
+        "tree_count_negative", "tree_counts_all_zero"])
 def test_wrong_kinds_and_overflowing_numbers_are_refused(tmp_path, family, keys, literal, message):
     # 1e999 is a valid JSON number that Python reads as infinity; true and
     # null would read as 1.0 and NaN in a float array

@@ -24,7 +24,7 @@ from recidrisk.synthgen import (
     CHUNK_SIZE,
     GeneratorConfig,
     ResponseProfile,
-    _generate_chunk,
+    _chunk_codes,
     assess_cases,
     attach_viogen_scores,
     code_scores,
@@ -84,9 +84,11 @@ def test_generate_is_chunk_prefix_stable(n, n_other, missing_rate, dispersion, s
     shared = min(n, n_other) // CHUNK_SIZE * CHUNK_SIZE
     assert generate(config(n_other))[:shared] == corpus[:shared]
     starts = range(0, n, CHUNK_SIZE)
-    chunks = {start: _generate_chunk(config(n), start, min(start + CHUNK_SIZE, n))
+    chunks = {start: _chunk_codes(config(n), start, min(start + CHUNK_SIZE, n))
               for start in reversed(starts)}
-    assert [rec for start in starts for rec in chunks[start]] == corpus
+    codes, counts = generate_codes(config(n))
+    assert np.array_equal(np.concatenate([chunks[start][0] for start in starts]), codes)
+    assert np.array_equal(np.concatenate([chunks[start][1] for start in starts]), counts)
 
 
 def test_missing_rate_zero_has_no_missing():
