@@ -16,7 +16,6 @@ from .baseline import (
     NAMED_RULE_SYSTEMS,
     RuleSystem,
     ViogenClass,
-    viogen_classify,
 )
 from .dataset import (
     MISSING,
@@ -30,7 +29,6 @@ from .dataset import (
     decode_row,
     encode_cases,
     kfold,
-    label_from_recidivism,
     read_case_matrix,
     split,
 )

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import MISSING, CaseRecord, RiskLabel, json_text, read_json, require_type
+from .dataset import MISSING, RiskLabel, json_text, read_json, require_type
 
 
 class ViogenClass(IntEnum):
@@ -86,30 +86,6 @@ def classify_scores(scores, thresholds) -> np.ndarray:
     ):
         raise ValueError("need 4 strictly ascending thresholds")
     return np.searchsorted(np.asarray(thresholds, dtype=np.float64), scores, side="left")
-
-
-def classify_score(score: float, thresholds) -> ViogenClass:
-    """Five-class value of one score, by the `classify_scores` rule."""
-    return ViogenClass(int(classify_scores(score, thresholds)))
-
-
-def viogen_classify(
-    case: CaseRecord,
-    weights: dict | None = None,
-    thresholds=None,
-) -> ViogenClass:
-    """Five-class assessment for one case.
-
-    A precomputed score on the record wins; otherwise the weighted sum is
-    evaluated against the thresholds.
-    """
-    if case.viogen_score is not None:
-        return ViogenClass(case.viogen_score)
-    if weights is None or thresholds is None:
-        raise ValueError(
-            f"case {case.case_id!r} has no precomputed assessment and no weights/thresholds given"
-        )
-    return classify_score(score_responses(case.responses, weights), thresholds)
 
 
 def rule_system_to_json(rule_system: RuleSystem) -> dict:

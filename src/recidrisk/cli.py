@@ -269,7 +269,7 @@ def cmd_train(args, cfg):
     config = ModelConfig(cfg["family"], cfg["params"])
     train_part, test_part = _load_split(args, cfg)
     model = fit_model(config, train_part, derive_seed(cfg["seed"], "train"))
-    cm = confusion(model.predict(test_part.values), test_part.labels)
+    cm = confusion(model.predict(test_part), test_part.labels)
     extra = {"config": cfg, "manifest": MANIFEST_NAME}
     outputs = {"model.json": lambda path: save_model(path, model, extra=extra),
                "holdout_metrics.csv": _metric_report("model", cm, _DEFAULT_TAUS)}
@@ -312,7 +312,7 @@ def cmd_evaluate(args, cfg):
         predictions = model.apply_many(matrix.viogen_scores)
     else:
         try:
-            predictions = model.predict(matrix.values)
+            predictions = model.predict(matrix)
         except ValueError as exc:  # the model's width does not fit the data
             raise ValueError(f"{args.model}: {exc}") from None
     cm = confusion(predictions, matrix.labels)
@@ -378,7 +378,7 @@ def cmd_sweep(args, cfg):
 
     rule = get_rule_system(cfg["rule_system"])
     f0 = rule.apply_many(test_part.viogen_scores)
-    f1 = model.predict(test_part.values)
+    f1 = model.predict(test_part)
     truths = test_part.labels
 
     # the protection curve and one resource curve per tau, all scoring the same executions

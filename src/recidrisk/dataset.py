@@ -12,8 +12,10 @@ blocks of rows and encodes them column by column without building a record
 per row. Both turn answers into option codes by one convention, and one
 builder shifts the codes into columns and labels the rows by `risk_labels`,
 keeping the follow-up counts with them, so another High threshold relabels
-without encoding again. `answer_cells` turns codes back into answers, for
-`decode_row` and the generator. `read_cases` still returns the file's records.
+without encoding again. The matrix keeps those columns as codes and builds
+float rows only for a caller that reads them. `answer_cells` turns codes back
+into answers, for `decode_row` and the generator. `read_cases` still returns
+the file's records.
 
 Every delimited file is read by `table_blocks`, the one table reader: a
 generator of the header and then blocks of rows with their lines, which
@@ -160,39 +162,149 @@ class CaseRecord:
             raise ValueError(f"case {self.case_id!r}: viogen_score must be in 0..4")
 
 
+QUERY_CHUNK = 512  # rows per float block; bounds a distance block to a few dozen MB
+
+
+class _FloatRows:
+    """`FeatureMatrix.values`: the dense rows a matrix was given, or all of its
+    rows built from its codes. Built, not kept: each read makes a new array."""
+
+    def __get__(self, matrix, owner=None):
+        if matrix is None:  # no class-level default, so `values` stays a required field
+            raise AttributeError("values")
+        return matrix.rows(slice(None))
+
+    def __set__(self, matrix, values):
+        matrix._values = values
+
+
 @dataclass
 class FeatureMatrix:
-    """Encoded cases: dense one-hot rows with aligned labels and side data."""
+    """Encoded cases: one float row per case, with aligned labels and side data.
 
-    values: np.ndarray  # (n, width) float64 with entries in {0, 1}
+    A matrix holds its rows in one of two forms. Dense: `values`, any (n,
+    width) floats, as library callers and tests build it. Code-backed:
+    `codes`, each row's active columns, one per question in increasing
+    order, as `encode_cases` and `read_case_matrix` build it. Its row is 1.0
+    at those columns and 0.0 elsewhere, so 58 answered questions take 58
+    small ints instead of 250 floats. `take`, `split` and `kfold` copy codes,
+    not floats, and `relabel` labels the same rows at another High threshold.
+
+    `rows` is the one reader of float rows, and `row_blocks` reads them a
+    block at a time: a slice of the dense values, or the one-hot of a slice
+    of the codes. `values` is all rows at once, built on each read of a
+    code-backed matrix; a caller that reads blocks, as nearest centroid fit
+    and predict do, never holds an (n, width) float matrix. So
+    `dataclasses.replace`, which reads `values`, builds every row of a
+    code-backed matrix; the copy stays code-backed, and `values` passed with
+    `codes` are refused unless they are the codes' own rows. Dense rows set
+    `width` themselves, so `replace` may give other dense rows.
+
+    Malformed side data is refused with ValueError: labels outside 0..2, or
+    viogen scores or counts that do not hold one value per row.
+    """
+
+    values: np.ndarray = _FloatRows()  # (n, width) float64: as given, or built from `codes`
     labels: np.ndarray  # (n,) int in {0, 1, 2}
     viogen_scores: np.ndarray | None = None  # (n,) int in 0..4, when available
     counts: np.ndarray | None = None  # (n,) follow-up counts as parsed, for encoded cases
+    codes: np.ndarray | None = None  # (n, Q) ints, each row's active columns in increasing order
+    width: int | None = None  # columns of the codes' rows; dense rows set it from `values`
+
+    ndim = 2  # perfbench's tracer counts the rows of 2-D predict inputs by `ndim`
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.values.ndim != 2 or self.labels.shape != (self.values.shape[0],):
-            raise ValueError("values must be 2-D with one label per row")
-        if self.viogen_scores is not None:
-            self.viogen_scores = np.asarray(self.viogen_scores, dtype=np.int64)
+        if self.codes is None:
+            self.values = np.asarray(self._values, dtype=np.float64)
+            if self._values.ndim != 2 or self.labels.shape != (self._values.shape[0],):
+                raise ValueError("values must be 2-D with one label per row")
+            self.width = self._values.shape[1]
+        else:
+            self.codes = _check_codes(np.asarray(self.codes), self.width)
+            if self.labels.shape != (self.codes.shape[0],):
+                raise ValueError("codes must be 2-D with one label per row")
+            if self._values is not None and not _one_hot_of(self._values, self.codes, self.width):
+                raise ValueError("values given with codes must be the codes' own rows")
+            self.values = None  # the codes are the rows; `rows` builds their floats
+        if not ((self.labels >= 0) & (self.labels < N_LABELS)).all():
+            raise ValueError(f"labels must lie in 0..{N_LABELS - 1}")
+        for name in ("viogen_scores", "counts"):
+            side = getattr(self, name)
+            if side is not None:
+                side = np.asarray(side, dtype=np.int64 if name == "viogen_scores" else None)
+                if side.shape != self.labels.shape:
+                    raise ValueError(f"{name} must hold one value per row: "
+                                     f"shape {side.shape} for {self.n_rows} rows")
+                setattr(self, name, side)
 
     @property
     def n_rows(self) -> int:
-        return self.values.shape[0]
+        return self.labels.shape[0]
 
     @property
-    def width(self) -> int:
-        return self.values.shape[1]
+    def shape(self) -> tuple[int, int]:
+        return self.n_rows, self.width
+
+    def rows(self, part: slice) -> np.ndarray:
+        """The float rows `part`: a view of the dense values, or the one-hot of
+        the codes' rows."""
+        if self.codes is None:
+            return self._values[part]
+        codes = self.codes[part]
+        rows = np.zeros((codes.shape[0], self.width), dtype=np.float64)
+        # each row's codes shifted to its start in the flat rows: one scatter for the block
+        rows.reshape(-1)[(codes + np.arange(0, rows.size, self.width)[:, None]).ravel()] = 1.0
+        return rows
 
     def take(self, indices: np.ndarray) -> "FeatureMatrix":
         indices = np.asarray(indices)
-        return FeatureMatrix(
-            self.values[indices],
-            self.labels[indices],
-            None if self.viogen_scores is None else self.viogen_scores[indices],
-            None if self.counts is None else self.counts[indices],
-        )
+
+        def pick(array):
+            return None if array is None else array[indices]
+
+        return FeatureMatrix(pick(self._values), self.labels[indices], pick(self.viogen_scores),
+                             pick(self.counts), pick(self.codes), self.width)
+
+    def relabel(self, high_threshold: int) -> "FeatureMatrix":
+        """The same rows labelled from their follow-up counts by `risk_labels`
+        at another High threshold; rows and side data are shared, not copied."""
+        if self.counts is None:
+            raise ValueError("relabelling needs the follow-up counts of encoded cases")
+        return FeatureMatrix(self._values, risk_labels(self.counts, high_threshold),
+                             self.viogen_scores, self.counts, self.codes, self.width)
+
+
+def _check_codes(codes: np.ndarray, width) -> np.ndarray:
+    """Code-backed rows as given, or ValueError unless they are (n, Q) ints
+    that name distinct columns of `width` in increasing order in every row."""
+    if codes.ndim != 2 or codes.dtype.kind not in "iu":
+        raise ValueError("codes must be a 2-D integer array")
+    if not isinstance(width, (int, np.integer)) or isinstance(width, bool):
+        raise ValueError("a matrix of codes needs its width, an int")
+    if codes.size and not (codes.min() >= 0 and codes.max() < width
+                           and (codes[:, 1:] > codes[:, :-1]).all()):
+        raise ValueError(f"each row's codes must be increasing columns in 0..{width - 1}")
+    return codes
+
+
+def _one_hot_of(values, codes: np.ndarray, width: int) -> bool:
+    """Whether `values` are the float rows of `codes`: 1.0 at each row's
+    columns, which are distinct, and 0.0 at every other cell."""
+    values = np.asarray(values)
+    if values.shape != (codes.shape[0], width):
+        return False
+    at_codes = np.take_along_axis(values, codes.astype(np.intp), axis=1)
+    return bool((at_codes == 1.0).all() and np.count_nonzero(values) == codes.size)
+
+
+def row_blocks(X, size: int = QUERY_CHUNK):
+    """Yield (part, float rows) over X, a FeatureMatrix or a 2-D array, in row
+    order, `part` being the slice of at most `size` rows the block holds."""
+    rows = X.rows if isinstance(X, FeatureMatrix) else X.__getitem__
+    for start in range(0, X.shape[0], size):
+        part = slice(start, start + size)
+        yield part, rows(part)
 
 
 def as_xy(train) -> tuple[np.ndarray, np.ndarray]:
@@ -203,13 +315,15 @@ def as_xy(train) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64)
 
 
-QUERY_CHUNK = 512  # query rows per predict block; bounds a distance block to a few dozen MB
-
-
-def as_rows(X, width: int) -> tuple[np.ndarray, bool]:
+def as_rows(X, width: int, dense: bool = True) -> tuple:
     """The predict input rule: X as 2-D float rows of `width` columns, a single
     1-D row as one row, and whether X was that single row (its prediction is
-    then a scalar label)."""
+    then a scalar label). A FeatureMatrix is rows of its own width: its
+    `values`, or, unless `dense`, the matrix itself, for `row_blocks`."""
+    if isinstance(X, FeatureMatrix):
+        if X.width != width:
+            raise ValueError(f"expected width {width}, got shape {X.shape}")
+        return X.values if dense else X, False
     X = np.asarray(X, dtype=np.float64)
     single = X.ndim == 1
     rows = X[None, :] if single else X
@@ -246,11 +360,6 @@ def risk_labels(counts, high_threshold: int = 3) -> np.ndarray:
     if high_threshold < 2:
         raise ValueError("high_threshold must be >= 2 so the Low band is non-empty")
     return (counts > 0).astype(np.int64) + (counts >= high_threshold)
-
-
-def label_from_recidivism(count: int, high_threshold: int = 3) -> RiskLabel:
-    """The risk label of one follow-up count, by the `risk_labels` rule."""
-    return RiskLabel(int(risk_labels(count, high_threshold)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +418,14 @@ def _first_failure(*failures):
 
 
 def _feature_matrix(schema: QuestionnaireSchema, codes, counts, scores, high_threshold) -> FeatureMatrix:
-    """The one-hot rows of the option codes, which become their active columns
-    in place, labelled from the counts they keep. Viogen scores (-1 where a
+    """The code-backed matrix of the option codes, which become their active
+    columns in place, labelled from the counts it keeps. Viogen scores (-1 where a
     case has none) are kept only when every case has one."""
     codes += np.array([schema.offsets[q.question_id] for q in schema.questions], dtype=codes.dtype)
-    values = np.zeros((codes.shape[0], schema.width), dtype=np.float64)
-    np.put_along_axis(values, codes, 1.0, axis=1)
     has_scores = scores.size > 0 and bool((scores >= 0).all())
-    return FeatureMatrix(values, risk_labels(counts, high_threshold),
-                         viogen_scores=scores if has_scores else None, counts=counts)
+    return FeatureMatrix(None, risk_labels(counts, high_threshold),
+                         viogen_scores=scores if has_scores else None, counts=counts,
+                         codes=codes, width=schema.width)
 
 
 def encode_cases(

@@ -43,7 +43,6 @@ from .dataset import (
     fmt_float,
     kfold_indices,
     require_type,
-    risk_labels,
     split,
     top_label,
     write_table,
@@ -316,20 +315,21 @@ def _score_row(family: str, params: dict, preds: np.ndarray, truths: np.ndarray,
 
 def _predict_nc(configs, train, test, seed):
     """Every metric and shrink threshold from one set of class statistics, and one
-    prediction per distinct model: minkowski of order 2 or 1 is euclidean or manhattan."""
+    prediction per distinct model: minkowski of order 2 or 1 is euclidean or manhattan.
+    The test part's float rows are built once, for every model."""
     try:
         stats = nc_stats(train, deviations=any(c.value("shrink_threshold") is not None
                                                for c in configs))
     except ValueError as exc:
         return [str(exc)] * len(configs)
-    models, out = {}, []
+    test_rows, models, out = test.values, {}, []
     for config in configs:
         metric, shrink, p = (config.value(name) for name in ("metric", "shrink_threshold", "p"))
         distance = distance_of(metric, p)
         key = (distance, p if distance == "minkowski" else None, shrink)
         if key not in models:
             try:
-                models[key] = nc_shrink(stats, metric, shrink, p).predict(test.values)
+                models[key] = nc_shrink(stats, metric, shrink, p).predict(test_rows)
             except ValueError as exc:
                 models[key] = str(exc)
         out.append(models[key])
@@ -347,7 +347,7 @@ def _predict_tree_group(configs, train, test, seed):
     """All depth caps of one (criterion, splitter) pair from a single fit."""
     full = tree_fit(train, criterion=configs[0].value("criterion"),
                     splitter=configs[0].value("splitter"), max_depth=None, seed=seed)
-    return full.predict_at_depths(test.values, [config.value("max_depth") for config in configs])
+    return full.predict_at_depths(test, [config.value("max_depth") for config in configs])
 
 
 def _predict_forest_group(configs, train, test, seed):
@@ -360,8 +360,9 @@ def _predict_forest_group(configs, train, test, seed):
     labels_at = {}
     members = _forest_members(train.values, train.labels, criterion, None, seed,
                               range(max(sizes)), bootstrap)
+    test_rows = test.values  # built once for every member
     for i, tree in enumerate(members):
-        per_depth = tree.predict_at_depths(test.values, depths)
+        per_depth = tree.predict_at_depths(test_rows, depths)
         for d, pred in zip(depths, per_depth):
             votes[d][np.arange(test.n_rows), pred] += 1
         if i + 1 in sizes:
@@ -439,8 +440,7 @@ def rescore_row(row: ResultRow, train: FeatureMatrix, test: FeatureMatrix,
     """Fit one table row's config from scratch; must reproduce its scores."""
     config = row.config()
     model = fit_model(config, train, config_seed(master_seed, config))
-    return _score_row(config.family, config.params, model.predict(test.values), test.labels,
-                      objective)
+    return _score_row(config.family, config.params, model.predict(test), test.labels, objective)
 
 
 @dataclass
@@ -564,9 +564,9 @@ def threshold_sensitivity(matrix: FeatureMatrix, thresholds, plan: EvalPlan) -> 
     parts = split(matrix, plan.split)
     rows = []
     for threshold in thresholds:
-        train, test = (replace(part, labels=risk_labels(part.counts, threshold)) for part in parts)
+        train, test = (part.relabel(threshold) for part in parts)
         model = fit_model(plan.model, train, derive_seed(plan.seed, "sensitivity", threshold))
-        cm = confusion(model.predict(test.values), test.labels)
+        cm = confusion(model.predict(test), test.labels)
         scores = class_scores(cm)
         rows.append(
             SensitivityRow(

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import QUERY_CHUNK, as_rows, as_xy
+from .dataset import FeatureMatrix, as_rows, as_xy, row_blocks
 
 METRICS = ("euclidean", "manhattan", "minkowski")
 
@@ -73,12 +73,14 @@ class NearestCentroidModel:
         return (self.offsets != 0).any(axis=0)
 
     def predict(self, X) -> np.ndarray:
-        X, single = as_rows(X, self.width)
+        """Labels of X, float rows or a FeatureMatrix, whose float rows are
+        built one block of QUERY_CHUNK rows at a time."""
+        X, single = as_rows(X, self.width, dense=False)
         centroids, pick = self.effective_centroids, np.empty(X.shape[0], dtype=np.intp)
-        for start in range(0, X.shape[0], QUERY_CHUNK):
-            dist = _distances(X[start : start + QUERY_CHUNK], centroids, self.metric, self.p)
+        for part, block in row_blocks(X):
+            dist = _distances(block, centroids, self.metric, self.p)
             # last argmin over ascending classes = higher-risk label on exact ties
-            pick[start : start + QUERY_CHUNK] = dist.shape[1] - 1 - np.argmin(dist[:, ::-1], axis=1)
+            pick[part] = dist.shape[1] - 1 - np.argmin(dist[:, ::-1], axis=1)
         labels = self.classes[pick]
         return labels[0] if single else labels
 
@@ -94,12 +96,15 @@ def distance_of(metric: str, p: float) -> str:
 
 def _distances(X: np.ndarray, centroids: np.ndarray, metric: str, p: float) -> np.ndarray:
     metric = distance_of(metric, p)
-    diff = np.abs(X[:, None, :] - centroids[None, :, :])
+    diff = X[:, None, :] - centroids[None, :, :]
+    np.abs(diff, out=diff)  # in place: one (rows, classes, width) temporary per block
     if metric == "manhattan":
         return diff.sum(axis=2)
     if metric == "euclidean":
-        return np.sqrt((diff * diff).sum(axis=2))
-    return (diff**p).sum(axis=2) ** (1.0 / p)
+        diff *= diff
+        return np.sqrt(diff.sum(axis=2))
+    np.power(diff, p, out=diff)
+    return diff.sum(axis=2) ** (1.0 / p)
 
 
 def _validate(metric: str, shrink_threshold, p) -> None:
@@ -126,23 +131,23 @@ class ClassStats:
 def nc_stats(train, deviations: bool) -> ClassStats:
     """The class statistics of `train`; s_j only with `deviations`, as shrinkage alone needs it.
 
-    Every sum runs over blocks of QUERY_CHUNK rows, in row order: each block is
-    added to the running sum as one reduction over the running sum stacked on
-    the block, which adds the rows in the order one reduction over all rows
-    would. So the centroids, the overall centroid and s_j equal the
+    Rows are summed over `row_blocks` of QUERY_CHUNK rows, in row order, so
+    a code-backed matrix's float rows are built one block at a time. Each
+    block is added to the running sum as one reduction over the running sum
+    stacked on the block, which adds the rows in the order one reduction over
+    all rows would. So the centroids, the overall centroid and s_j equal the
     whole-array means and sums bit for bit, and no temporary is larger than a
     block.
     """
-    X, y = as_xy(train)
-    if X.shape[0] == 0:
+    X, y = (train, train.labels) if isinstance(train, FeatureMatrix) else as_xy(train)
+    if y.shape[0] == 0:
         raise ValueError("cannot fit on an empty training set")
     classes, y_idx = np.unique(y, return_inverse=True)
     k, n = classes.size, X.shape[0]
     counts = np.bincount(y_idx, minlength=k)
-    blocks = [slice(start, start + QUERY_CHUNK) for start in range(0, n, QUERY_CHUNK)]
     sums, total = [None] * k, None
-    for rows in blocks:
-        block, block_idx = X[rows], y_idx[rows]
+    for part, block in row_blocks(X):
+        block_idx = y_idx[part]
         total = _add_rows(total, block)
         for i in range(k):
             sums[i] = _add_rows(sums[i], block[block_idx == i])
@@ -150,9 +155,11 @@ def nc_stats(train, deviations: bool) -> ClassStats:
     s = None
     if deviations:
         squares = None
-        for rows in blocks:
-            within = X[rows] - centroids[y_idx[rows]]
-            squares = _add_rows(squares, within * within)
+        for part, block in row_blocks(X):
+            within = centroids[y_idx[part]]
+            np.subtract(block, within, out=within)
+            within *= within
+            squares = _add_rows(squares, within)
         s = np.sqrt(squares / max(n - k, 1))
     return ClassStats(classes, counts, centroids, total / n, s)
 

@@ -11,11 +11,10 @@ from recidrisk.baseline import (
     NAMED_RULE_SYSTEMS,
     RuleSystem,
     ViogenClass,
-    classify_score,
+    classify_scores,
     get_rule_system,
     read_rule_system,
     score_responses,
-    viogen_classify,
     write_rule_system,
 )
 from recidrisk.dataset import MISSING, CaseRecord, RiskLabel
@@ -67,6 +66,32 @@ def test_apply_many_matches_scalar():
 def test_non_monotone_rule_rejected():
     with pytest.raises(ValueError):
         RuleSystem("broken", (LOW, NO, LOW, HIGH, HIGH))
+
+
+# Per-case oracles of the vectorized scoring, kept here as the only callers.
+
+def classify_score(score: float, thresholds) -> ViogenClass:
+    """Five-class value of one score, by the `classify_scores` rule."""
+    return ViogenClass(int(classify_scores(score, thresholds)))
+
+
+def viogen_classify(
+    case: CaseRecord,
+    weights: dict | None = None,
+    thresholds=None,
+) -> ViogenClass:
+    """Five-class assessment for one case.
+
+    A precomputed score on the record wins; otherwise the weighted sum is
+    evaluated against the thresholds.
+    """
+    if case.viogen_score is not None:
+        return ViogenClass(case.viogen_score)
+    if weights is None or thresholds is None:
+        raise ValueError(
+            f"case {case.case_id!r} has no precomputed assessment and no weights/thresholds given"
+        )
+    return classify_score(score_responses(case.responses, weights), thresholds)
 
 
 def test_classify_score_counts_strictly_below():

@@ -27,10 +27,10 @@ from recidrisk.dataset import (
     encode_cases,
     kfold,
     kfold_indices,
-    label_from_recidivism,
     read_case_matrix,
     read_cases,
     read_schema,
+    risk_labels,
     split,
     top_label,
     write_cases,
@@ -154,6 +154,11 @@ def test_top_label_is_highest_tied_maximum(rows):
     expected = [max(label for label in range(3) if row[label] == max(row)) for row in rows]
     assert top_label(np.array(rows)).tolist() == expected
     assert top_label(np.array(rows[0])).tolist() == expected[:1]
+
+
+def label_from_recidivism(count: int, high_threshold: int = 3) -> RiskLabel:
+    """The risk label of one follow-up count, by the `risk_labels` rule."""
+    return RiskLabel(int(risk_labels(count, high_threshold)))
 
 
 def test_label_examples():

@@ -16,7 +16,7 @@ from recidrisk.dataset import (
     Question,
     QuestionnaireSchema,
     encode_cases,
-    label_from_recidivism,
+    risk_labels,
     write_cases,
 )
 from recidrisk.nearest_centroid import nc_fit
@@ -127,7 +127,7 @@ def test_label_frequencies_match_poisson_tails():
         seed=8,
     )
     records = generate(config)
-    labels = np.array([int(label_from_recidivism(r.recidivism_count)) for r in records])
+    labels = risk_labels([r.recidivism_count for r in records])
     expected = np.zeros(3)
     for rate in rates:
         expected[0] += stats.poisson.cdf(0, rate) / 3
