@@ -47,7 +47,6 @@ from .experiments import (
 from .hybrid import (
     SweepResult,
     decide_mu,
-    evaluate_hybrid,
     hybrid_sample,
     mu_sweep,
     resource_profile,
@@ -68,7 +67,6 @@ from .synthgen import (
     GeneratorConfig,
     ResponseProfile,
     assess_cases,
-    attach_viogen_scores,
     default_schema,
     demo_config,
     demo_profiles,

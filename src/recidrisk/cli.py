@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baseline import NAMED_RULE_SYSTEMS, RuleSystem, classify_scores, get_rule_system
+from .baseline import NAMED_RULE_SYSTEMS, RuleSystem, get_rule_system
 from .dataset import (
     FeatureMatrix,
     SplitSpec,
@@ -76,13 +76,13 @@ from .model_io import load_model, model_family, save_model
 from .seeding import derive_seed
 from .synthgen import (
     DEMO_SEED,
+    assess_scores,
     code_scores,
     config_to_json,
     demo_config,
     generate_codes,
     read_config,
     severity_weights,
-    thresholds_from_quantiles,
     write_case_codes,
 )
 
@@ -241,9 +241,7 @@ def cmd_generate(args, cfg):
     outputs, classes = {}, None
     if cfg["with_viogen"]:
         weights = severity_weights(config.schema)
-        scores = code_scores(config.schema, codes, weights)
-        thresholds = thresholds_from_quantiles(scores)
-        classes = classify_scores(scores, thresholds)
+        classes, thresholds = assess_scores(code_scores(config.schema, codes, weights))
         outputs["viogen.json"] = _json({
             "weights": {f"{qid}|{opt}": w for (qid, opt), w in sorted(weights.items())},
             "thresholds": list(thresholds),

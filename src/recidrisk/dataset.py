@@ -14,8 +14,9 @@ builder shifts the codes into columns and labels the rows by `risk_labels`,
 keeping the follow-up counts with them, so another High threshold relabels
 without encoding again. The matrix keeps those columns as codes and builds
 float rows only for a caller that reads them. `answer_cells` turns codes back
-into answers, for `decode_row` and the generator. `read_cases` still returns
-the file's records.
+into answers, for `decode_row` and the generator, whose `write_case_codes`
+writes case files from codes. `read_cases` still returns the file's records;
+no case file is written from records.
 
 Every delimited file is read by `table_blocks`, the one table reader: a
 generator of the header and then blocks of rows with their lines, which
@@ -591,12 +592,14 @@ def table_blocks(path: str | Path, columns, extra_columns: bool = False):
             raise ValueError(f"{path}:{n_comments + reader.line_num + 1}: no rows after the header")
 
 
-def read_table(path: str | Path, columns, parse_row, extra_columns: bool = False) -> list:
+def read_table(path: str | Path, columns, parse_row, extra_columns: bool = False,
+               check_last=None) -> list:
     """Parse every row of a table file, streaming; returns the parsed rows.
 
     The file follows `table_blocks`' rules, and each row is turned into an
-    item by `parse_row(header, cells)`. Any failure, including a ValueError
-    from `parse_row`, raises ValueError("<path>:<line>: <what>").
+    item by `parse_row(header, cells)`; `check_last`, when given, then checks
+    the last row's item. Any failure, including a ValueError from `parse_row`
+    or `check_last`, raises ValueError("<path>:<line>: <what>").
     """
     items = []
     with closing(table_blocks(path, columns, extra_columns)) as table:
@@ -607,6 +610,11 @@ def read_table(path: str | Path, columns, parse_row, extra_columns: bool = False
                     items.append(parse_row(header, cells))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{line}: {exc}") from None
+    if check_last is not None:
+        try:
+            check_last(items[-1])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line}: {exc}") from None
     return items
 
 
@@ -694,26 +702,6 @@ def finite_float(value, message: str):
 
 
 CASE_FIELDS = ("case_id", "recidivism_count", "viogen_score")
-
-
-def write_cases(
-    path: str | Path,
-    records: list[CaseRecord],
-    schema: QuestionnaireSchema,
-    manifest: str | None = None,
-) -> None:
-    require_file_options(schema)
-    question_ids = [q.question_id for q in schema.questions]
-
-    def row(rec):
-        score = "" if rec.viogen_score is None else str(rec.viogen_score)
-        cells = [rec.case_id, str(rec.recidivism_count), score]
-        for qid in question_ids:
-            response = rec.responses.get(qid, MISSING)
-            cells.append("" if response is MISSING else str(response))
-        return cells
-
-    write_table(path, CASE_FIELDS + tuple(question_ids), map(row, records), manifest)
 
 
 def _case_cells(case_id: str, count: str, score: str, seen: set) -> tuple:

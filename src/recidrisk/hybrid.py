@@ -9,7 +9,9 @@ far predictions have migrated from the first model to the second.
 
 Metrics of the hybrid are random variables; they are estimated over repeated
 executions, reported as mean, standard deviation and a 0.95
-normal-approximation confidence half-width 1.96 * std / sqrt(runs).
+normal-approximation confidence half-width 1.96 * std / sqrt(runs): along a
+uniform mu grid on [0, 1] by `mu_sweep`, whose curves `write_sweep` and
+`read_sweep` keep on file, and at one mu by `resource_profile`.
 
 Labels take the values 0..2, so every metric depends only on how many cases
 fall in each of the 27 (f0, f1, truth) cells. Executions are drawn per cell,
@@ -113,14 +115,6 @@ def _summarize(values: np.ndarray) -> HybridEstimate:
         return HybridEstimate(float(values[0]), 0.0, 0.0, n, values)
     std = float(values.std(ddof=1)) if n >= 2 else 0.0
     return HybridEstimate(float(values.mean()), std, Z_95 * std / np.sqrt(n), n, values)
-
-
-def evaluate_hybrid(
-    f0_preds, f1_preds, truths, mu: float, metric: MetricSpec, n_runs: int, master_seed: int
-) -> HybridEstimate:
-    """Monte Carlo estimate of one metric at one mu."""
-    stack = _Cells(f0_preds, f1_preds, truths).draw(mu, n_runs, derive_rng(master_seed, "run"))
-    return _summarize(metric.evaluate(stack))
 
 
 @dataclass
@@ -249,7 +243,8 @@ def write_sweep(path: str | Path, sweep: SweepResult, manifest: str | None = Non
 
 def read_sweep(path: str | Path) -> SweepResult:
     """Read a sweep file. Its mu, mean, std, ci_lo and ci_hi cells are finite
-    floats, each row's mu lies in [0, 1] and exceeds the previous row's, and
+    floats; the mu column spans [0, 1], from exactly 0.0 on the first row to
+    exactly 1.0 on the last, each row's mu exceeding the previous row's; and
     every row repeats the first row's metric, tau and run count: a tau that is
     blank or a finite float, a run count of ASCII digits with value at least 1."""
     curve = {}  # metric and run count, set by the first row and repeated by every other; last mu
@@ -273,10 +268,17 @@ def read_sweep(path: str | Path) -> SweepResult:
         mu, mean, std, ci_lo, _ = values
         if not 0 <= mu <= 1:
             raise ValueError(f"mu {mu!r} lies outside [0, 1]")
+        if "mu" not in curve and mu != 0.0:
+            raise ValueError(f"the first row's mu {mu!r} is not 0.0; a curve spans [0, 1]")
         if mu <= curve.get("mu", -1.0):
             raise ValueError(f"mu {mu!r} does not exceed the previous row's {curve['mu']!r}")
         curve["mu"] = mu
         return mu, mean, std, mean - ci_lo
 
-    grid, means, stds, halves = np.array(read_table(path, SWEEP_COLUMNS, parse)).T
+    def check_last(row):
+        if row[0] != 1.0:
+            raise ValueError(f"the last row's mu {row[0]!r} is not 1.0; a curve spans [0, 1]")
+
+    rows = read_table(path, SWEEP_COLUMNS, parse, check_last=check_last)
+    grid, means, stds, halves = np.array(rows).T
     return SweepResult(grid, means, stds, halves, curve["n_runs"], curve["metric"])

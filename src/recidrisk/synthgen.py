@@ -13,9 +13,10 @@ workers.
 The draws land in columns: one option code per (case, question) and one
 count per case (`generate_codes`). The CLI scores those codes
 (`code_scores`) and writes the case file from them (`write_case_codes`)
-without a record per case; `generate` and the record functions
-(`assess_cases`, `attach_viogen_scores`, `score_thresholds`) give the same
-cases as `CaseRecord`s, for library use and as the tests' reference.
+without a record per case. `generate` and `assess_cases` give the same cases
+as `CaseRecord`s, for library use. One step, `assess_scores`, turns a score
+vector into the five viogen classes, cut at the `CLASS_SHARES` quantiles, for
+the CLI and for `assess_cases` alike.
 """
 
 from __future__ import annotations
@@ -187,8 +188,8 @@ def write_case_codes(path: str | Path, schema: QuestionnaireSchema, codes: np.nd
                      counts: np.ndarray, classes: np.ndarray | None = None,
                      manifest: str | None = None) -> None:
     """Write the cases of `generate_codes` as a case file, with `classes` as
-    their viogen scores: the bytes `write_cases` writes for the same records,
-    built column by column through the one table writer."""
+    their viogen scores, column by column through the one table writer: the
+    file `read_cases` reads back as `generate`'s records, with those scores."""
     require_file_options(schema)
     n = len(counts)
     columns = [_case_ids(n), counts.tolist(), [""] * n if classes is None else classes.tolist(),
@@ -197,34 +198,21 @@ def write_case_codes(path: str | Path, schema: QuestionnaireSchema, codes: np.nd
                 manifest)
 
 
-def attach_viogen_scores(records, weights: dict, thresholds) -> list[CaseRecord]:
-    """Return records with the five-class weighted-score assessment filled in.
-
-    The score is the weighted sum of each case's answered responses; its class
-    is the number of thresholds strictly below the score. Every answered
-    (question, option) pair must have a weight.
-    """
-    return _with_classes(records, classify_scores(_scores(records, weights), thresholds))
-
-
 def assess_cases(records, weights: dict) -> tuple[list[CaseRecord], tuple]:
-    """Score every case once, cut the thresholds at the default class
-    proportions, and return the records with their classes attached, and the
-    thresholds: `attach_viogen_scores(records, weights, score_thresholds(records,
-    weights))` without the second scoring pass."""
-    scores = _scores(records, weights)
-    thresholds = thresholds_from_quantiles(scores)
-    return _with_classes(records, classify_scores(scores, thresholds)), thresholds
-
-
-def _scores(records, weights: dict) -> np.ndarray:
-    return np.fromiter((score_responses(rec.responses, weights) for rec in records), np.float64,
-                       len(records))
-
-
-def _with_classes(records, classes: np.ndarray) -> list[CaseRecord]:
+    """Score every case once through `score_responses`, and return the records
+    with the classes of `assess_scores` attached, and its thresholds."""
+    scores = np.fromiter((score_responses(rec.responses, weights) for rec in records), np.float64,
+                         len(records))
+    classes, thresholds = assess_scores(scores)
     return [CaseRecord(rec.case_id, rec.responses, rec.recidivism_count, viogen_class)
-            for rec, viogen_class in zip(records, classes.tolist())]
+            for rec, viogen_class in zip(records, classes.tolist())], thresholds
+
+
+def assess_scores(scores: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The viogen assessment of a score vector: the five-class value of each
+    score, and the thresholds of `thresholds_from_quantiles` that cut them."""
+    thresholds = thresholds_from_quantiles(scores)
+    return classify_scores(scores, thresholds), thresholds
 
 
 def severity_weights(schema: QuestionnaireSchema) -> dict:
@@ -237,27 +225,24 @@ def severity_weights(schema: QuestionnaireSchema) -> dict:
     return weights
 
 
-def thresholds_from_quantiles(scores, proportions=(0.49, 0.41, 0.10, 0.007, 0.0001)) -> tuple:
-    """Cut thresholds so the five class proportions approximate the targets.
+# Target shares of the five viogen classes, lowest class first.
+CLASS_SHARES = (0.49, 0.41, 0.10, 0.007, 0.0001)
+
+
+def thresholds_from_quantiles(scores) -> tuple:
+    """Cut thresholds so the five class proportions approximate `CLASS_SHARES`.
 
     Thresholds are empirical quantiles at the cumulative target proportions,
     nudged upward minimally if the score distribution is too concentrated to
     keep them strictly ascending (which may leave upper classes empty).
     """
-    proportions = np.asarray(proportions, dtype=np.float64)
-    if proportions.shape != (5,) or (proportions <= 0).any():
-        raise ValueError("need 5 positive class proportions")
-    cumulative = np.cumsum(proportions / proportions.sum())[:4]
+    shares = np.asarray(CLASS_SHARES, dtype=np.float64)
+    cumulative = np.cumsum(shares / shares.sum())[:4]
     thresholds = list(np.quantile(np.asarray(scores, dtype=np.float64), cumulative))
     for i in range(1, 4):
         if thresholds[i] <= thresholds[i - 1]:
             thresholds[i] = float(np.nextafter(thresholds[i - 1], np.inf))
     return tuple(thresholds)
-
-
-def score_thresholds(records, weights: dict) -> tuple:
-    """Thresholds cutting the records' weighted scores at the default class proportions."""
-    return thresholds_from_quantiles(_scores(records, weights))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,7 @@
 import pytest
 
 from recidrisk.dataset import SplitSpec, encode_cases, split
-from recidrisk.synthgen import (
-    attach_viogen_scores,
-    demo_config,
-    generate,
-    score_thresholds,
-    severity_weights,
-)
+from recidrisk.synthgen import assess_cases, demo_config, generate, severity_weights
 
 
 @pytest.fixture(scope="session")
@@ -16,7 +10,7 @@ def small_corpus():
     config = demo_config(n_cases=1500, seed=424)
     records = generate(config)
     weights = severity_weights(config.schema)
-    records = attach_viogen_scores(records, weights, score_thresholds(records, weights))
+    records, _ = assess_cases(records, weights)
     return config, records
 
 

@@ -21,18 +21,13 @@ from recidrisk.experiments import (
     nc_fine_tune,
     write_result_table,
 )
-from recidrisk.hybrid import decide_mu, evaluate_hybrid, hybrid_sample, mu_sweep, resource_profile
+from recidrisk.hybrid import decide_mu, hybrid_sample, mu_sweep, resource_profile
 from recidrisk.metrics import MetricSpec, class_scores, confusion, police_protection, police_resource
 from recidrisk.nearest_centroid import nc_fit
 from recidrisk.seeding import derive_rng, derive_seed
-from recidrisk.synthgen import (
-    attach_viogen_scores,
-    demo_config,
-    generate,
-    score_thresholds,
-    severity_weights,
-)
+from recidrisk.synthgen import assess_cases, demo_config, generate, severity_weights
 
+from oracles import evaluate_hybrid
 from test_metrics import (
     brute_f1,
     brute_precision,
@@ -56,7 +51,7 @@ def demo_split():
     config = demo_config()
     records = generate(config)
     weights = severity_weights(config.schema)
-    records = attach_viogen_scores(records, weights, score_thresholds(records, weights))
+    records, _ = assess_cases(records, weights)
     matrix = encode_cases(records, config.schema)
     return split(matrix, SplitSpec(0.67, seed=0))
 

@@ -9,9 +9,11 @@ import sys
 import pytest
 
 from recidrisk.cli import main
-from recidrisk.dataset import CaseRecord, Question, QuestionnaireSchema, write_cases, write_schema
+from recidrisk.dataset import CaseRecord, Question, QuestionnaireSchema, write_schema
 from recidrisk.hybrid import read_sweep
 from recidrisk.synthgen import demo_config, write_config
+
+from oracles import write_cases
 
 
 @pytest.fixture(scope="module")

@@ -33,11 +33,12 @@ from recidrisk.dataset import (
     risk_labels,
     split,
     top_label,
-    write_cases,
     write_schema,
 )
 from recidrisk.hybrid import SWEEP_COLUMNS, read_sweep
 from recidrisk.synthgen import default_schema, demo_config, generate, write_case_codes
+
+from oracles import write_cases
 
 
 def one_question_schema(allows_missing=False):
@@ -447,7 +448,7 @@ def descriptors_on(path: Path) -> int:
 def test_a_failed_read_leaves_no_descriptor_open(tmp_path, reader):
     # each read fails in the reader's own check of a row or header the table layer yielded
     path = tmp_path / "table.csv"
-    if reader == "read_sweep":  # the second row's mu does not exceed the first's
+    if reader == "read_sweep":  # the first row's mu is not 0.0
         path.write_text(",".join(SWEEP_COLUMNS) + "\n" + "0.5,0.1,0.0,0.1,0.1,police_resource,0.5,3\n" * 2)
         read = read_sweep
     else:

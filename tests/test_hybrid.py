@@ -14,7 +14,6 @@ from recidrisk.hybrid import (
     _Cells,
     _isotonic_non_decreasing,
     decide_mu,
-    evaluate_hybrid,
     hybrid_sample,
     mu_sweep,
     read_sweep,
@@ -24,6 +23,7 @@ from recidrisk.hybrid import (
 from recidrisk.metrics import MetricSpec, confusion, police_protection
 from recidrisk.seeding import derive_rng
 
+from oracles import evaluate_hybrid
 from test_dataset import rewrite_line
 
 
@@ -387,6 +387,9 @@ BROKEN_SWEEP_FILES = {
     "non_float_mean": (8, lambda rows: rows[7][:1] + ["high"] + rows[7][2:]),
     "mu_not_increasing": (6, lambda rows: rows[3][:1] + rows[5][1:]),  # line 4's mu again
     "mu_above_one": (9, lambda rows: ["7.5"] + rows[8][1:]),
+    # a curve spans [0, 1]: the first row's mu is 0.0 and the last row's 1.0
+    "mu_first_not_zero": (3, lambda rows: ["0.05"] + rows[2][1:]),
+    "mu_last_not_one": (9, lambda rows: ["0.95"] + rows[8][1:]),
     "nan_mean": (5, lambda rows: rows[4][:1] + ["nan"] + rows[4][2:]),
     "non_float_ci_hi": (7, lambda rows: rows[6][:4] + ["high"] + rows[6][5:]),
     "trailing_blank_line": (10, lambda rows: []),

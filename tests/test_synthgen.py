@@ -17,7 +17,6 @@ from recidrisk.dataset import (
     QuestionnaireSchema,
     encode_cases,
     risk_labels,
-    write_cases,
 )
 from recidrisk.nearest_centroid import nc_fit
 from recidrisk.synthgen import (
@@ -26,7 +25,6 @@ from recidrisk.synthgen import (
     ResponseProfile,
     _chunk_codes,
     assess_cases,
-    attach_viogen_scores,
     code_scores,
     config_from_json,
     config_to_json,
@@ -35,12 +33,13 @@ from recidrisk.synthgen import (
     generate,
     generate_codes,
     read_config,
-    score_thresholds,
     severity_weights,
     thresholds_from_quantiles,
     write_case_codes,
     write_config,
 )
+
+from oracles import attach_viogen_scores, score_thresholds, write_cases
 
 
 def tiny_schema():
@@ -292,6 +291,16 @@ def test_columnar_core_equals_the_record_path(problem):
                 write_case_codes(columnar, schema, codes, counts, manifest="manifest.json")
                 write_cases(by_record, records, schema, manifest="manifest.json")
             assert columnar.read_bytes() == by_record.read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_configs())
+def test_assess_cases_equals_the_record_oracles(problem):
+    config, weights = problem
+    records = generate(config)
+    thresholds = score_thresholds(records, weights)
+    assert assess_cases(records, weights) == (attach_viogen_scores(records, weights, thresholds),
+                                              thresholds)
 
 
 def test_code_scores_need_a_weight_for_every_option():
