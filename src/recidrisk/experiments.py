@@ -51,7 +51,7 @@ from .knn import knn_fit, neighbor_labels, vote
 from .metrics import MetricSpec, class_scores, confusion, police_protection
 from .nearest_centroid import distance_of, nc_fit, nc_shrink, nc_stats
 from .seeding import derive_seed
-from .trees import _forest_members, forest_fit, tree_fit
+from .trees import _forest_members, add_votes, forest_fit, predict_members, tree_fit
 
 _FIT_NAMES = {"nc": "nc_fit", "knn": "knn_fit", "tree": "tree_fit", "forest": "forest_fit"}
 FAMILIES = tuple(_FIT_NAMES)
@@ -352,7 +352,9 @@ def _predict_tree_group(configs, train, test, seed):
 
 def _predict_forest_group(configs, train, test, seed):
     """One (criterion, bootstrap) group: every (n_estimators, max_depth) point
-    is a vote prefix over shared full-depth member trees."""
+    is a vote prefix over shared full-depth member trees. Members are predicted
+    in chunks of at most `trees.batch_size` of the test rows, one descent per
+    chunk for every depth, and a chunk never spans an ensemble size."""
     criterion, bootstrap = configs[0].value("criterion"), configs[0].value("bootstrap")
     depths = sorted({c.value("max_depth") for c in configs}, key=lambda d: (d is None, d))
     sizes = sorted({c.value("n_estimators") for c in configs})
@@ -361,10 +363,14 @@ def _predict_forest_group(configs, train, test, seed):
     members = _forest_members(train.values, train.labels, criterion, None, seed,
                               range(max(sizes)), bootstrap)
     test_rows = test.values  # built once for every member
+    chunk, size = [], trees.batch_size(test.n_rows)
     for i, tree in enumerate(members):
-        per_depth = tree.predict_at_depths(test_rows, depths)
-        for d, pred in zip(depths, per_depth):
-            votes[d][np.arange(test.n_rows), pred] += 1
+        chunk.append(tree)
+        if len(chunk) < size and i + 1 not in sizes:
+            continue
+        for d, labels in zip(depths, predict_members(chunk, test_rows, depths)):
+            add_votes(votes[d], labels)
+        chunk = []
         if i + 1 in sizes:
             for d in depths:
                 labels_at[(i + 1, d)] = top_label(votes[d])

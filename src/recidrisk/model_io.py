@@ -15,11 +15,16 @@ the check its configs and fits go through (a float among them must be
 finite), and its data fields must agree: labels in 0..2, one per row, active
 columns inside the width, arrays of the shapes the classes and width give,
 their floats finite, and a tree node's counts neither negative nor all 0.
+A tree has no node deeper than its max_depth, which would load as a tree
+that predicts truncated, and a forest's member trees carry the forest's
+n_features, criterion and max_depth and the best splitter, so the forest
+predicts its members together in one descent.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -31,7 +36,7 @@ from .experiments import check_params
 from .knn import KNNModel
 from .metrics import check_labels
 from .nearest_centroid import NearestCentroidModel
-from .trees import ForestModel, TreeModel
+from .trees import ForestModel, TreeModel, _node_depths
 
 FORMAT_TAG = "recidrisk-model"
 FORMAT_VERSION = 1
@@ -165,6 +170,20 @@ def _check_nodes(bad: np.ndarray, what: str) -> None:
         raise ValueError(f"tree node {int(np.argmax(bad))}: {what}")
 
 
+def _check_depths(trees: list[TreeModel], max_depth: int | None, prefix: str = "") -> None:
+    """Refuse a node deeper than `max_depth`, the trees' common cap; the
+    message starts with `prefix` formatted with the tree's index."""
+    if max_depth is None:
+        return
+    roots, depth = _node_depths(trees)
+    bad = depth > max_depth
+    if bad.any():
+        k = int(np.argmax(bad))
+        i = int(np.searchsorted(roots, k, side="right")) - 1
+        raise ValueError(f"{prefix.format(i)}tree node {k - int(roots[i])}: depth {int(depth[k])} "
+                         f"exceeds max_depth {max_depth}")
+
+
 def _tree_restore(state: dict) -> TreeModel:
     _require_fields(state, {"n_features": int})
     check_params("tree", {key: state[key] for key in ("criterion", "splitter", "max_depth")},
@@ -200,12 +219,28 @@ def _tree_restore(state: dict) -> TreeModel:
     )
 
 
+def _lone_tree_restore(state: dict) -> TreeModel:
+    tree = _tree_restore(state)
+    _check_depths([tree], tree.max_depth)
+    return tree
+
+
 def _forest_restore(state: dict) -> ForestModel:
     _require_fields(state, {"trees": list, "n_features": int})
     params = {key: state[key] for key in ("criterion", "max_depth", "seed", "bootstrap")}
     check_params("forest", {**params, "n_estimators": len(state["trees"])}, "field")
+    trees = [_tree_restore(t) for t in state["trees"]]
+    # members grown by the forest: its width, criterion and depth cap, best splits
+    like = {**{name: state[name] for name in ("n_features", "criterion", "max_depth")},
+            "splitter": "best"}
+    for i, tree in enumerate(trees):
+        for name, forests in like.items():
+            if getattr(tree, name) != forests:
+                raise ValueError(f"forest tree {i}: {name} {json.dumps(getattr(tree, name))} "
+                                 f"differs from the forest's {json.dumps(forests)}")
+    _check_depths(trees, state["max_depth"], "forest tree {}: ")
     return ForestModel(
-        trees=[_tree_restore(t) for t in state["trees"]],
+        trees=trees,
         n_features=state["n_features"],
         criterion=state["criterion"],
         max_depth=state["max_depth"],
@@ -218,7 +253,7 @@ def _forest_restore(state: dict) -> ForestModel:
 _FAMILIES = {
     "nc": (NearestCentroidModel, _state, _nc_restore),
     "knn": (KNNModel, _knn_state, _knn_restore),
-    "tree": (TreeModel, _state, _tree_restore),
+    "tree": (TreeModel, _state, _lone_tree_restore),
     "forest": (ForestModel, _state, _forest_restore),
     "rule_system": (RuleSystem, rule_system_to_json, rule_system_from_json),
 }

@@ -6,8 +6,13 @@ learners: it grows a batch of trees level by level together, with one draw per
 member and one count for the whole batch per level. A single tree is a batch
 of one; a forest grows its members in batches of consecutive members, at most
 BUDGET row slots each. For a 0/1 column the only partition is x == 0 against
-x == 1, so one bincount over (node, class, feature) keys gives every
-candidate's class counts.
+x == 1. The batch's rows are kept ordered by (node, class), so every
+candidate's x == 1 class counts are differences of one running sum over the
+gathered columns, taken at the ends of the (node, class) segments.
+
+Prediction is one level walk over the stacked nodes of a chunk of trees:
+every (tree, depth cut) label of the chunk comes out of the same descent, and
+a single tree's `predict_at_depths` is a chunk of one.
 
 Split contract: the best splitter scores every (feature, midpoint between
 distinct values) candidate by impurity decrease; the random splitter draws
@@ -43,18 +48,17 @@ SPLITTERS = ("best", "random")
 _DECREASE_TOL = 1e-10
 
 
-def _impurity_sum(counts: np.ndarray, criterion: str) -> np.ndarray:
-    """Size-weighted impurity n * H(p) for count vectors along the last axis."""
-    counts = counts.astype(np.float64)
-    n = counts.sum(axis=-1)
+def _impurity_sum(counts: np.ndarray, criterion: str, axis: int = -1) -> np.ndarray:
+    """Size-weighted impurity n * H(p) for count vectors along `axis`. Sums
+    over the classes run in class order whatever the axis, so the class-major
+    layout the engine counts in gives the same bits as class-last vectors."""
+    counts = np.moveaxis(counts, axis, 0).astype(np.float64)
+    n = counts.sum(axis=0)
     if criterion == "gini":
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = n - np.where(n > 0, (counts * counts).sum(axis=-1) / np.where(n > 0, n, 1.0), 0.0)
-        return np.where(n > 0, out, 0.0)
-    plogp = np.zeros_like(counts)
-    np.multiply(counts, np.log2(counts, out=np.zeros_like(counts), where=counts > 0), out=plogp)
+        return n - np.divide((counts * counts).sum(axis=0), n, out=np.zeros_like(n), where=n > 0)
+    plogp = counts * np.log2(counts, out=np.zeros_like(counts), where=counts > 0)
     nlogn = n * np.log2(n, out=np.zeros_like(n), where=n > 0)
-    return nlogn - plogp.sum(axis=-1)
+    return nlogn - plogp.sum(axis=0)
 
 
 @dataclass
@@ -76,12 +80,8 @@ class TreeModel:
         return self.feature.shape[0]
 
     def depth(self) -> int:
-        depths = np.zeros(self.n_nodes, dtype=np.int64)
-        for i in range(self.n_nodes):
-            if self.feature[i] >= 0:
-                depths[self.left[i]] = depths[i] + 1
-                depths[self.right[i]] = depths[i] + 1
-        return int(depths.max())
+        """The most splits a descent from the root takes."""
+        return int(_node_depths([self])[1].max())
 
     def predict(self, X) -> np.ndarray:
         X, single = as_rows(X, self.n_features)
@@ -95,27 +95,7 @@ class TreeModel:
         is what lets a deep tree stand in for its shallower siblings.
         """
         X, _ = as_rows(X, self.n_features)
-        n = X.shape[0]
-        labels = top_label(self.counts)
-        node = np.zeros(n, dtype=np.int64)
-        finite_cuts = sorted({c for c in depth_cuts if c is not None})
-        snapshots: dict[int, np.ndarray] = {}
-        level = 0
-        while True:
-            if finite_cuts and finite_cuts[0] == level:
-                snapshots[finite_cuts.pop(0)] = labels[node]
-            feats = self.feature[node]
-            active = feats >= 0
-            if not active.any():
-                break
-            rows = np.nonzero(active)[0]
-            go_right = X[rows, feats[rows]] >= self.threshold[node[rows]]
-            node[rows] = np.where(go_right, self.right[node[rows]], self.left[node[rows]])
-            level += 1
-        final = labels[node]
-        for cut in finite_cuts:  # cuts at or below the deepest reached level
-            snapshots[cut] = final
-        return [final if c is None else snapshots[c] for c in depth_cuts]
+        return [labels[0] for labels in predict_members([self], X, depth_cuts)]
 
 
 @dataclass
@@ -132,12 +112,91 @@ class ForestModel:
         return len(self.trees)
 
     def predict(self, X) -> np.ndarray:
+        """The members' majority vote, ties toward the higher label. A member
+        grows no deeper than its max_depth, so its full descent is its label."""
         X, single = as_rows(X, self.n_features)
         votes = np.zeros((X.shape[0], N_LABELS), dtype=np.int64)
-        for tree in self.trees:
-            votes[np.arange(X.shape[0]), tree.predict(X)] += 1
+        size = batch_size(X.shape[0])
+        for start in range(0, self.n_estimators, size):
+            add_votes(votes, predict_members(self.trees[start:start + size], X, [None])[0])
         labels = top_label(votes)
         return labels[0] if single else labels
+
+
+# ---------------------------------------------------------------------------
+# Prediction: one level walk for a chunk of trees.
+
+def _stack(trees):
+    """The trees' structure end to end: each tree's root id, and the stacked
+    feature array and (left, right) child pairs, renumbered to stacked ids."""
+    sizes = np.array([tree.n_nodes for tree in trees], dtype=np.int64)
+    roots = np.cumsum(sizes) - sizes
+    feature = np.concatenate([tree.feature for tree in trees])
+    children = np.concatenate([np.stack((tree.left, tree.right), axis=1) for tree in trees])
+    return roots, feature, children + np.repeat(roots, sizes)[:, None]
+
+
+def predict_members(trees, X, depth_cuts) -> list[np.ndarray]:
+    """Every tree's labels for the rows X (2-D floats of the trees' width) at
+    each depth cut, one (len(trees), n) array per cut; None is the full tree.
+
+    One descent walks every (tree, row) pair level by level. At level L every
+    pair's current node is its label truncated at depth L; a pair that reaches
+    a leaf leaves the walk, and cuts beyond the deepest level take the final
+    labels. A leaf's children are never followed.
+    """
+    roots, feature, children = _stack(trees)
+    children = children.ravel()  # node k's left at 2k, right at 2k + 1
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    labels = top_label(np.concatenate([tree.counts for tree in trees]))
+    n, d = X.shape
+    flat = np.ascontiguousarray(X).ravel()
+    node = np.repeat(roots, n)  # pair (tree t, row r) at t * n + r
+    live = np.arange(node.size)
+    base = np.tile(np.arange(n) * d, len(trees))  # each live pair's row offset in flat
+    finite_cuts = sorted({c for c in depth_cuts if c is not None})
+    snapshots: dict[int, np.ndarray] = {}
+    level = 0
+    while True:
+        if finite_cuts and finite_cuts[0] == level:
+            snapshots[finite_cuts.pop(0)] = labels[node]
+        at = node[live]
+        feats = feature[at]
+        inner = feats >= 0
+        if not inner.all():
+            live, at, feats, base = live[inner], at[inner], feats[inner], base[inner]
+        if not live.size:
+            break
+        go_right = flat.take(base + feats) >= threshold[at]
+        node[live] = children.take(2 * at + go_right)
+        level += 1
+    final = labels[node]
+    for cut in finite_cuts:  # cuts at or below the deepest reached level
+        snapshots[cut] = final
+    shape = (len(trees), n)
+    return [(final if c is None else snapshots[c]).reshape(shape) for c in depth_cuts]
+
+
+def add_votes(votes: np.ndarray, labels: np.ndarray) -> None:
+    """Add each row's votes from a (members, n) label array to the (n, 3) tally."""
+    n = votes.shape[0]
+    keys = (np.arange(n) * N_LABELS + labels).ravel()
+    votes += np.bincount(keys, minlength=n * N_LABELS).reshape(n, N_LABELS)
+
+
+def _node_depths(trees):
+    """Each tree's root id in the stacked node order, and every stacked node's
+    level: the most splits a descent from its root takes to reach it, -1 if
+    none does. One level walk for all trees; each level's frontier is a set,
+    so shared children cost no more than distinct ones."""
+    roots, feature, children = _stack(trees)
+    depth = np.full(feature.size, -1, dtype=np.int64)
+    frontier, level = roots, 0
+    while frontier.size:
+        depth[frontier] = level
+        frontier = np.unique(children[frontier[feature[frontier] >= 0]])
+        level += 1
+    return roots, depth
 
 
 def _validate(criterion: str, splitter: str = "best", max_depth=None, n_estimators: int = 1) -> None:
@@ -201,7 +260,7 @@ def _forest_members(X, y, criterion, max_depth, seed, indices, bootstrap):
     ones = _binary_mask(X)
     n, d = X.shape
     max_features = int(np.ceil(np.sqrt(d)))
-    size = max(1, BUDGET // n)
+    size = batch_size(n)
     for start in range(indices.start, indices.stop, size):
         members = []
         for i in range(start, min(start + size, indices.stop)):
@@ -215,15 +274,20 @@ def _forest_members(X, y, criterion, max_depth, seed, indices, bootstrap):
 # ---------------------------------------------------------------------------
 # Growth engine.
 
-# Row slots one batch of forest members may hold: a batch grows
-# max(1, BUDGET // n) members of n rows each, so its per-level temporaries
-# stay bounded while small training sets share each level's numpy calls.
+# Row slots one batch of forest members may hold: a batch grows, or a chunk
+# predicts, batch_size(n) members of n rows each, so its per-level
+# temporaries stay bounded while small inputs share each level's numpy calls.
 BUDGET = 4096
+
+
+def batch_size(n_rows: int) -> int:
+    """Members per batch or chunk over n_rows rows: max(1, BUDGET // n_rows)."""
+    return max(1, BUDGET // max(n_rows, 1))
 
 
 def _binary_mask(X) -> np.ndarray:
     """X == 1, after checking that every feature is 0 or 1."""
-    ones = X == 1
+    ones = np.ascontiguousarray(X == 1)  # rows gathered through one flat index
     if not (ones | (X == 0)).all():
         raise ValueError("tree features must be 0 or 1 (one-hot encoded, as from encode_cases)")
     return ones
@@ -239,13 +303,16 @@ def _grow_batch(ones, y, members, criterion, splitter, max_depth, max_features):
     """Level-synchronous growth of a batch of trees, one per (rows, rng) member.
 
     The frame holds every member's unsettled nodes, member after member, and
-    their rows. Each level is one draw per member and one count for the batch:
-    every searched node's feature subset and thresholds come from one call each
-    on its member's generator, and one bincount over (frame node, class,
-    feature) keys gives the class counts of every candidate's x == 1 side.
+    their rows, ordered by (node, class). Each level is one draw per member and
+    one count for the batch: every searched node's feature subset and
+    thresholds come from one call each on its member's generator, and one
+    running sum down the frame's gathered columns gives, at the ends of the
+    (node, class) segments, the class counts of every candidate's x == 1 side.
+    The segment sizes are the nodes' class counts.
     Returns each member's flat (feature, threshold, left, right, counts) arrays.
     """
     d = ones.shape[1]
+    flat = ones.ravel()
     m = min(max_features, d)
     b = len(members)
     rngs = [rng for _, rng in members]
@@ -263,8 +330,9 @@ def _grow_batch(ones, y, members, criterion, splitter, max_depth, max_features):
     node_counts = np.zeros((capacity, N_LABELS), dtype=np.int64)
 
     order = np.concatenate([rows for rows, _ in members])
-    root = np.repeat(np.arange(b), lengths)
-    node_counts[:b] = np.bincount(root * N_LABELS + y[order], minlength=b * N_LABELS).reshape(b, -1)
+    frame_key = np.repeat(np.arange(b), lengths) * N_LABELS + y[order]
+    node_counts[:b] = np.bincount(frame_key, minlength=b * N_LABELS).reshape(b, -1)
+    order = order[np.argsort(frame_key, kind="stable")]
     n_nodes = b
     node_ids = np.arange(b)
     counts = node_counts[:b]
@@ -281,40 +349,48 @@ def _grow_batch(ones, y, members, criterion, splitter, max_depth, max_features):
         order = order[np.repeat(search, lengths)]
         node_ids, lengths, counts = node_ids[search], lengths[search], counts[search]
         s = node_ids.size
-        pos_node = np.repeat(np.arange(s), lengths)
         per_member = np.bincount(owner[node_ids], minlength=b)
 
         # The level's draws, per member in the stream order of one node after
         # another: each node's subset is a sorted permutation prefix (sorted,
         # so the lowest feature index wins ties), and only full-width trees
-        # draw thresholds, so subsets and thresholds never interleave.
+        # draw thresholds, so subsets and thresholds never interleave. Each
+        # member permutes its rows of one int64 buffer in place.
         if m < d:
-            feats = np.sort(_draws(rngs, per_member, lambda rng, k: rng.permuted(
-                np.tile(np.arange(d), (k, 1)), axis=1)[:, :m]), axis=1)
-            cols = ones[order[:, None], feats[pos_node]]
+            perms = np.empty((s, d), dtype=np.int64)
+            perms[:] = np.arange(d)
+            for rng, a, k in zip(rngs, np.cumsum(per_member) - per_member, per_member):
+                if k:
+                    rng.permuted(perms[a:a + k], axis=1, out=perms[a:a + k])
+            feats = np.sort(perms[:, :m], axis=1)
+            at = np.repeat(feats, lengths, axis=0)  # each row's candidates, then their flat index
+            at += (order * d)[:, None]
+            cols = flat.take(at)
         else:
             feats = np.broadcast_to(np.arange(d), (s, d))
             cols = ones[order]
-        # On 0/1 columns every threshold in (0, 1) makes the same partition,
-        # so a random threshold is its uniform draw, invalid only at exactly 0.
-        thresholds = (_draws(rngs, per_member, lambda rng, k: rng.random((k, m)))
-                      if splitter == "random" else np.full((s, m), 0.5))
 
-        # int32 keys halve the level's largest temporary where s * 3 * m fits
-        key_type = np.int32 if s * N_LABELS * m < 2**31 else np.int64
-        keys = (((pos_node * N_LABELS + y[order]) * m).astype(key_type)[:, None]
-                + np.arange(m, dtype=key_type))
-        ones_counts = np.bincount(keys[cols], minlength=s * N_LABELS * m)
-        ones_counts = ones_counts.reshape(s, N_LABELS, m).transpose(0, 2, 1)
-        n_right = ones_counts.sum(axis=2)
+        # A (node, class) segment's x == 1 counts: the running sum down the
+        # frame at its end less that at its start. Counts stay class-major,
+        # (node, class, candidate).
+        running = np.zeros((order.shape[0] + 1, m), dtype=np.int32)
+        np.cumsum(cols, axis=0, dtype=np.int32, out=running[1:])
+        bounds = np.concatenate(([0], np.cumsum(counts.ravel())))
+        ones_counts = np.diff(running[bounds], axis=0).reshape(s, N_LABELS, m)
+        n_right = ones_counts.sum(axis=1)
         n_left = lengths[:, None] - n_right
-        valid = (n_left > 0) & (n_right > 0) & (thresholds > 0)
+        valid = (n_left > 0) & (n_right > 0)
+        if splitter == "random":
+            # On 0/1 columns every threshold in (0, 1) makes the same partition,
+            # so a random threshold is its uniform draw, invalid only at exactly 0.
+            thresholds = np.concatenate([rng.random((k, m)) for rng, k in zip(rngs, per_member) if k])
+            valid &= thresholds > 0
 
-        left = counts[:, None, :] - ones_counts
+        left = counts[:, :, None] - ones_counts
         decrease = (
             _impurity_sum(counts, criterion)[:, None]
-            - _impurity_sum(left, criterion)
-            - _impurity_sum(ones_counts, criterion)
+            - _impurity_sum(left, criterion, axis=1)
+            - _impurity_sum(ones_counts, criterion, axis=1)
         )
         decrease[~valid] = -np.inf
         best_j = np.argmax(decrease, axis=1)  # first max = lowest feature (feats sorted)
@@ -331,22 +407,22 @@ def _grow_batch(ones, y, members, criterion, splitter, max_depth, max_features):
         first, n_nodes = n_nodes, n_nodes + 2 * split_idx.size
         left_ids = np.arange(first, n_nodes, 2)
         feature[parents] = feats[split_idx, split_j]
-        threshold[parents] = thresholds[split_idx, split_j]
+        threshold[parents] = thresholds[split_idx, split_j] if splitter == "random" else 0.5
         left_child[parents] = left_ids
         right_child[parents] = left_ids + 1
         owner[first:n_nodes] = np.repeat(owner[parents], 2)
-        counts = np.stack((left[split_idx, split_j], ones_counts[split_idx, split_j]), axis=1)
+        counts = np.stack((left[split_idx, :, split_j], ones_counts[split_idx, :, split_j]), axis=1)
         counts = counts.reshape(-1, N_LABELS)
         node_counts[first:n_nodes] = counts
 
-        # Partition surviving rows to their child, preserving node order; a
-        # row's side is its gathered column at the node's chosen feature.
-        local_new = np.full(s, -1, dtype=np.int64)
-        local_new[split_idx] = np.arange(split_idx.size)
-        row_split = splits[pos_node]
-        go_right = cols[np.arange(order.shape[0]), best_j[pos_node]][row_split]
-        child_key = 2 * local_new[pos_node[row_split]] + go_right
-        order = order[row_split][np.argsort(child_key, kind="stable")]
+        # Partition surviving rows to their child and order them by (child,
+        # class); a row's side is its gathered column at the node's chosen
+        # feature.
+        row_split = np.repeat(splits, lengths)
+        go_right = cols[np.arange(order.shape[0]), np.repeat(best_j, lengths)][row_split]
+        order = order[row_split]
+        left_child_of = np.repeat(np.arange(0, 2 * split_idx.size, 2), lengths[split_idx])
+        order = order[np.argsort((left_child_of + go_right) * N_LABELS + y[order], kind="stable")]
         node_ids = np.arange(first, n_nodes)
         lengths = counts.sum(axis=1)
         level += 1
@@ -366,9 +442,3 @@ def _grow_batch(ones, y, members, criterion, splitter, max_depth, max_features):
         out.append((feature[ids], threshold[ids], left_child[ids], right_child[ids],
                     node_counts[ids]))
     return out
-
-
-def _draws(rngs, per_member, draw):
-    """`draw(rng, k)` for every member with k > 0 frame nodes, stacked in member order."""
-    parts = [draw(rng, k) for rng, k in zip(rngs, per_member) if k]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)

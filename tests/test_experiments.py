@@ -27,6 +27,7 @@ from recidrisk.experiments import (
     nc_fine_space,
     nc_fine_tune,
     SensitivityRow,
+    _predict_forest_group,
     rescore_row,
     threshold_sensitivity,
 )
@@ -546,3 +547,22 @@ def test_cv_table_holds_one_fold_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 3 * data.values.nbytes
+
+
+def test_forest_group_predicts_members_in_bounded_chunks(small_matrix):
+    """A forest group's traced peak at 200 members stays within 1.5x its peak
+    at 20: members are predicted in chunks of at most trees.batch_size of the
+    test rows, not all together, on a 268 x 250 train part."""
+    train, test = split(small_matrix.take(np.arange(400)), SplitSpec(0.67, seed=31))
+    assert train.shape == (268, 250)
+    peaks = {}
+    for size in (20, 200):
+        configs = [ModelConfig("forest", {"n_estimators": size, "max_depth": depth})
+                   for depth in (5, None)]
+        tracemalloc.start()
+        try:
+            _predict_forest_group(configs, train, test, 0)
+            peaks[size] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[200] < 1.5 * peaks[20]

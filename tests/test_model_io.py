@@ -196,3 +196,49 @@ def test_wrong_kinds_and_overflowing_numbers_are_refused(tmp_path, family, keys,
     path.write_text(path.read_text().replace('"<edited>"', literal))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
         load_model(path)
+
+
+def test_tree_deeper_than_its_max_depth_is_refused(tmp_path):
+    # a file whose max_depth lies below its grown depth would predict truncated
+    X, y = _data(3, binary=True)
+    model = tree_fit((X, y), max_depth=6, seed=4)
+    assert model.depth() >= 2  # nodes 1 and 2 are the root's children, node 3 lies at depth 2
+    path = tmp_path / "tree.json"
+    save_model(path, model)
+    _edit(path, ("max_depth",), 1)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: tree node 3: depth 2 exceeds "
+                                         "max_depth 1$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    (("trees", 0, "max_depth"), 1, "forest tree 0: max_depth 1 differs from the forest's 4"),
+    (("trees", 2, "max_depth"), None, "forest tree 2: max_depth null differs from the forest's 4"),
+    (("trees", 1, "n_features"), 6, "forest tree 1: n_features 6 differs from the forest's 5"),
+    (("trees", 0, "criterion"), "entropy",
+     'forest tree 0: criterion "entropy" differs from the forest\'s "gini"'),
+    (("trees", 4, "splitter"), "random",
+     'forest tree 4: splitter "random" differs from the forest\'s "best"'),
+], ids=["member_max_depth", "member_max_depth_null", "member_n_features", "member_criterion",
+        "member_splitter"])
+def test_forest_member_unlike_its_forest_is_refused(tmp_path, keys, value, message):
+    X, y = _data(6, binary=True)
+    path = tmp_path / "forest.json"
+    save_model(path, forest_fit((X, y), n_estimators=5, max_depth=4, seed=7))
+    _edit(path, keys, value)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+        load_model(path)
+
+
+def test_forest_deeper_than_its_max_depth_is_refused(tmp_path):
+    X, y = _data(6, binary=True)
+    model = forest_fit((X, y), n_estimators=5, max_depth=4, seed=7)
+    assert model.trees[0].depth() >= 2
+    path = tmp_path / "forest.json"
+    save_model(path, model)
+    _edit(path, ("max_depth",), 1)
+    for i in range(5):
+        _edit(path, ("trees", i, "max_depth"), 1)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: forest tree 0: tree node 3: "
+                                         "depth 2 exceeds max_depth 1$"):
+        load_model(path)

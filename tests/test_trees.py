@@ -1,5 +1,5 @@
 """Trees and forests: split contract, the engine against a per-node oracle,
-depth truncation."""
+depth truncation, the batched descent against a per-row oracle."""
 
 from unittest import mock
 
@@ -20,6 +20,7 @@ from recidrisk.trees import (
     _grow,
     _impurity_sum,
     forest_fit,
+    predict_members,
     tree_fit,
 )
 
@@ -70,6 +71,31 @@ def test_no_gain_split_is_refused():
     y = np.array([0, 2, 2, 0])
     model = tree_fit((X, y))
     assert model.n_nodes == 1
+
+
+def _oracle_impurity(vector, criterion):
+    """n * H(p) of one count vector, summed class after class."""
+    c = [float(v) for v in vector]
+    n = c[0] + c[1] + c[2]
+    if n == 0:
+        return 0.0
+    if criterion == "gini":
+        return n - (c[0] * c[0] + c[1] * c[1] + c[2] * c[2]) / n
+    plogp = [v * np.log2(v) if v > 0 else 0.0 for v in c]
+    return n * np.log2(n) - (plogp[0] + plogp[1] + plogp[2])
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_impurity_is_the_same_bits_along_any_class_axis(criterion):
+    # the engine scores class-major (node, class, candidate) counts, the
+    # oracle class-last vectors; both must give the per-vector sums' bits
+    counts = np.random.default_rng(43).integers(0, 400, (40, N_LABELS, 16)).astype(np.int32)
+    counts[:4] = 0  # empty sides
+    counts[4:8, 1:] = 0  # pure sides
+    class_last = np.ascontiguousarray(counts.transpose(0, 2, 1))
+    expected = np.array([[_oracle_impurity(v, criterion) for v in node] for node in class_last])
+    assert np.array_equal(_impurity_sum(counts, criterion, axis=1), expected)
+    assert np.array_equal(_impurity_sum(class_last, criterion), expected)
 
 
 def test_deterministic_given_seed():
@@ -360,6 +386,62 @@ def test_forest_member_truncation_matches_refit():
             votes[np.arange(50), pred] += 1
         expected = 2 - np.argmax(votes[:, ::-1], axis=1)
         assert np.array_equal(direct.predict(queries), expected)
+
+
+def _oracle_descent(tree, row, cut):
+    """One row walked down one tree a node at a time, stopping at a leaf or
+    after `cut` splits; the label of the node it stops at."""
+    node, level = 0, 0
+    while tree.feature[node] >= 0 and (cut is None or level < cut):
+        node = tree.right[node] if row[tree.feature[node]] >= tree.threshold[node] else tree.left[node]
+        level += 1
+    return int(N_LABELS - 1 - np.argmax(tree.counts[node][::-1]))
+
+
+def _oracle_depth(tree):
+    """The most splits on any root-to-leaf path, one node at a time."""
+    deepest, stack = 0, [(0, 0)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        if tree.feature[node] >= 0:
+            stack += [(tree.left[node], level + 1), (tree.right[node], level + 1)]
+    return deepest
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    problem=binary_problems(),
+    specs=st.lists(st.tuples(st.sampled_from(["gini", "entropy"]), st.sampled_from(["best", "random"]),
+                             st.one_of(st.none(), st.integers(1, 4)), st.integers(0, 1000)),
+                   min_size=1, max_size=4),
+    single_leaf=st.booleans(),
+    cuts=st.lists(st.one_of(st.none(), st.integers(0, 12)), min_size=1, max_size=4),
+    query_seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_descent_is_each_trees_own(problem, specs, single_leaf, cuts, query_seed):
+    # 0/1 features split at most once per path, so cuts up to 12 pass the
+    # deepest level; queries add fractional rows, some exactly at a threshold
+    X, y = problem
+    members = [tree_fit((X, y), criterion, splitter, depth, seed)
+               for criterion, splitter, depth, seed in specs]
+    if single_leaf:
+        members.append(tree_fit((X, np.full_like(y, y[0]))))
+    queries = np.vstack((X, np.random.default_rng(query_seed).random((6, X.shape[1])).round(1)))
+    batched = predict_members(members, queries, cuts)
+    for t, tree in enumerate(members):
+        own = tree.predict_at_depths(queries, cuts)
+        for c, cut in enumerate(cuts):
+            expected = [_oracle_descent(tree, row, cut) for row in queries]
+            assert batched[c][t].tolist() == expected
+            assert own[c].tolist() == expected
+        assert tree.depth() == _oracle_depth(tree)
+    votes = np.zeros((queries.shape[0], N_LABELS), dtype=np.int64)
+    for tree in members:
+        votes[np.arange(queries.shape[0]),
+              [_oracle_descent(tree, row, tree.max_depth) for row in queries]] += 1
+    forest = ForestModel(members, n_features=X.shape[1])
+    assert forest.predict(queries).tolist() == (2 - np.argmax(votes[:, ::-1], axis=1)).tolist()
 
 
 def test_forest_singleton_equals_its_tree():
