@@ -163,7 +163,7 @@ class CaseRecord:
             raise ValueError(f"case {self.case_id!r}: viogen_score must be in 0..4")
 
 
-QUERY_CHUNK = 512  # rows per float block; bounds a distance block to a few dozen MB
+QUERY_CHUNK = 512  # rows per float block that nearest centroid builds from codes
 
 
 class _FloatRows:

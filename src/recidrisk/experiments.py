@@ -44,14 +44,13 @@ from .dataset import (
     kfold_indices,
     require_type,
     split,
-    top_label,
     write_table,
 )
 from .knn import knn_fit, neighbor_labels, vote
 from .metrics import MetricSpec, class_scores, confusion, police_protection
 from .nearest_centroid import distance_of, nc_fit, nc_shrink, nc_stats
 from .seeding import derive_seed
-from .trees import _forest_members, add_votes, forest_fit, predict_members, tree_fit
+from .trees import forest_fit, forest_members, prefix_votes, tree_fit
 
 _FIT_NAMES = {"nc": "nc_fit", "knn": "knn_fit", "tree": "tree_fit", "forest": "forest_fit"}
 FAMILIES = tuple(_FIT_NAMES)
@@ -338,7 +337,7 @@ def _predict_nc(configs, train, test, seed):
 
 def _predict_knn(configs, train, test, seed):
     """Every k from one ranking of the neighbors."""
-    ranked = neighbor_labels(train.values, train.labels, test.values,
+    ranked = neighbor_labels(train.values, train.labels, test,
                              max(config.params["k"] for config in configs))
     return [vote(ranked, config.params["k"]) for config in configs]
 
@@ -351,30 +350,15 @@ def _predict_tree_group(configs, train, test, seed):
 
 
 def _predict_forest_group(configs, train, test, seed):
-    """One (criterion, bootstrap) group: every (n_estimators, max_depth) point
-    is a vote prefix over shared full-depth member trees. Members are predicted
-    in chunks of at most `trees.batch_size` of the test rows, one descent per
-    chunk for every depth, and a chunk never spans an ensemble size."""
+    """One (criterion, bootstrap) group: every (n_estimators, max_depth) point is
+    a vote prefix over shared full-depth members, from one `prefix_votes` pass."""
     criterion, bootstrap = configs[0].value("criterion"), configs[0].value("bootstrap")
-    depths = sorted({c.value("max_depth") for c in configs}, key=lambda d: (d is None, d))
-    sizes = sorted({c.value("n_estimators") for c in configs})
-    votes = {d: np.zeros((test.n_rows, 3), dtype=np.int64) for d in depths}
-    labels_at = {}
-    members = _forest_members(train.values, train.labels, criterion, None, seed,
-                              range(max(sizes)), bootstrap)
-    test_rows = test.values  # built once for every member
-    chunk, size = [], trees.batch_size(test.n_rows)
-    for i, tree in enumerate(members):
-        chunk.append(tree)
-        if len(chunk) < size and i + 1 not in sizes:
-            continue
-        for d, labels in zip(depths, predict_members(chunk, test_rows, depths)):
-            add_votes(votes[d], labels)
-        chunk = []
-        if i + 1 in sizes:
-            for d in depths:
-                labels_at[(i + 1, d)] = top_label(votes[d])
-    return [labels_at[(c.value("n_estimators"), c.value("max_depth"))] for c in configs]
+    points = [(c.value("n_estimators"), c.value("max_depth")) for c in configs]
+    sizes, depths = zip(*points)
+    members = forest_members(train.values, train.labels, criterion, None, seed,
+                             range(max(sizes)), bootstrap)
+    labels = prefix_votes(members, test.values, sizes, depths)
+    return [labels[point] for point in points]
 
 
 # per family: `(configs, train, test, seed)` -> one outcome per config of a group,

@@ -10,7 +10,8 @@ below it is a candidate, and one stable sort of the candidates by (query,
 distance) keeps the first k_max per query. That is the (distance, lower row
 index) prefix a full stable sort gives, on the same floats, for 0/1 and dense
 rows alike. It needs finite distances, so `knn_fit` refuses non-finite
-training values and `KNNModel.predict` non-finite queries.
+training values and `KNNModel.predict` non-finite queries. Queries are read
+in `row_blocks` of max(1, 2**20 // n_train) rows: 8 MiB of distances at most.
 
 `_validate` is the family's hyperparameter rule, 1 <= k <= the number of
 training rows; `knn_fit` applies it first, and model selection and model
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import N_LABELS, QUERY_CHUNK, as_rows, as_xy, top_label
+from .dataset import N_LABELS, as_rows, as_xy, row_blocks, top_label
 
 
 @dataclass
@@ -63,20 +64,19 @@ def knn_fit(train, k: int) -> KNNModel:
 
 
 def neighbor_labels(
-    train_values: np.ndarray, train_labels: np.ndarray, X: np.ndarray, k_max: int
+    train_values: np.ndarray, train_labels: np.ndarray, X, k_max: int
 ) -> np.ndarray:
-    """(n_queries, k_max) labels of each query's nearest training rows.
-
-    Computed once it serves every k <= k_max, which is how a grid over k
-    avoids recomputing distances. k_max must lie in 1..n_train, and a query
-    whose k_max-th distance is NaN or infinite is refused.
+    """(n_queries, k_max) labels of the nearest training rows of each query
+    of X, 2-D float rows or a FeatureMatrix. Computed once it serves every
+    k <= k_max, which is how a grid over k avoids recomputing distances.
+    k_max must lie in 1..n_train, and a query whose k_max-th distance is NaN
+    or infinite is refused.
     """
     if not 1 <= k_max <= train_values.shape[0]:
         raise ValueError(f"k_max must satisfy 1 <= k_max <= {train_values.shape[0]}, got {k_max}")
     train_sq = np.einsum("ij,ij->i", train_values, train_values)
     out = np.empty((X.shape[0], k_max), dtype=np.int64)
-    for start in range(0, X.shape[0], QUERY_CHUNK):
-        chunk = X[start : start + QUERY_CHUNK]
+    for part, chunk in row_blocks(X, max(1, 2**20 // train_values.shape[0])):
         d2 = chunk @ train_values.T
         d2 *= -2.0
         d2 += train_sq  # query norms omitted: constant per row, order unchanged
@@ -88,7 +88,7 @@ def neighbor_labels(
         order = np.lexsort((d2.ravel()[flat], rows))  # stable: equal distances keep column order
         first = np.searchsorted(rows, np.arange(len(chunk)))  # each row's first candidate
         ranked = cols[order[first[:, None] + np.arange(k_max)]]
-        out[start : start + QUERY_CHUNK] = train_labels[ranked]
+        out[part] = train_labels[ranked]
     return out
 
 

@@ -1,18 +1,21 @@
 """Decision trees and random forests for the three-class risk target.
 
-Trees take 0/1 features, the one-hot rows that `encode_cases` produces, and
-reject any other value with a ValueError. One growth engine serves both
-learners: it grows a batch of trees level by level together, with one draw per
-member and one count for the whole batch per level. A single tree is a batch
-of one; a forest grows its members in batches of consecutive members, at most
-BUDGET row slots each. For a 0/1 column the only partition is x == 0 against
-x == 1. The batch's rows are kept ordered by (node, class), so every
-candidate's x == 1 class counts are differences of one running sum over the
-gathered columns, taken at the ends of the (node, class) segments.
+Trees train on 0/1 features, the one-hot rows that `encode_cases` produces,
+and refuse any other training value with a ValueError; queries may be any
+floats. One growth engine serves both learners: it grows a batch of trees
+level by level together, with one draw per member and one count for the whole
+batch per level. A single tree is a batch of one; a forest grows its members
+in batches of consecutive members, at most BUDGET row slots each. For a 0/1
+column the only partition is x == 0 against x == 1. The batch's rows are kept
+ordered by (node, class), so every candidate's x == 1 class counts are
+differences of one running sum over the gathered columns, taken at the ends
+of the (node, class) segments.
 
 Prediction is one level walk over the stacked nodes of a chunk of trees:
 every (tree, depth cut) label of the chunk comes out of the same descent, and
-a single tree's `predict_at_depths` is a chunk of one.
+a single tree's `predict_at_depths` is a chunk of one. `prefix_votes`, the one
+loop that votes members chunk by chunk, serves a forest's `predict` and every
+(ensemble size, depth cut) of a model selection group in one pass.
 
 Split contract: the best splitter scores every (feature, midpoint between
 distinct values) candidate by impurity decrease; the random splitter draws
@@ -107,6 +110,10 @@ class ForestModel:
     seed: int = 0
     bootstrap: bool = True
 
+    def __post_init__(self):
+        if not self.trees:
+            raise ValueError("n_estimators must be >= 1")
+
     @property
     def n_estimators(self) -> int:
         return len(self.trees)
@@ -115,11 +122,7 @@ class ForestModel:
         """The members' majority vote, ties toward the higher label. A member
         grows no deeper than its max_depth, so its full descent is its label."""
         X, single = as_rows(X, self.n_features)
-        votes = np.zeros((X.shape[0], N_LABELS), dtype=np.int64)
-        size = batch_size(X.shape[0])
-        for start in range(0, self.n_estimators, size):
-            add_votes(votes, predict_members(self.trees[start:start + size], X, [None])[0])
-        labels = top_label(votes)
+        labels = prefix_votes(self.trees, X, [self.n_estimators], [None])[self.n_estimators, None]
         return labels[0] if single else labels
 
 
@@ -177,11 +180,25 @@ def predict_members(trees, X, depth_cuts) -> list[np.ndarray]:
     return [(final if c is None else snapshots[c]).reshape(shape) for c in depth_cuts]
 
 
-def add_votes(votes: np.ndarray, labels: np.ndarray) -> None:
-    """Add each row's votes from a (members, n) label array to the (n, 3) tally."""
-    n = votes.shape[0]
-    keys = (np.arange(n) * N_LABELS + labels).ravel()
-    votes += np.bincount(keys, minlength=n * N_LABELS).reshape(n, N_LABELS)
+def prefix_votes(members, X, sizes, depth_cuts) -> dict:
+    """Majority labels of the rows X, ties toward the higher label, keyed
+    (size, cut) for each prefix of `members` whose length is in `sizes` at each
+    depth cut. Members are taken from the iterable as they come, in chunks of
+    at most batch_size(rows), one descent each; a chunk never spans a size."""
+    n, sizes, cuts = X.shape[0], set(sizes), list(set(depth_cuts))
+    votes = np.zeros((len(cuts), n, N_LABELS), dtype=np.int64)
+    row_keys = np.arange(n) * N_LABELS
+    out, chunk, limit = {}, [], batch_size(n)
+    for size, tree in enumerate(members, 1):
+        chunk.append(tree)
+        if len(chunk) < limit and size not in sizes:
+            continue
+        for tally, labels in zip(votes, predict_members(chunk, X, cuts)):
+            tally += np.bincount((row_keys + labels).ravel(), minlength=n * N_LABELS).reshape(n, -1)
+        chunk = []
+        if size in sizes:
+            out.update(((size, cut), top_label(tally)) for cut, tally in zip(cuts, votes))
+    return out
 
 
 def _node_depths(trees):
@@ -241,19 +258,18 @@ def forest_fit(
     _validate(criterion, max_depth=max_depth, n_estimators=n_estimators)
     if X.shape[0] < 1:
         raise ValueError("cannot fit a forest on an empty training set")
-    trees = list(_forest_members(X, y, criterion, max_depth, seed, range(n_estimators), bootstrap))
+    trees = list(forest_members(X, y, criterion, max_depth, seed, range(n_estimators), bootstrap))
     return ForestModel(trees, n_features=X.shape[1], criterion=criterion,
                        max_depth=max_depth, seed=seed, bootstrap=bootstrap)
 
 
 def _forest_tree(X, y, criterion, max_depth, seed, tree_index, bootstrap) -> TreeModel:
     """One ensemble member: bootstrap then grow, all from the per-tree stream."""
-    members = _forest_members(X, y, criterion, max_depth, seed,
-                              range(tree_index, tree_index + 1), bootstrap)
-    return next(members)
+    return next(forest_members(X, y, criterion, max_depth, seed,
+                               range(tree_index, tree_index + 1), bootstrap))
 
 
-def _forest_members(X, y, criterion, max_depth, seed, indices, bootstrap):
+def forest_members(X, y, criterion, max_depth, seed, indices, bootstrap):
     """The members `indices` (a range) in order, grown in batches of consecutive
     members; member i bootstraps and grows from its own stream, so it equals
     the member grown alone."""

@@ -1,4 +1,6 @@
-"""k-NN: neighbor ranking, tie rules, degenerate k."""
+"""k-NN: neighbor ranking, tie rules, degenerate k, bounded query blocks."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,3 +121,22 @@ def test_k_max_outside_the_training_rows_is_refused(k_max):
     X, y = np.zeros((3, 2)), np.array([0, 1, 2])
     with pytest.raises(ValueError, match=rf"^k_max must satisfy 1 <= k_max <= 3, got {k_max}$"):
         neighbor_labels(X, y, np.zeros((2, 2)), k_max)
+
+
+def test_traced_peak_does_not_grow_with_the_query_count():
+    """Queries are ranked in blocks of at most 2**20 distance cells, so
+    ranking 2,000 queries peaks within 1.5x of ranking 200, on an 8,000 x 30
+    binary training part at k 20."""
+    rng = np.random.default_rng(5)
+    train = (rng.random((8000, 30)) < 0.5).astype(float)
+    labels = rng.integers(0, 3, 8000)
+    peaks = {}
+    for n_queries in (200, 2000):
+        queries = (rng.random((n_queries, 30)) < 0.5).astype(float)
+        tracemalloc.start()
+        try:
+            neighbor_labels(train, labels, queries, k_max=20)
+            peaks[n_queries] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2000] < 1.5 * peaks[200]

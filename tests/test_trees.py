@@ -493,6 +493,11 @@ def test_vote_tie_toward_higher_risk_in_forest():
     assert model.predict([0.0]) == 2
 
 
+def test_forest_without_members_is_refused():
+    with pytest.raises(ValueError, match="^n_estimators must be >= 1$"):
+        ForestModel([], n_features=3)
+
+
 def test_max_depth_validation():
     X, y = np.zeros((2, 1)), np.array([0, 1])
     with pytest.raises(ValueError):
